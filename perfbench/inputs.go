@@ -15,7 +15,6 @@ import (
 // does. Work is a fixed op count, never a fixed duration.
 type spec struct {
 	name string
-	why  string
 
 	poolN, m, initial, k int
 
@@ -40,21 +39,18 @@ type spec struct {
 var specs = []*spec{
 	{
 		name:  "track-autos",
-		why:   "the paper's default experiment: RS tracks COUNT(*) at Yahoo! Autos scale, G=500, +300/-0.1% per round",
 		poolN: workload.AutosSize, m: 38, initial: 170000, k: 1000,
 		g: 500, inserts: 300, deleteFrac: 0.001,
 		warm: 3, perSec: 8, minOps: 100,
 	},
 	{
 		name:  "track-constant",
-		why:   "Fig 4 constant updates: 300 inserts and 171 deletes spread over each G=100 round; the only ephemeral-path workload",
 		poolN: workload.AutosSize, m: 38, initial: 170000, k: 1000,
 		g: 100, constant: true, inserts: 300, deletes: 171,
 		warm: 2, perSec: 6.7, minOps: 100,
 	},
 	{
 		name:  "serve-mixed",
-		why:   "one client replays Zipf 1-2 predicate GETs at one process: cache hits, intersection kernels and the wire encoder",
 		poolN: 40000, m: 38, initial: 36000, k: 250,
 		inserts: 300, deleteFrac: 0.001,
 		universe: 4096, zipf: 1.1, churnEvery: 1000,
@@ -62,7 +58,6 @@ var specs = []*spec{
 	},
 	{
 		name:  "router-mixed",
-		why:   "the same traffic through a router over 2 shard daemons: fan-out, partial decode, merge, re-encode, epoch handshakes",
 		poolN: 40000, m: 38, initial: 36000, k: 250, router: true,
 		inserts: 300, deleteFrac: 0.001,
 		universe: 4096, zipf: 1.1, churnEvery: 1000,
@@ -187,12 +182,19 @@ func (p *poolSim) roundUpdate(inserts int, deleteFrac float64) batch {
 	return batch{ins: p.insert(inserts), dels: dels}
 }
 
-// newSim generates the Autos-shaped pool for seed and loads `initial`
-// of it. Overflow tuples come from a second dataset of the same shape,
+// dataSeed fixes the Autos-shaped pool and the query universe: like the
+// paper's Yahoo! Autos data they are one database, the same for every
+// run. --seed draws the initial subset, the churn, the request sample and
+// the estimator's randomness, so runs with different seeds do the same
+// kind of work.
+const dataSeed = 1
+
+// newSim loads `initial` tuples of the Autos-shaped pool, chosen by seed.
+// Overflow tuples come from a second dataset of the same shape,
 // generated only if a long run drains the pool.
 func newSim(s *spec, seed int64) (*schema.Schema, *poolSim, []*schema.Tuple) {
-	data := workload.AutosLikeN(seed, s.poolN, s.m)
-	spareSeed := seed
+	data := workload.AutosLikeN(dataSeed, s.poolN, s.m)
+	spareSeed := int64(dataSeed)
 	spare := func() []*schema.Tuple {
 		spareSeed += 7919
 		return workload.AutosLikeN(spareSeed, 4096, s.m).Pool
@@ -256,13 +258,13 @@ func genServe(s *spec, seed int64, timed int) *serveInputs {
 	for i := 1; i*s.churnEvery < timed; i++ {
 		in.batches = append(in.batches, sim.roundUpdate(s.inserts, s.deleteFrac))
 	}
-	rng := rand.New(rand.NewSource(seed + 2))
+	rng := rand.New(rand.NewSource(dataSeed + 2))
 	in.queries = make([]hiddendb.Query, s.universe)
 	in.paths = make([]string, s.universe)
 	for i := range in.queries {
 		in.queries[i], in.paths[i] = randomQuery(sch, rng)
 	}
-	z := rand.NewZipf(rng, s.zipf, 1, uint64(s.universe-1))
+	z := rand.NewZipf(rand.New(rand.NewSource(seed+2)), s.zipf, 1, uint64(s.universe-1))
 	in.seq = make([]int32, s.warm+timed)
 	for i := range in.seq {
 		in.seq[i] = int32(z.Uint64())

@@ -10,7 +10,8 @@
 // twice on fresh set-ups, untraced and then traced, and prints the
 // per-layer metrics from the traced pass plus the tracing overhead.
 // --repeat runs it twice untraced and fails when the exact counts differ.
-// README.md describes the workloads and metrics.
+// BENCHMARK.json names the workloads and metrics; baseline.json records
+// the seeds, the layers each workload loads and its traced split.
 package main
 
 import (
@@ -21,6 +22,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -57,11 +59,13 @@ func (r *passResult) beginTimed() {
 func (r *passResult) excludeAlloc(n uint64) { r.allocSkip += n }
 
 // endTimed records allocation over the timed ops and the live heap after
-// a forced GC.
+// a forced GC. It collects twice: objects a sync.Pool dropped survive the
+// first collection in the pool's victim cache.
 func (r *passResult) endTimed() {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	r.alloc = ms.TotalAlloc - r.allocStart - r.allocSkip
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
 	r.heapLive = ms.HeapAlloc
@@ -87,8 +91,11 @@ type result struct {
 	Metrics   map[string]metric `json:"metrics"`
 }
 
-// perLayerUnits names every per-layer metric with its unit; a workload
-// that does not reach a layer reports 0 for it.
+// setupRuns is how many times an untraced run sets the workload up;
+// setup_s is their median.
+const setupRuns = 5
+
+// perLayerUnits names every per-layer metric with its unit.
 var perLayerUnits = map[string]string{
 	"hiddendb.search_ms":          "ms",
 	"hiddendb.queries":            "count",
@@ -126,12 +133,11 @@ func run() int {
 		seconds = flag.Int("seconds", 15, "measure about this long: the fixed op count is derived from it")
 		trace   = flag.Int("trace", 0, "0: end-to-end metrics; 1: per-layer metrics from a traced pass")
 		repeat  = flag.Bool("repeat", false, "run twice and fail unless the exact counts agree")
-		setups  = flag.Int("setups", 3, "set-ups per run; setup_s is their median")
 		workDir = flag.String("work-dir", ".bench_build", "directory for checkpoint files and span dumps")
 	)
 	flag.Parse()
 	s, err := specNamed(*name)
-	if err != nil || *seconds < 1 || (*trace != 0 && *trace != 1) || *setups < 1 {
+	if err != nil || *seconds < 1 || (*trace != 0 && *trace != 1) {
 		if err == nil {
 			err = fmt.Errorf("bad flags")
 		}
@@ -167,7 +173,7 @@ func run() int {
 		out = endToEnd(s, b)
 		out.Correct = out.Correct && ok(a) && len(diff) == 0
 	case *trace == 0:
-		r, err := pass(*setups, false)
+		r, err := pass(setupRuns, false)
 		if err != nil {
 			return fail(err)
 		}
@@ -179,7 +185,7 @@ func run() int {
 			return fail(err)
 		}
 		printCounts(traced)
-		out = perLayer(traced)
+		out = perLayer(s, traced)
 		out.Correct = out.Correct && ok(plain)
 		overhead := (plain.opsPerSec() - traced.opsPerSec()) / plain.opsPerSec() * 100
 		out.Metrics["trace.overhead_pct"] = metric{overhead, "%"}
@@ -250,11 +256,22 @@ func endToEnd(s *spec, r *passResult) result {
 	}
 }
 
-func perLayer(r *passResult) result {
+// perLayer reports the traced pass. The result names every per-layer
+// metric, as BENCHMARK.json's result format asks; a layer the workload
+// never reaches reads 0 there and is listed on stderr, and baseline.json
+// records which layers each workload loads.
+func perLayer(s *spec, r *passResult) result {
 	out := result{Correct: ok(r), Attempted: len(r.lat), Failed: r.failed, Metrics: map[string]metric{}}
+	var unreached []string
 	for name, unit := range perLayerUnits {
-		out.Metrics[name] = metric{r.layer[name], unit}
+		v, measured := r.layer[name]
+		if !measured && name != "trace.overhead_pct" {
+			unreached = append(unreached, name)
+		}
+		out.Metrics[name] = metric{v, unit}
 	}
+	sort.Strings(unreached)
+	fmt.Fprintf(os.Stderr, "perfbench: %s does not reach, reported as 0: %s\n", s.name, strings.Join(unreached, " "))
 	return out
 }
 

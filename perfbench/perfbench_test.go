@@ -9,15 +9,15 @@ import (
 
 func TestTailPercent(t *testing.T) {
 	cases := []struct{ n, want int }{
-		{99, 0},      // p90 leaves 9 beyond
-		{100, 90},    // p90 leaves exactly 10 beyond
-		{199, 90},    // p95 leaves 9 beyond
-		{200, 95},    // p95 leaves 10
-		{999, 95},    // p99 leaves 9
-		{1000, 99},   // p99 leaves 10
-		{22500, 99},  // serve-mixed at 15 s
-		{120, 90},    // track-autos at 15 s
-		{3000, 99},   // router-mixed at 15 s
+		{99, 0},     // p90 leaves 9 beyond
+		{100, 90},   // p90 leaves exactly 10 beyond
+		{199, 90},   // p95 leaves 9 beyond
+		{200, 95},   // p95 leaves 10
+		{999, 95},   // p99 leaves 9
+		{1000, 99},  // p99 leaves 10
+		{22500, 99}, // serve-mixed at 15 s
+		{120, 90},   // track-autos at 15 s
+		{3000, 99},  // router-mixed at 15 s
 		{1 << 20, 99},
 	}
 	for _, c := range cases {

@@ -13,7 +13,7 @@ root=$(pwd)
 out="$root/.bench_build"
 mkdir -p "$out/tmp"
 export GOCACHE="$out/gocache" GOTMPDIR="$out/tmp" GOPATH="$out/gopath" \
-	GOWORK=off GOTOOLCHAIN=local GOFLAGS= GOENV=off
+	GOWORK=off GOTOOLCHAIN=local GOFLAGS= GOENV=off GOPROXY=off
 
 (cd "$root/perfbench" && go build -o "$out/perfbench" .)
 exec "$out/perfbench" --work-dir "$out" "$@"

@@ -149,7 +149,10 @@ func buildRouter(s *spec, in *serveInputs, tr *tracer) (*servingSystem, error) {
 		if tr != nil {
 			h = tracedHTTP(tr, layerHandler, adminSlot, handlerSlot, h)
 		}
-		admin := router.NewShardAdmin(ss, h, router.AdminOptions{FreezeTimeout: 30 * time.Second})
+		// No freeze timeout: its timer would keep every discarded set-up's
+		// shard alive for the timeout and inflate heap_live_mb, and every
+		// handshake here publishes what it froze.
+		admin := router.NewShardAdmin(ss, h, router.AdminOptions{})
 		var ah http.Handler = admin
 		if tr != nil {
 			ah = tracedHTTP(tr, layerShard, routerSlot, adminSlot, admin)
