@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-serving bench-load bench-load-router bench-smoke fmt fmt-check vet promcheck ci
+.PHONY: build test race bench bench-serving bench-load bench-load-router bench-smoke fmt fmt-check vet perfbench-check promcheck ci
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,13 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench/ is its own Go module (it pins this one with a replace
+# directive), so build, test and vet above never compile it. This target
+# vets and tests it, so an engine API change cannot break the benchmark
+# unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # fmt rewrites; fmt-check (CI) fails on any file gofmt would change.
 fmt:
@@ -55,15 +62,17 @@ bench:
 	$(MAKE) bench-serving
 
 # bench-serving runs the serving-path benchmarks (prefix vs non-prefix
-# snapshot answering, query-key encoding, concurrent sessions, the
-# estimator executor's sequential-vs-concurrent drill-down issuance,
+# snapshot answering, a ~20k-tuple prefix range, ApplyBatch at one
+# tracking round's churn and at +50%/-25%, query-key encoding,
+# concurrent sessions, the estimator executor's sequential-vs-concurrent
+# drill-down issuance,
 # sharded scatter-gather serving at shards=1/4/16 under mutation load,
 # the fleet scheduler tick at tasks=1 vs tasks=8 on one shared remote,
 # the bitmap AND kernel scalar-vs-unrolled pair and the HTTP handler's
 # legacy-vs-fastpath pair) and emits machine-readable results to
 # BENCH_serving.json; CI archives the file as an artifact, seeding the
 # repo's perf trajectory.
-SERVING_BENCH := BenchmarkSnapshotPrefixQuery|BenchmarkSnapshotNonPrefix|BenchmarkQueryKey|BenchmarkServingConcurrent|BenchmarkConcurrentSessions|BenchmarkEstimatorExec|BenchmarkFleetScheduler|BenchmarkBitmapAND|BenchmarkHandlerSearch
+SERVING_BENCH := BenchmarkSnapshotPrefixQuery|BenchmarkSnapshotPrefixWide|BenchmarkStoreApplyBatch|BenchmarkSnapshotNonPrefix|BenchmarkQueryKey|BenchmarkServingConcurrent|BenchmarkConcurrentSessions|BenchmarkEstimatorExec|BenchmarkFleetScheduler|BenchmarkBitmapAND|BenchmarkHandlerSearch
 BENCHTIME ?= 1s
 # BenchmarkServingConcurrent races a free-running mutator goroutine, so
 # its per-op cost depends on wall-clock interleaving: time-based
@@ -111,4 +120,4 @@ bench-load-router:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-ci: build test vet fmt-check promcheck race bench-smoke
+ci: build test vet perfbench-check fmt-check promcheck race bench-smoke

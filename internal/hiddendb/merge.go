@@ -18,7 +18,7 @@ package hiddendb
 //     shard's top-k (per-shard rank can only be better than global rank),
 //     so offering every retained tuple of every partial — in shard order,
 //     though the strict total order makes the result order-independent —
-//     to one top-k heap reconstructs the global top-k exactly.
+//     to one top-k reconstructs the global top-k exactly.
 //   - Overflow: if any shard overflowed, the global match count exceeds k
 //     a fortiori. If none did, every shard returned ALL its matches, so
 //     the summed tuple count IS the exact global match count. Hence
@@ -48,5 +48,5 @@ func MergePartials(partials []Result, k int, scorer Scorer) Result {
 			sc.topk.offer(t, scorer(t), k)
 		}
 	}
-	return Result{Tuples: sc.topk.drain(), Overflow: overflow || total > k}
+	return Result{Tuples: sc.topk.drain(k), Overflow: overflow || total > k}
 }

@@ -1,6 +1,8 @@
 package hiddendb
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"github.com/dynagg/dynagg/internal/schema"
@@ -10,7 +12,7 @@ import (
 //
 // Every query borrows one queryScratch from a process-wide sync.Pool for
 // the duration of the call: intersection ping-pong buffers, the covered/
-// uncovered predicate split, and the top-k heap backing all live here, so
+// uncovered predicate split, and the top-k buffers all live here, so
 // the steady-state answering path allocates only the Result slice it
 // hands back. The pool is snapshot-independent — scratch holds no
 // reference to any snapshot after putScratch, which nils out every
@@ -24,98 +26,132 @@ import (
 // goroutine at a time — the scatter-gather path gives each worker
 // goroutine its own scratch rather than sharing one.
 
-// topK keeps the best k tuples seen so far, ranked by the strict
-// (score desc, ID asc) total order, as a manual binary heap over two
-// parallel slices. The root is the WORST retained entry, so a full heap
-// decides keep-or-drop against index 0 in O(1) and replaces in O(log k).
-// Replacing container/heap removed the any-boxing that allocated on
-// every push (one escape per retained tuple, ~k allocs per query).
+// topK keeps the best k tuples offered so far under the strict
+// (score desc, ID asc) total order. Offers append to an unordered
+// buffer; when it reaches 2k entries, a quickselect keeps the best k and
+// the worst of those becomes the bar: a later candidate that does not
+// rank ahead of it cannot be in the top k and is dropped on one
+// comparison. drain selects the final k and sorts them. Admitting a
+// candidate therefore costs O(1) amortised (one linear selection per k
+// admissions) where a binary heap pays O(log k), and ordering the result
+// is one sort where a heap pays k sift-downs.
 type topK struct {
-	tuples []*schema.Tuple
-	scores []float64
+	items []scoredTuple
+	bar   scoredTuple // worst retained entry of the last cut; valid when cut
+	cut   bool
+}
+
+// scoredTuple is one top-k candidate.
+type scoredTuple struct {
+	t *schema.Tuple
+	s float64
+}
+
+// compareAhead orders candidates best-first: higher score, then smaller
+// ID. It is negative when a ranks ahead of b.
+func compareAhead(a, b scoredTuple) int {
+	if a.s != b.s {
+		if a.s > b.s {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.t.ID, b.t.ID)
 }
 
 func (h *topK) reset() {
-	h.tuples = h.tuples[:0]
-	h.scores = h.scores[:0]
+	h.items = h.items[:0]
+	h.bar = scoredTuple{}
+	h.cut = false
 }
 
-func (h *topK) len() int { return len(h.tuples) }
-
-// worse reports whether entry i ranks strictly below entry j: lower
-// score, or equal score and larger ID.
-func (h *topK) worse(i, j int) bool {
-	if h.scores[i] != h.scores[j] {
-		return h.scores[i] < h.scores[j]
-	}
-	return h.tuples[i].ID > h.tuples[j].ID
-}
-
-func (h *topK) swap(i, j int) {
-	h.tuples[i], h.tuples[j] = h.tuples[j], h.tuples[i]
-	h.scores[i], h.scores[j] = h.scores[j], h.scores[i]
-}
-
-func (h *topK) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.worse(i, p) {
-			return
-		}
-		h.swap(i, p)
-		i = p
-	}
-}
-
-func (h *topK) siftDown(i int) {
-	n := len(h.tuples)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && h.worse(r, l) {
-			m = r
-		}
-		if !h.worse(m, i) {
-			return
-		}
-		h.swap(i, m)
-		i = m
-	}
-}
-
-// offer considers one scored tuple for the top k: push while under
-// capacity, else replace the current worst if strictly better under the
-// (score desc, ID asc) order.
+// offer considers one scored tuple for the top k.
 func (h *topK) offer(t *schema.Tuple, s float64, k int) {
-	if len(h.tuples) < k {
-		h.tuples = append(h.tuples, t)
-		h.scores = append(h.scores, s)
-		h.siftUp(len(h.tuples) - 1)
-		return
-	}
-	if s > h.scores[0] || (s == h.scores[0] && t.ID < h.tuples[0].ID) {
-		h.tuples[0], h.scores[0] = t, s
-		h.siftDown(0)
+	if !h.drop(t.ID, s) {
+		h.push(t, s, k)
 	}
 }
 
-// drain empties the heap into a freshly allocated best-first slice —
-// popping worst-first and filling from the back yields exactly the
-// (score desc, ID asc) ranking Result promises. This is the one
-// steady-state allocation of the answering path.
-func (h *topK) drain() []*schema.Tuple {
-	out := make([]*schema.Tuple, len(h.tuples))
-	for i := len(h.tuples) - 1; i >= 0; i-- {
-		out[i] = h.tuples[0]
-		last := len(h.tuples) - 1
-		h.tuples[0], h.scores[0] = h.tuples[last], h.scores[last]
-		h.tuples = h.tuples[:last]
-		h.scores = h.scores[:last]
-		h.siftDown(0)
+// push admits a candidate that drop let through.
+func (h *topK) push(t *schema.Tuple, s float64, k int) {
+	h.items = append(h.items, scoredTuple{t, s})
+	if len(h.items) >= 2*k {
+		h.keep(k)
 	}
+}
+
+// drop reports that a candidate with this ID and score cannot be in the
+// top k: compareAhead does not put it ahead of the bar. Small enough to
+// inline at the range ranking loop, so a rejected candidate never pays
+// the offer call.
+func (h *topK) drop(id uint64, s float64) bool {
+	return h.cut && (s < h.bar.s || (s == h.bar.s && id >= h.bar.t.ID))
+}
+
+// keep cuts the buffer to its best k entries (k < len) and raises the
+// bar to the worst of them.
+func (h *topK) keep(k int) {
+	selectAhead(h.items, k-1)
+	h.items = h.items[:k]
+	h.bar = h.items[k-1]
+	h.cut = true
+}
+
+// selectAhead reorders items so that items[n] is the entry that would
+// sit at index n if items were sorted best-first, with every entry before
+// it ranking no worse and every entry after it no better (Hoare's FIND
+// with a median-of-three pivot: expected linear time).
+func selectAhead(items []scoredTuple, n int) {
+	lo, hi := 0, len(items)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if compareAhead(items[mid], items[lo]) < 0 {
+			items[mid], items[lo] = items[lo], items[mid]
+		}
+		if compareAhead(items[hi], items[lo]) < 0 {
+			items[hi], items[lo] = items[lo], items[hi]
+		}
+		if compareAhead(items[hi], items[mid]) < 0 {
+			items[hi], items[mid] = items[mid], items[hi]
+		}
+		pivot := items[mid]
+		i, j := lo, hi
+		for i <= j {
+			for compareAhead(items[i], pivot) < 0 {
+				i++
+			}
+			for compareAhead(pivot, items[j]) < 0 {
+				j--
+			}
+			if i <= j {
+				items[i], items[j] = items[j], items[i]
+				i++
+				j--
+			}
+		}
+		if n <= j {
+			hi = j
+		} else if n >= i {
+			lo = i
+		} else {
+			return
+		}
+	}
+}
+
+// drain returns the top k best-first in a freshly allocated slice — the
+// one steady-state allocation of the answering path — and empties the
+// buffer.
+func (h *topK) drain(k int) []*schema.Tuple {
+	if len(h.items) > k {
+		h.keep(k)
+	}
+	slices.SortFunc(h.items, compareAhead)
+	out := make([]*schema.Tuple, len(h.items))
+	for i := range h.items {
+		out[i] = h.items[i].t
+	}
+	h.reset()
 	return out
 }
 
@@ -151,9 +187,9 @@ func getScratch() *queryScratch { return scratchPool.Get().(*queryScratch) }
 // field cleared, so pooled scratch never keeps tuples, posting lists or
 // snapshots alive.
 func putScratch(sc *queryScratch) {
-	ts := sc.topk.tuples[:cap(sc.topk.tuples)]
+	ts := sc.topk.items[:cap(sc.topk.items)]
 	for i := range ts {
-		ts[i] = nil
+		ts[i] = scoredTuple{}
 	}
 	sc.topk.reset()
 	cs := sc.idtop.srcC[:cap(sc.idtop.srcC)]

@@ -305,18 +305,18 @@ func (e *Epoch) CountMatching(q Query) int {
 }
 
 // Answer computes the top-k result for q by scatter-gather: each pinned
-// shard snapshot folds its matches into a running top-k heap (per-worker
-// heaps when workers > 1, merged afterwards), so the global cut happens
-// under the same strict (score desc, ID asc) order Snapshot.Answer ranks
-// by, without materialising per-shard partial Results. All heaps and
-// buffers come from the shared scratch pool — each worker goroutine
-// borrows its own scratch — and the only steady-state allocation is the
-// returned Result slice.
+// shard snapshot folds its matches into a running top-k (one per worker
+// when workers > 1, merged afterwards), so the global cut happens under
+// the same strict (score desc, ID asc) order Snapshot.Answer ranks by,
+// without materialising per-shard partial Results. All top-k and
+// intersection buffers come from the shared scratch pool — each worker
+// goroutine borrows its own scratch — and the only steady-state
+// allocation is the returned Result slice.
 //
 // Byte-identity with the unsharded engine: every tuple of the global
 // top-k is necessarily in its own shard's top-k (per-shard rank can only
 // be better than global rank), so offering every per-shard retained
-// tuple to the merge heap reconstructs the global top-k exactly; and
+// tuple to the merged top-k reconstructs the global top-k exactly; and
 // since each shard counts ALL its matches, the exact global overflow
 // predicate is totalMatches > k, independent of shard count and worker
 // assignment.
@@ -355,8 +355,8 @@ func (e *Epoch) Answer(q Query, k int, scorer Scorer, workers int) Result {
 		wg.Wait()
 		for _, wsc := range ws {
 			total += wsc.matches
-			for i := range wsc.topk.tuples {
-				sc.topk.offer(wsc.topk.tuples[i], wsc.topk.scores[i], k)
+			for _, c := range wsc.topk.items {
+				sc.topk.offer(c.t, c.s, k)
 			}
 			putScratch(wsc)
 		}
@@ -365,7 +365,7 @@ func (e *Epoch) Answer(q Query, k int, scorer Scorer, workers int) Result {
 			total += s.collectTopK(q, k, scorer, sc)
 		}
 	}
-	return Result{Tuples: sc.topk.drain(), Overflow: total > k}
+	return Result{Tuples: sc.topk.drain(k), Overflow: total > k}
 }
 
 // ShardedIface is the restrictive top-k search view over a ShardedStore:

@@ -14,15 +14,18 @@ import (
 // the Store copy-on-writes every slice, map and posting container a
 // snapshot references before mutating it — so any number of goroutines
 // may answer queries against one snapshot while the harness prepares the
-// next round's updates.
+// next round's updates. Publishing costs O(attributes); the O(n) copy of
+// the sorted slice falls on the first mutation after it.
 //
 // Query answering picks between three strategies by estimated cost:
 //
-//   - prefix: canonical-prefix binary search to a contiguous tuple range;
+//   - prefix: two O(log n) binary searches find the contiguous range of
+//     the query's canonical prefix, and ranking it loads every one of
+//     its r tuples (O(r): the ID a scorer reads lives in the tuple);
 //   - postings: intersect the candidate posting lists of every covered
 //     predicate — seeded from the smallest — with the galloping/bitmap
 //     kernels in intersect.go, then gather only the survivors back to
-//     tuples;
+//     tuples (under DefaultScorer, only the ≤ k winners);
 //   - scan: the full O(n) pass (the only option the pre-snapshot engine
 //     had for non-prefix queries).
 //
@@ -402,17 +405,22 @@ func (s *Snapshot) answerWith(q Query, k int, scorer Scorer, strat strategy) Res
 	defer putScratch(sc)
 	sc.matches = 0
 	pln := s.plan(q, strat, sc)
-	if pln.postings && len(pln.rest) == 0 && scorerIsIDPure(scorer) {
+	idPure := len(pln.rest) == 0 && scorerIsIDPure(scorer)
+	if idPure && pln.postings {
 		sc.idtop.reset()
 		s.scanIDScored(&pln, sc, k)
 		return Result{Tuples: sc.idtop.drain(), Overflow: sc.matches > k}
 	}
 	sc.topk.reset()
-	s.execPlan(&pln, sc, func(t *schema.Tuple) {
-		sc.matches++
-		sc.topk.offer(t, scorer(t), k)
-	})
-	return Result{Tuples: sc.topk.drain(), Overflow: sc.matches > k}
+	if idPure {
+		s.rankRange(&pln, sc, k)
+	} else {
+		s.execPlan(&pln, sc, func(t *schema.Tuple) {
+			sc.matches++
+			sc.topk.offer(t, scorer(t), k)
+		})
+	}
+	return Result{Tuples: sc.topk.drain(k), Overflow: sc.matches > k}
 }
 
 // collectTopK folds s's matches for q into the scratch's running top-k
@@ -422,9 +430,10 @@ func (s *Snapshot) answerWith(q Query, k int, scorer Scorer, strat strategy) Res
 func (s *Snapshot) collectTopK(q Query, k int, scorer Scorer, sc *queryScratch) int {
 	sc.matches = 0
 	pln := s.plan(q, strategyAuto, sc)
-	if pln.postings && len(pln.rest) == 0 && scorerIsIDPure(scorer) {
+	idPure := len(pln.rest) == 0 && scorerIsIDPure(scorer)
+	if idPure && pln.postings {
 		// Rank this shard's candidates in the ID domain, then fold the
-		// ≤ k retained winners into the cross-shard heap (any global
+		// ≤ k retained winners into the cross-shard top-k (any global
 		// top-k tuple is in its shard's top-k, so folding the retained
 		// set loses nothing).
 		sc.idtop.reset()
@@ -433,6 +442,11 @@ func (s *Snapshot) collectTopK(q Query, k int, scorer Scorer, sc *queryScratch) 
 		for i := range h.ids {
 			sc.topk.offer(h.srcC[i].tuples[h.srcP[i]], h.scores[i], k)
 		}
+		return sc.matches
+	}
+	if idPure {
+		// A range folds straight into the cross-shard top-k.
+		s.rankRange(&pln, sc, k)
 		return sc.matches
 	}
 	s.execPlan(&pln, sc, func(t *schema.Tuple) {

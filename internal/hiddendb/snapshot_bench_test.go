@@ -70,6 +70,23 @@ func BenchmarkSnapshotPrefixQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshotPrefixWide answers single-predicate prefix queries on
+// attribute 0 of the million-tuple snapshot. Each selects a ~20k-tuple
+// range (selectivity 1/50), so the cost is ranking the range rather than
+// finding it: the shape of a drill down's upper levels.
+func BenchmarkSnapshotPrefixWide(b *testing.B) {
+	_, snap := servingStore(b)
+	queries := make([]Query, benchDomain)
+	for v := range queries {
+		queries[v] = NewQuery(Pred{Attr: 0, Val: uint16(v)})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap.Answer(queries[i%len(queries)], benchK, DefaultScorer)
+	}
+}
+
 // BenchmarkSnapshotNonPrefixIndexed answers selective non-prefix queries
 // (predicate on the last attribute) through the inverted posting lists —
 // the path the pre-snapshot engine had to serve with a full O(n) scan.
