@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-serving bench-load bench-load-router bench-smoke fmt fmt-check vet perfbench-check promcheck ci
+.PHONY: build test race bench bench-serving bench-load bench-load-router bench-smoke fmt fmt-check vet perfbench-check promcheck loc ci
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,15 @@ vet:
 # unnoticed.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# loc prints the code-size measure the design-quality aim tracks:
+# non-blank, non-comment Go lines, production code and tests counted
+# separately, outside perfbench/ (its own module) and examples/.
+LOC_FILES := find . -name '*.go' -not -path './perfbench/*' -not -path './examples/*'
+LOC_COUNT := grep -cv '^[[:space:]]*\(//.*\)\{0,1\}$$'
+loc:
+	@echo "production $$($(LOC_FILES) -not -name '*_test.go' -exec cat {} + | $(LOC_COUNT))"
+	@echo "test       $$($(LOC_FILES) -name '*_test.go' -exec cat {} + | $(LOC_COUNT))"
 
 # fmt rewrites; fmt-check (CI) fails on any file gofmt would change.
 fmt:

@@ -338,7 +338,6 @@ func BenchmarkServingConcurrent(b *testing.B) {
 			b.Fatal(err)
 		}
 		siface := hiddendb.NewShardedIface(senv.Store, 100, nil)
-		siface.SetGatherWorkers(shards)
 		for _, q := range queries {
 			if _, err := siface.Search(q); err != nil {
 				b.Fatal(err)

@@ -94,7 +94,6 @@ type config struct {
 	insert       int
 	deleteFrac   float64
 	shards       int
-	gatherWidth  int
 	routerShards int
 	selfserveLog bool
 }
@@ -126,7 +125,6 @@ func main() {
 	flag.IntVar(&cfg.insert, "insert", 300, "selfserve: tuples inserted per round")
 	flag.Float64Var(&cfg.deleteFrac, "delete", 0.001, "selfserve: fraction deleted per round")
 	flag.IntVar(&cfg.shards, "shards", 1, "selfserve: hash-partition the store N ways")
-	flag.IntVar(&cfg.gatherWidth, "gather", 1, "selfserve: scatter-gather goroutines per query")
 	flag.IntVar(&cfg.routerShards, "selfserve-router", 0, "selfserve: run N in-process shard daemons behind a dynagg-router instead of one handler (static data)")
 	flag.BoolVar(&cfg.selfserveLog, "selfserve-log", false, "selfserve: log churn rounds")
 	flag.Float64Var(&cfg.sloP50Ms, "slo-p50", 0, "fail (exit 3) if any pass's p50 exceeds this many ms (0 = off)")
@@ -234,7 +232,6 @@ type reportConfig struct {
 	Tenants  int     `json:"tenants"`
 	Batch    int     `json:"batch"`
 	Shards   int     `json:"shards"`
-	Gather   int     `json:"gather"`
 	Router   int     `json:"router_shards,omitempty"`
 	Seed     int64   `json:"seed"`
 }
@@ -320,7 +317,7 @@ func run(cfg config) (*report, error) {
 		Target: target, Duration: cfg.duration.String(), Clients: cfg.clients,
 		RateRPS: cfg.rate, Queries: cfg.queries, Zipf: cfg.zipf,
 		Tenants: cfg.tenants, Batch: cfg.batch, Shards: cfg.shards,
-		Gather: cfg.gatherWidth, Router: cfg.routerShards, Seed: cfg.seed,
+		Router: cfg.routerShards, Seed: cfg.seed,
 	}}
 
 	if cfg.compare {
@@ -709,9 +706,7 @@ func startSelfServe(cfg config) (string, func(), error) {
 		if err != nil {
 			return "", nil, err
 		}
-		sh := dynagg.NewShardedIface(env.Store, cfg.k, nil)
-		sh.SetGatherWorkers(cfg.gatherWidth)
-		iface = sh
+		iface = dynagg.NewShardedIface(env.Store, cfg.k, nil)
 		churn = func() error {
 			if err := env.InsertFromPool(cfg.insert); err != nil {
 				return err

@@ -29,7 +29,7 @@
 //	dynagg-serve -addr :9090 -n 200000 -k 1000
 //	dynagg-serve -budget 500 -round 10s           # G=500 per key per round
 //	dynagg-serve -round 5s -insert 300 -delete 0.001
-//	dynagg-serve -shards 8 -gather 4 -round 10s   # sharded scatter-gather
+//	dynagg-serve -shards 8 -round 10s             # sharded scatter-gather
 //	dynagg-serve -shard-mode -addr :8081          # one shard of a router fleet
 package main
 
@@ -70,7 +70,6 @@ func main() {
 		insert    = flag.Int("insert", 300, "tuples inserted per round")
 		del       = flag.Float64("delete", 0.001, "fraction of tuples deleted per round")
 		shards    = flag.Int("shards", 1, "hash-partition the store N ways (scatter-gather serving)")
-		gather    = flag.Int("gather", 1, "scatter-gather goroutines per query in sharded mode")
 		shardMode = flag.Bool("shard-mode", false, "serve as one shard of a dynagg-router fleet: expose the /v1/shard/* epoch admin wire and leave epoch publication to the router")
 		freezeTO  = flag.Duration("freeze-timeout", 30*time.Second, "shard mode: auto-abort a frozen epoch no router published in time")
 		logFormat = flag.String("log-format", "text", "log output format: text or json")
@@ -110,7 +109,6 @@ func main() {
 			fatal(logger, "sharded env", err)
 		}
 		iface := dynagg.NewShardedIface(env.Store, *k, nil)
-		iface.SetGatherWorkers(*gather)
 		h := webiface.NewHandler(iface)
 		h.SetPerKeyBudget(*budget)
 		h.SetRequestLog(*debugReqs, *slowReq)

@@ -104,12 +104,11 @@
 //     publishes the set atomically. Readers never assemble their own
 //     cross-shard view — they read the published Epoch pointer.
 //   - Scatter-gather answering: ShardedIface answers Search and
-//     CountMatching by querying every pinned shard snapshot (optionally
-//     in parallel, SetGatherWorkers), merging in shard order and cutting
-//     the global top-k after the merge. Answers are byte-identical to an
-//     unsharded Iface over the same data for every shard count and every
-//     gather-goroutine count (the shard-equivalence fuzz proves this
-//     under churn for shards ∈ {1, 4, 16}).
+//     CountMatching by querying every pinned shard snapshot in shard
+//     order, folding each into one running top-k. Answers are
+//     byte-identical to an unsharded Iface over the same data for every
+//     shard count (the shard-equivalence fuzz proves this under churn
+//     for shards ∈ {1, 4, 16}).
 //   - Epoch-pinned sessions: ShardedIface.NewSession pins the epoch
 //     current at creation; every answer of that session — including
 //     SearchBatch — is served from that one epoch, so a round's session

@@ -36,7 +36,8 @@ type (
 	// Iface is the restrictive top-k search view over a Store. It is
 	// safe for concurrent reader goroutines; give each its own Session.
 	Iface = hiddendb.Iface
-	// Session is a per-round budgeted view of an Iface (one goroutine).
+	// Session is a per-round budgeted view of an Iface, a ShardedIface
+	// epoch or a remote database client.
 	Session = hiddendb.Session
 	// ShardedStore is a Store hash-partitioned N ways by tuple ID, with
 	// per-shard snapshots and a fleet-wide version epoch.
@@ -222,8 +223,8 @@ type TrackerOptions struct {
 }
 
 // BudgetedSession is the per-round query capability a Tracker consumes:
-// a Searcher plus budget accounting. Both *dynagg.Session (local
-// simulation) and *webiface.Session (remote HTTP) implement it.
+// a Searcher plus budget accounting. *dynagg.Session implements it, over
+// a local simulation and a remote HTTP database (webiface.Client) alike.
 type BudgetedSession = estimator.Session
 
 // SessionSource produces one budgeted session per round. *Iface and

@@ -107,8 +107,8 @@ type Estimate struct {
 }
 
 // Session is the budgeted per-round query capability an estimator
-// consumes. *hiddendb.Session implements it for simulated databases;
-// webiface.Session implements it for databases behind an HTTP API.
+// consumes. *hiddendb.Session implements it, for simulated databases and
+// (through webiface.Client.NewSession) for databases behind an HTTP API.
 type Session interface {
 	hiddendb.Searcher
 	// Used returns the queries issued so far in this round.

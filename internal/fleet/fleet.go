@@ -657,8 +657,9 @@ func (m *Manager) TaskView(id string) (TaskStatus, bool) {
 	return m.taskStatusLocked(id, t), true
 }
 
-// Ticks returns the number of completed scheduler ticks (lifetime,
-// continuing across restarts when persistence is on).
+// Ticks returns the number of started scheduler ticks (lifetime,
+// continuing across restarts when persistence is on): a tick counts from
+// its start, so a tick still in flight is included.
 func (m *Manager) Ticks() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

@@ -160,6 +160,14 @@ func TestControlPlaneConcurrentWithScheduler(t *testing.T) {
 	go func() {
 		done <- mgr.Run(ctx)
 	}()
+	// /v1/healthz answers 503 until this process has finished a tick, so
+	// start the readers only once one has; Ticks() would not do, as it
+	// counts a tick from its start.
+	for deadline := time.Now().Add(5 * time.Second); mgr.ProcessTicks() < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("scheduler finished no tick")
+		}
+	}
 
 	var wg sync.WaitGroup
 	paths := []string{"/status", "/tasks", "/healthz", "/metrics", "/tasks/t0", "/tasks/t0/estimates"}

@@ -252,6 +252,71 @@ func TestIfaceAnswerCacheCounters(t *testing.T) {
 	}
 }
 
+// TestShardedIfaceAnswerCacheCounters pins the sharded half of the
+// cached front: an epoch has no ephemeral first-query path, and a
+// session pinned to a superseded epoch answers uncached instead of
+// swapping the current epoch's cache out.
+func TestShardedIfaceAnswerCacheCounters(t *testing.T) {
+	_, ss, churn := mirroredStores(t, 52, 400, 4, []int{8, 6, 10})
+	f := NewShardedIface(ss, 10, nil)
+	stale := f.NewSession(0) // pinned to the first epoch
+	q := NewQuery(Pred{Attr: 0, Val: 1})
+
+	// The first query of an epoch runs the engine; the repeat hits.
+	for i := 0; i < 2; i++ {
+		if _, err := f.SearchAnswer(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := f.CacheStats(); got.Misses != 1 || got.Hits != 1 {
+		t.Fatalf("after first query and repeat: %+v", got)
+	}
+
+	// LookupAnswer: a hit counts one served query, a miss counts none.
+	key := AppendPredsKey(nil, q.Preds())
+	qBefore := f.TotalQueries()
+	if _, ok := f.LookupAnswer(key); !ok {
+		t.Fatal("warm key probe missed")
+	}
+	if got := f.CacheStats(); got.Hits != 2 || f.TotalQueries() != qBefore+1 {
+		t.Fatalf("key probe hit must count one hit and one query: %+v, queries %d -> %d",
+			got, qBefore, f.TotalQueries())
+	}
+	other := AppendPredsKey(nil, []Pred{{Attr: 1, Val: 0}})
+	qBefore = f.TotalQueries()
+	if _, ok := f.LookupAnswer(other); ok {
+		t.Fatal("cold key probe hit")
+	}
+	if f.TotalQueries() != qBefore {
+		t.Fatal("cold key probe must not count as a served query")
+	}
+
+	// A new epoch retires the old key.
+	churn(40, 20)
+	ss.AdvanceEpoch()
+	if _, ok := f.LookupAnswer(key); ok {
+		t.Fatal("key probe hit across an epoch change")
+	}
+	if _, err := f.SearchAnswer(q); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.CacheStats(); got.Misses != 2 {
+		t.Fatalf("first query of the new epoch should miss: %+v", got)
+	}
+
+	// The session pinned to the superseded epoch counts a miss and
+	// leaves the current epoch's cache in place.
+	if _, err := stale.Search(q); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.CacheStats(); got.Misses != 3 || got.Hits != 2 {
+		t.Fatalf("stale-pinned query: %+v", got)
+	}
+	if _, ok := f.LookupAnswer(key); !ok {
+		t.Fatal("stale-pinned query swapped out the current epoch's cache")
+	}
+}
+
 // TestAppendPredsKeyMatchesQueryKey: the scratch-built key the handler
 // probes with must be the key SearchAnswer files answers under.
 func TestAppendPredsKeyMatchesQueryKey(t *testing.T) {

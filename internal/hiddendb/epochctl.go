@@ -46,11 +46,7 @@ func (ss *ShardedStore) FreezeEpoch() (uint64, error) {
 	if ss.pending != nil {
 		return 0, ErrEpochFrozen
 	}
-	snaps := make([]*Snapshot, len(ss.shards))
-	for i, st := range ss.shards {
-		snaps[i] = st.Snapshot()
-	}
-	ss.pending = snaps
+	ss.pending = ss.snapshotAll()
 	var cur uint64
 	if e := ss.epoch.Load(); e != nil {
 		cur = e.seq

@@ -59,12 +59,132 @@ func splitmix64(x uint64) uint64 {
 // serving path) while the harness applies updates between rounds.
 // Sessions remain single-goroutine: give each client goroutine its own.
 type Iface struct {
-	st      *Store
+	front
+	st *Store
+}
+
+// front is the cached answering layer Iface and ShardedIface share: the
+// result cap and scorer, the lifetime query and cache counters, and the
+// per-version answer cache with its singleflight (answer.go). The
+// embedding type only picks the frozen state each query is answered on:
+// Iface the store's current Snapshot, ShardedIface a pinned Epoch.
+type front struct {
 	k       int
 	scorer  Scorer
 	queries atomic.Uint64 // lifetime query count across all sessions
 	cache   atomic.Pointer[answerCache]
 	stats   cacheStats
+	// stale, when set, reports that a cache version is no longer the
+	// current one: answers pinned to it bypass the cache rather than
+	// swap the current version's cache out from under everyone else.
+	stale func(version uint64) bool
+}
+
+// frozen is an immutable state a front answers on — a store's Snapshot
+// or a sharded Epoch: the same value answers a query identically forever.
+type frozen interface {
+	Answer(q Query, k int, scorer Scorer) Result
+}
+
+// setup fixes the result cap and scorer (nil for the default hash
+// ranking). It panics if k < 1.
+func (f *front) setup(k int, scorer Scorer) {
+	if k < 1 {
+		panic("hiddendb: interface k must be >= 1")
+	}
+	if scorer == nil {
+		scorer = DefaultScorer
+	}
+	f.k, f.scorer = k, scorer
+}
+
+// K returns the result cap of the interface.
+func (f *front) K() int { return f.k }
+
+// TotalQueries returns the lifetime number of queries answered, across all
+// sessions — the harness uses it for cumulative query-cost figures.
+func (f *front) TotalQueries() uint64 { return f.queries.Load() }
+
+// CacheStats returns the lifetime answer-cache counters.
+func (f *front) CacheStats() CacheStats { return f.stats.read() }
+
+// cacheFor returns the answer cache for the given version, swapping a
+// fresh one in when the interface moved on.
+func (f *front) cacheFor(version uint64) *answerCache {
+	for {
+		c := f.cache.Load()
+		if c != nil && c.version == version {
+			return c
+		}
+		nc := newAnswerCache(version)
+		if f.cache.CompareAndSwap(c, nc) {
+			return nc
+		}
+	}
+}
+
+// answer resolves q on fz, the frozen state of the given cache version,
+// through the per-version cache — collapsing concurrent identical queries
+// into one engine execution — or as an uncached miss when fz is stale.
+func (f *front) answer(fz frozen, version uint64, q Query) *Answer {
+	if f.stale != nil && f.stale(version) {
+		return f.miss(fz, q)
+	}
+	c := f.cacheFor(version)
+	key := q.Key()
+	return c.shard(key).do(key, &f.stats, func() Result {
+		return fz.Answer(q, f.k, f.scorer)
+	})
+}
+
+// miss answers q on fz without the cache, counting one engine execution.
+func (f *front) miss(fz frozen, q Query) *Answer {
+	f.stats.misses.Add(1)
+	return &Answer{res: fz.Answer(q, f.k, f.scorer)}
+}
+
+// batch counts and answers qs on the ONE frozen state pin returns, so
+// each answer is byte-identical to a single query on that state. An empty
+// batch pins nothing.
+func (f *front) batch(qs []Query, pin func() (frozen, uint64)) []*Answer {
+	out := make([]*Answer, len(qs))
+	if len(qs) == 0 {
+		return out
+	}
+	f.queries.Add(uint64(len(qs)))
+	fz, version := pin()
+	for i, q := range qs {
+		out[i] = f.answer(fz, version, q)
+	}
+	return out
+}
+
+// lookup is the serving fast path: probe the cache of the current
+// version by already-encoded key bytes (Query.AppendKey) without
+// constructing a Query. A hit counts as one answered query; a miss
+// counts nothing — the caller falls back to the full path, which does
+// its own accounting.
+func (f *front) lookup(version uint64, key []byte) (*Answer, bool) {
+	c := f.cache.Load()
+	if c == nil || c.version != version {
+		return nil, false
+	}
+	a, ok := c.shardBytes(key).get(key)
+	if !ok {
+		return nil, false
+	}
+	f.queries.Add(1)
+	f.stats.hits.Add(1)
+	return a, true
+}
+
+// batchItems wraps a batch's answers as BatchSearcher items.
+func batchItems(as []*Answer) []BatchItem {
+	items := make([]BatchItem, len(as))
+	for i, a := range as {
+		items[i].Result = a.res
+	}
+	return items
 }
 
 // cacheShardCount shards the per-version answer cache to keep concurrent
@@ -117,24 +237,13 @@ func (c *answerCache) shardBytes(key []byte) *cacheShard {
 // NewIface creates a top-k view of the store. scorer may be nil for the
 // default hash ranking. It panics if k < 1.
 func NewIface(st *Store, k int, scorer Scorer) *Iface {
-	if k < 1 {
-		panic("hiddendb: interface k must be >= 1")
-	}
-	if scorer == nil {
-		scorer = DefaultScorer
-	}
-	return &Iface{st: st, k: k, scorer: scorer}
+	f := &Iface{st: st}
+	f.setup(k, scorer)
+	return f
 }
-
-// K returns the result cap of the interface.
-func (f *Iface) K() int { return f.k }
 
 // Schema returns the queryable schema.
 func (f *Iface) Schema() *schema.Schema { return f.st.Schema() }
-
-// TotalQueries returns the lifetime number of queries answered, across all
-// sessions — the harness uses it for cumulative query-cost figures.
-func (f *Iface) TotalQueries() uint64 { return f.queries.Load() }
 
 // Snapshot returns the immutable snapshot the interface currently answers
 // from. Harness/serving-side only: it exposes |D| and the raw tuples, so
@@ -144,21 +253,6 @@ func (f *Iface) Snapshot() *Snapshot { return f.st.Snapshot() }
 // Version returns the store version the interface currently answers for,
 // without forcing snapshot publication (serving diagnostics).
 func (f *Iface) Version() uint64 { return f.st.Version() }
-
-// cacheFor returns the answer cache for the given version, swapping a
-// fresh one in when the store moved on.
-func (f *Iface) cacheFor(version uint64) *answerCache {
-	for {
-		c := f.cache.Load()
-		if c != nil && c.version == version {
-			return c
-		}
-		nc := newAnswerCache(version)
-		if f.cache.CompareAndSwap(c, nc) {
-			return nc
-		}
-	}
-}
 
 // Search answers one query. It never fails; budget enforcement lives in
 // Session.
@@ -186,104 +280,64 @@ func (f *Iface) SearchAnswer(q Query) (*Answer, error) {
 func (f *Iface) searchAnswer(q Query) *Answer {
 	f.queries.Add(1)
 	if s := f.st.snap.Load(); s != nil && s.version == f.st.version.Load() {
-		return f.answerSnapshot(s, q)
+		return f.answer(s, s.version, q)
 	}
 	f.st.snapMu.Lock()
 	v := f.st.version.Load()
 	if s := f.st.snap.Load(); s != nil && s.version == v {
 		f.st.snapMu.Unlock()
-		return f.answerSnapshot(s, q)
+		return f.answer(s, s.version, q)
 	}
 	if f.st.lastQueried == v {
 		// Second query at this version: it is worth freezing.
 		s := f.st.publishLocked()
 		f.st.snapMu.Unlock()
-		return f.answerSnapshot(s, q)
+		return f.answer(s, s.version, q)
 	}
 	f.st.lastQueried = v
-	r := f.st.ephemeralLocked().Answer(q, f.k, f.scorer)
+	a := f.miss(f.st.ephemeralLocked(), q)
 	f.st.snapMu.Unlock()
-	f.stats.misses.Add(1)
-	return &Answer{res: r}
+	return a
 }
 
 // SearchBatch answers many queries against ONE snapshot pin: the whole
 // batch sees the same frozen version, and each answer is byte-identical
 // to what a sequence of Search calls over the unchanged version returns.
 // Like Search it never fails; per-query budget charging lives in Session.
-func (f *Iface) SearchBatch(qs []Query) []Result {
-	out := make([]Result, len(qs))
-	if len(qs) == 0 {
-		return out
-	}
-	f.queries.Add(uint64(len(qs)))
-	s := f.st.Snapshot()
-	for i, q := range qs {
-		out[i] = f.answerSnapshot(s, q).res
-	}
-	return out
+func (f *Iface) SearchBatch(qs []Query) ([]BatchItem, error) {
+	return batchItems(f.SearchBatchAnswer(qs)), nil
 }
 
 // SearchBatchAnswer is SearchBatch returning the shared cached Answers —
 // the batched wire path serves pre-encoded bodies through them. Same
 // single-snapshot pin, same byte-identical results.
 func (f *Iface) SearchBatchAnswer(qs []Query) []*Answer {
-	out := make([]*Answer, len(qs))
-	if len(qs) == 0 {
-		return out
-	}
-	f.queries.Add(uint64(len(qs)))
-	s := f.st.Snapshot()
-	for i, q := range qs {
-		out[i] = f.answerSnapshot(s, q)
-	}
-	return out
+	return f.batch(qs, f.pin)
 }
 
-// LookupAnswer is the serving fast path: probe the current version's
-// cache with an already-encoded key (Query.AppendKey bytes) without
-// constructing a Query. A hit counts as one answered query; a miss
-// counts nothing — the caller falls back to SearchAnswer, which does its
-// own accounting. It only hits when the store has a current published
-// snapshot AND the cache already holds the key, so it can never observe
-// a version the full path would not.
+// pin publishes (if needed) and returns the store's current snapshot.
+func (f *Iface) pin() (frozen, uint64) {
+	s := f.st.Snapshot()
+	return s, s.version
+}
+
+// LookupAnswer is the serving fast path (see front.lookup). It only hits
+// when the store has a current published snapshot AND the cache already
+// holds the key, so it can never observe a version the full path would
+// not.
 func (f *Iface) LookupAnswer(key []byte) (*Answer, bool) {
 	s := f.st.snap.Load()
 	if s == nil || s.version != f.st.version.Load() {
 		return nil, false
 	}
-	c := f.cache.Load()
-	if c == nil || c.version != s.version {
-		return nil, false
-	}
-	a, ok := c.shardBytes(key).get(key)
-	if !ok {
-		return nil, false
-	}
-	f.queries.Add(1)
-	f.stats.hits.Add(1)
-	return a, true
-}
-
-// CacheStats returns the lifetime answer-cache counters.
-func (f *Iface) CacheStats() CacheStats { return f.stats.read() }
-
-// answerSnapshot answers q on a published snapshot through the sharded
-// per-version cache, collapsing concurrent identical queries into one
-// engine execution (answer.go).
-func (f *Iface) answerSnapshot(snap *Snapshot, q Query) *Answer {
-	c := f.cacheFor(snap.Version())
-	key := q.Key()
-	return c.shard(key).do(key, &f.stats, func() Result {
-		return snap.Answer(q, f.k, f.scorer)
-	})
+	return f.lookup(s.version, key)
 }
 
 // BudgetCounter is the atomic claim-before-issue accounting of a round's
-// query budget G, shared by every Session implementation (local and
-// webiface): a query is charged by Claim before it is issued, and a
-// failed claim IS the round's budget death. Safe for the estimator
-// execution engine's bounded fan-out.
+// query budget G, shared by Session and CountingSession: a query is
+// charged by Claim before it is issued, and a failed claim IS the round's
+// budget death. Safe for the estimator execution engine's bounded
+// fan-out.
 type BudgetCounter struct {
 	g    int // <= 0 means unlimited
 	used atomic.Int64
@@ -323,22 +377,12 @@ func (b *BudgetCounter) Remaining() int {
 // Budget returns the round budget G (<= 0 means unlimited).
 func (b *BudgetCounter) Budget() int { return b.g }
 
-// sessionBackend is the answering capability a Session wraps its budget
-// around: an Iface (answers track the store's current version) or a
-// ShardedIface epoch view (answers pinned to one epoch). Both are
-// infallible — budget death is the Session's own doing.
-type sessionBackend interface {
-	Search(q Query) (Result, error)
-	SearchBatch(qs []Query) []Result
-	K() int
-	Schema() *schema.Schema
-}
-
-// Session enforces the per-round query budget G on top of an Iface (or an
-// epoch-pinned view of a ShardedIface) and optionally drives the
-// constant-update model by running a hook before each query (the harness
-// uses the hook to apply mid-round updates, modelling databases that
-// change while the algorithm is executing, §5.2).
+// Session enforces the per-round query budget G on top of any
+// BatchSearcher — an Iface, an epoch-pinned view of a ShardedIface, or a
+// remote webiface.Client — and optionally drives the constant-update
+// model by running a hook before each query (the harness uses the hook to
+// apply mid-round updates, modelling databases that change while the
+// algorithm is executing, §5.2).
 //
 // Budget accounting is atomic, so one Session may be shared by the
 // bounded fan-out of the estimator execution engine (several goroutines
@@ -346,15 +390,19 @@ type sessionBackend interface {
 // the session reverts to single-goroutine use — the hook couples query
 // order to database mutation — and reports so via ConcurrentSearchable.
 type Session struct {
-	b         sessionBackend
+	b         BatchSearcher
 	bc        *BudgetCounter
 	preSearch func(queryIndex int)
 }
 
-// NewSession starts a round with budget G (G <= 0 means unlimited).
-func (f *Iface) NewSession(g int) *Session {
-	return &Session{b: f, bc: NewBudgetCounter(g)}
+// NewSession starts a round over b with budget G (G <= 0 means
+// unlimited).
+func NewSession(b BatchSearcher, g int) *Session {
+	return &Session{b: b, bc: NewBudgetCounter(g)}
 }
+
+// NewSession starts a round with budget G (G <= 0 means unlimited).
+func (f *Iface) NewSession(g int) *Session { return NewSession(f, g) }
 
 // SetPreSearchHook installs fn, invoked with the 0-based index of each
 // query just before it is answered. Harness-only: estimators never see
@@ -379,10 +427,12 @@ func (s *Session) Search(q Query) (Result, error) {
 
 // SearchBatch issues many queries as one batch, charging one unit of
 // budget per query in order. Queries the budget cannot cover come back as
-// ErrBudgetExhausted items; the covered prefix is answered under a single
-// snapshot/epoch pin. With a pre-search hook installed the batch degrades
-// to sequential Search calls — the hook mutates the database between
-// queries, so answering them together would change semantics.
+// ErrBudgetExhausted items; the covered prefix is answered in one backend
+// batch (one snapshot/epoch pin, one round trip for a remote database),
+// whose whole-batch failure is the error return. With a pre-search hook
+// installed the batch degrades to sequential Search calls — the hook
+// mutates the database between queries, so answering them together would
+// change semantics.
 func (s *Session) SearchBatch(qs []Query) ([]BatchItem, error) {
 	items := make([]BatchItem, len(qs))
 	if s.preSearch != nil {
@@ -402,8 +452,15 @@ func (s *Session) SearchBatch(qs []Query) ([]BatchItem, error) {
 		claimed = append(claimed, q)
 		claimedIdx = append(claimedIdx, i)
 	}
-	for j, r := range s.b.SearchBatch(claimed) {
-		items[claimedIdx[j]] = BatchItem{Result: r}
+	if len(claimed) == 0 {
+		return items, nil
+	}
+	got, err := s.b.SearchBatch(claimed)
+	if err != nil {
+		return nil, err
+	}
+	for j, it := range got {
+		items[claimedIdx[j]] = it
 	}
 	return items, nil
 }
@@ -425,7 +482,7 @@ func (s *Session) Budget() int { return s.bc.Budget() }
 
 var _ ConcurrentSearcher = (*Session)(nil)
 var _ BatchSearcher = (*Session)(nil)
-var _ Searcher = ifaceSearcher{}
+var _ BatchSearcher = (*Iface)(nil)
 
 // CountingIface is an Iface that additionally reports each query's result
 // count, capped at countCap — modelling sites that display "1,000+
@@ -470,43 +527,29 @@ func (c *CountingIface) SearchWithCount(q Query) (res Result, count int, capped 
 // NewCountingSession starts a budgeted round against the counting
 // interface.
 func (c *CountingIface) NewCountingSession(g int) *CountingSession {
-	return &CountingSession{c: c, budget: g}
+	return &CountingSession{c: c, bc: NewBudgetCounter(g)}
 }
 
 // CountingSession enforces the per-round budget over a CountingIface.
 type CountingSession struct {
-	c      *CountingIface
-	budget int
-	used   int
+	c  *CountingIface
+	bc *BudgetCounter
 }
 
 // SearchWithCount issues one query, consuming one unit of budget.
 func (s *CountingSession) SearchWithCount(q Query) (Result, int, bool, error) {
-	if s.budget > 0 && s.used >= s.budget {
+	if _, ok := s.bc.Claim(); !ok {
 		return Result{}, 0, false, ErrBudgetExhausted
 	}
-	s.used++
 	return s.c.SearchWithCount(q)
 }
 
 // Used returns the queries issued in this session.
-func (s *CountingSession) Used() int { return s.used }
+func (s *CountingSession) Used() int { return s.bc.Used() }
 
 // Remaining returns the unused budget (negative when unlimited).
-func (s *CountingSession) Remaining() int {
-	if s.budget <= 0 {
-		return -1
-	}
-	return s.budget - s.used
-}
+func (s *CountingSession) Remaining() int { return s.bc.Remaining() }
 
-// ifaceSearcher adapts Iface to Searcher for unbudgeted uses (tests,
+// AsSearcher returns the interface as an unbudgeted Searcher (tests,
 // ground-truth-free exploration tools).
-type ifaceSearcher struct{ f *Iface }
-
-// AsSearcher returns an unbudgeted Searcher view of the interface.
-func (f *Iface) AsSearcher() Searcher { return ifaceSearcher{f: f} }
-
-func (s ifaceSearcher) Search(q Query) (Result, error) { return s.f.Search(q) }
-func (s ifaceSearcher) K() int                         { return s.f.K() }
-func (s ifaceSearcher) Schema() *schema.Schema         { return s.f.Schema() }
+func (f *Iface) AsSearcher() Searcher { return f }

@@ -349,9 +349,9 @@ func TestScratchPoolRaceIface(t *testing.T) {
 }
 
 // TestScratchPoolRaceSharded is the same contract on the scatter-gather
-// path: 32 sessions against a 4-shard store with parallel gather workers
-// (each worker borrows its own scratch from the same pool) while per-
-// round churn publishes fresh epochs.
+// path: 32 sessions against a 4-shard store (each query folds every
+// shard through one borrowed scratch) while per-round churn publishes
+// fresh epochs.
 func TestScratchPoolRaceSharded(t *testing.T) {
 	const m, domain = 4, 8
 	ss := NewShardedStore(schema.Uniform(m, domain), 4)
@@ -369,7 +369,6 @@ func TestScratchPoolRaceSharded(t *testing.T) {
 	}
 	ss.AdvanceEpoch()
 	f := NewShardedIface(ss, 50, nil)
-	f.SetGatherWorkers(4)
 	qs := raceQueries(m, domain)
 
 	stop := make(chan struct{})

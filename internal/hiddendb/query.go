@@ -9,7 +9,8 @@
 //     it — to apply updates and compute exact ground truth.
 //   - Iface: the restricted search view (top-k, overflow flag, no counts).
 //     This is all an estimator may use.
-//   - Session: a per-round budget wrapper around an Iface, enforcing the
+//   - Session: a per-round budget wrapper around an Iface (or any other
+//     BatchSearcher, remote ones included), enforcing the
 //     database-imposed limit G (paper §2.1: per-IP/per-key daily limits).
 //
 // # Concurrency contract
@@ -21,8 +22,7 @@
 // process-wide sync.Pool of queryScratch values (scratch.go): a scratch
 // is owned by exactly one goroutine from getScratch to putScratch, never
 // escapes the query that borrowed it (results are freshly allocated), and
-// holds no snapshot references while pooled. The scatter-gather path
-// hands each gather worker its own scratch rather than sharing one.
+// holds no snapshot references while pooled.
 // docs/perf.md describes the index layout and kernel selection rules.
 package hiddendb
 
@@ -220,8 +220,8 @@ type BatchItem struct {
 // one snapshot/epoch pin, one round trip for remote implementations, one
 // budget charge per query. The returned slice always has len(qs) items in
 // query order. The error return is reserved for whole-batch transport
-// failures (remote sessions); per-query failures travel in the items.
-// Session and webiface.Session implement it.
+// failures (remote backends); per-query failures travel in the items.
+// Iface, webiface.Client and Session implement it.
 type BatchSearcher interface {
 	Searcher
 	// SearchBatch issues the queries as one batch.
@@ -233,8 +233,8 @@ type BatchSearcher interface {
 // execution engine fans a round's planned drill-down walks out over a
 // session only when it reports true; everything else falls back to
 // sequential issuance. Session implements it (true unless a pre-search
-// hook couples query order to database mutation), as does
-// webiface.Session.
+// hook couples query order to database mutation), over a local or a
+// remote backend alike.
 type ConcurrentSearcher interface {
 	Searcher
 	// ConcurrentSearchable reports whether this instance currently

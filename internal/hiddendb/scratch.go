@@ -23,8 +23,8 @@ import (
 // never escapes the query that borrowed it. Results are freshly
 // allocated by topK.drain, survivors/buffers are only ever read between
 // getScratch and putScratch, and a scratch is owned by exactly one
-// goroutine at a time — the scatter-gather path gives each worker
-// goroutine its own scratch rather than sharing one.
+// goroutine at a time — the query's own (a scatter-gather query folds
+// every shard through one scratch, sequentially).
 
 // topK keeps the best k tuples offered so far under the strict
 // (score desc, ID asc) total order. Offers append to an unordered
@@ -173,10 +173,6 @@ type queryScratch struct {
 	// set, bufC/bufD hold the two per-predicate parts (value list and
 	// NULL list) before their disjoint union.
 	bufA, bufB, bufC, bufD []uint16
-
-	// scatter-gather: the per-worker scratches a merge borrows, held
-	// only between fan-out and merge.
-	workers []*queryScratch
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
@@ -203,11 +199,6 @@ func putScratch(sc *queryScratch) {
 	}
 	sc.preds = sc.preds[:0]
 	sc.rest = sc.rest[:0]
-	ws := sc.workers[:cap(sc.workers)]
-	for i := range ws {
-		ws[i] = nil
-	}
-	sc.workers = sc.workers[:0]
 	sc.matches = 0
 	scratchPool.Put(sc)
 }

@@ -234,11 +234,7 @@ func (ss *ShardedStore) AdvanceEpoch() *Epoch {
 	if prev := ss.epoch.Load(); prev != nil {
 		seq = prev.seq + 1
 	}
-	snaps := make([]*Snapshot, len(ss.shards))
-	for i, st := range ss.shards {
-		snaps[i] = st.Snapshot()
-	}
-	e := &Epoch{seq: seq, snaps: snaps}
+	e := &Epoch{seq: seq, snaps: ss.snapshotAll()}
 	// A self-advanced epoch supersedes any in-flight two-phase state:
 	// publishing a stale frozen set after this point would serve data the
 	// round driver already moved past, and rolling back across it would
@@ -261,13 +257,20 @@ func (ss *ShardedStore) Epoch() *Epoch {
 	if e := ss.epoch.Load(); e != nil {
 		return e
 	}
+	e := &Epoch{seq: 1, snaps: ss.snapshotAll()}
+	ss.epoch.Store(e)
+	return e
+}
+
+// snapshotAll takes one snapshot per shard: the state an epoch pins.
+// Callers hold epochMu; the snapshots are mutually consistent only while
+// every shard mutator is quiescent.
+func (ss *ShardedStore) snapshotAll() []*Snapshot {
 	snaps := make([]*Snapshot, len(ss.shards))
 	for i, st := range ss.shards {
 		snaps[i] = st.Snapshot()
 	}
-	e := &Epoch{seq: 1, snaps: snaps}
-	ss.epoch.Store(e)
-	return e
+	return snaps
 }
 
 // Epoch pins one immutable snapshot per shard under a single sequence
@@ -305,119 +308,58 @@ func (e *Epoch) CountMatching(q Query) int {
 }
 
 // Answer computes the top-k result for q by scatter-gather: each pinned
-// shard snapshot folds its matches into a running top-k (one per worker
-// when workers > 1, merged afterwards), so the global cut happens under
-// the same strict (score desc, ID asc) order Snapshot.Answer ranks by,
-// without materialising per-shard partial Results. All top-k and
-// intersection buffers come from the shared scratch pool — each worker
-// goroutine borrows its own scratch — and the only steady-state
-// allocation is the returned Result slice.
+// shard snapshot in turn folds its matches into one running top-k, so the
+// global cut happens under the same strict (score desc, ID asc) order
+// Snapshot.Answer ranks by, without materialising per-shard partial
+// Results. All top-k and intersection buffers come from one pooled
+// scratch, and the only steady-state allocation is the returned Result
+// slice.
 //
 // Byte-identity with the unsharded engine: every tuple of the global
 // top-k is necessarily in its own shard's top-k (per-shard rank can only
 // be better than global rank), so offering every per-shard retained
 // tuple to the merged top-k reconstructs the global top-k exactly; and
 // since each shard counts ALL its matches, the exact global overflow
-// predicate is totalMatches > k, independent of shard count and worker
-// assignment.
-func (e *Epoch) Answer(q Query, k int, scorer Scorer, workers int) Result {
+// predicate is totalMatches > k, independent of shard count.
+func (e *Epoch) Answer(q Query, k int, scorer Scorer) Result {
 	sc := getScratch()
 	defer putScratch(sc)
 	sc.topk.reset()
 	total := 0
-	if workers > 1 && len(e.snaps) > 1 {
-		if workers > len(e.snaps) {
-			workers = len(e.snaps)
-		}
-		ws := sc.workers[:0]
-		for w := 0; w < workers; w++ {
-			ws = append(ws, getScratch())
-		}
-		sc.workers = ws
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(wsc *queryScratch) {
-				defer wg.Done()
-				wsc.topk.reset()
-				sum := 0
-				for {
-					i := int(next.Add(1) - 1)
-					if i >= len(e.snaps) {
-						break
-					}
-					sum += e.snaps[i].collectTopK(q, k, scorer, wsc)
-				}
-				wsc.matches = sum
-			}(ws[w])
-		}
-		wg.Wait()
-		for _, wsc := range ws {
-			total += wsc.matches
-			for _, c := range wsc.topk.items {
-				sc.topk.offer(c.t, c.s, k)
-			}
-			putScratch(wsc)
-		}
-	} else {
-		for _, s := range e.snaps {
-			total += s.collectTopK(q, k, scorer, sc)
-		}
+	for _, s := range e.snaps {
+		total += s.collectTopK(q, k, scorer, sc)
 	}
 	return Result{Tuples: sc.topk.drain(k), Overflow: total > k}
 }
 
 // ShardedIface is the restrictive top-k search view over a ShardedStore:
 // the sharded counterpart of Iface, answering every query by scatter-
-// gather over the pinned epoch. The default is sequential per-shard
-// answering; SetGatherWorkers turns on parallel per-shard goroutines.
-// Results are byte-identical either way.
+// gather over the pinned epoch through the same cached front.
 //
 // Concurrency: safe for any number of concurrent reader goroutines.
 // Sessions created by NewSession pin the epoch current at creation time
 // and answer from it for their whole lifetime — a long-running session
-// never observes two epochs.
+// never observes two epochs. Answers pinned to a superseded epoch bypass
+// the answer cache rather than thrash it.
 type ShardedIface struct {
-	ss      *ShardedStore
-	k       int
-	scorer  Scorer
-	workers int // scatter-gather goroutines per query; <= 1 is sequential
-	queries atomic.Uint64
-	cache   atomic.Pointer[answerCache] // keyed by epoch seq
-	stats   cacheStats
+	front
+	ss *ShardedStore
 }
 
 // NewShardedIface creates a top-k view of the sharded store. scorer may be
 // nil for the default hash ranking. It panics if k < 1.
 func NewShardedIface(ss *ShardedStore, k int, scorer Scorer) *ShardedIface {
-	if k < 1 {
-		panic("hiddendb: interface k must be >= 1")
+	f := &ShardedIface{ss: ss}
+	f.setup(k, scorer)
+	f.stale = func(seq uint64) bool {
+		cur := ss.epoch.Load()
+		return cur == nil || cur.seq != seq
 	}
-	if scorer == nil {
-		scorer = DefaultScorer
-	}
-	return &ShardedIface{ss: ss, k: k, scorer: scorer, workers: 1}
+	return f
 }
-
-// SetGatherWorkers sets the number of per-shard goroutines a single query
-// fans out over (<= 1 answers shards sequentially). Configure before
-// serving: the setting is not synchronised with in-flight queries.
-func (f *ShardedIface) SetGatherWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	f.workers = n
-}
-
-// K returns the result cap of the interface.
-func (f *ShardedIface) K() int { return f.k }
 
 // Schema returns the queryable schema.
 func (f *ShardedIface) Schema() *schema.Schema { return f.ss.Schema() }
-
-// TotalQueries returns the lifetime number of queries answered.
-func (f *ShardedIface) TotalQueries() uint64 { return f.queries.Load() }
 
 // Version returns the current epoch sequence number — the sharded
 // analogue of the store version serving diagnostics report.
@@ -429,107 +371,39 @@ func (f *ShardedIface) Epoch() *Epoch { return f.ss.Epoch() }
 // Search answers one query against the current epoch. It never fails;
 // budget enforcement lives in Session.
 func (f *ShardedIface) Search(q Query) (Result, error) {
-	f.queries.Add(1)
-	return f.answer(f.ss.Epoch(), q), nil
-}
-
-// SearchBatch answers many queries under ONE epoch pin: every query in
-// the batch sees the same frozen state even if AdvanceEpoch lands midway.
-func (f *ShardedIface) SearchBatch(qs []Query) []Result {
-	out := make([]Result, len(qs))
-	if len(qs) == 0 {
-		return out
-	}
-	f.queries.Add(uint64(len(qs)))
-	e := f.ss.Epoch()
-	for i, q := range qs {
-		out[i] = f.answer(e, q)
-	}
-	return out
-}
-
-// answer resolves one query against a pinned epoch, through the shared
-// per-epoch answer cache when the pin is still current (sessions pinned to
-// an older epoch bypass the cache rather than thrash it).
-func (f *ShardedIface) answer(e *Epoch, q Query) Result {
-	return f.answerEpoch(e, q).res
-}
-
-// answerEpoch is answer returning the shared cached *Answer, collapsing
-// concurrent identical queries on the current epoch into one
-// scatter-gather execution (answer.go).
-func (f *ShardedIface) answerEpoch(e *Epoch, q Query) *Answer {
-	cur := f.ss.epoch.Load()
-	if cur == nil || cur.seq != e.seq {
-		f.stats.misses.Add(1)
-		return &Answer{res: e.Answer(q, f.k, f.scorer, f.workers)}
-	}
-	c := f.cacheFor(e.seq)
-	key := q.Key()
-	return c.shard(key).do(key, &f.stats, func() Result {
-		return e.Answer(q, f.k, f.scorer, f.workers)
-	})
+	a, err := f.SearchAnswer(q)
+	return a.res, err
 }
 
 // SearchAnswer is Search returning the shared cached *Answer so the
 // serving layer can memoize wire encodings per epoch (answer.go).
 func (f *ShardedIface) SearchAnswer(q Query) (*Answer, error) {
 	f.queries.Add(1)
-	return f.answerEpoch(f.ss.Epoch(), q), nil
-}
-
-// SearchBatchAnswer is SearchBatch returning the shared cached Answers,
-// under the same single epoch pin.
-func (f *ShardedIface) SearchBatchAnswer(qs []Query) []*Answer {
-	out := make([]*Answer, len(qs))
-	if len(qs) == 0 {
-		return out
-	}
-	f.queries.Add(uint64(len(qs)))
 	e := f.ss.Epoch()
-	for i, q := range qs {
-		out[i] = f.answerEpoch(e, q)
-	}
-	return out
+	return f.answer(e, e.seq, q), nil
 }
 
-// LookupAnswer is the serving fast path over the current epoch: probe the
-// cache by raw key bytes (Query.AppendKey) with no Query construction.
-// Mirrors Iface.LookupAnswer: hits count one query, misses count nothing.
+// SearchBatchAnswer answers many queries under ONE epoch pin, returning
+// the shared cached Answers: every query in the batch sees the same
+// frozen state even if AdvanceEpoch lands midway.
+func (f *ShardedIface) SearchBatchAnswer(qs []Query) []*Answer {
+	return f.batch(qs, f.pin)
+}
+
+// pin returns the current epoch, publishing the first one if needed.
+func (f *ShardedIface) pin() (frozen, uint64) {
+	e := f.ss.Epoch()
+	return e, e.seq
+}
+
+// LookupAnswer is the serving fast path over the current epoch (see
+// front.lookup): hits count one query, misses count nothing.
 func (f *ShardedIface) LookupAnswer(key []byte) (*Answer, bool) {
 	e := f.ss.epoch.Load()
 	if e == nil {
 		return nil, false
 	}
-	c := f.cache.Load()
-	if c == nil || c.version != e.seq {
-		return nil, false
-	}
-	a, ok := c.shardBytes(key).get(key)
-	if !ok {
-		return nil, false
-	}
-	f.queries.Add(1)
-	f.stats.hits.Add(1)
-	return a, true
-}
-
-// CacheStats returns the lifetime answer-cache counters.
-func (f *ShardedIface) CacheStats() CacheStats { return f.stats.read() }
-
-// cacheFor returns the answer cache for the given epoch seq, swapping a
-// fresh one in when the epoch moved on.
-func (f *ShardedIface) cacheFor(seq uint64) *answerCache {
-	for {
-		c := f.cache.Load()
-		if c != nil && c.version == seq {
-			return c
-		}
-		nc := newAnswerCache(seq)
-		if f.cache.CompareAndSwap(c, nc) {
-			return nc
-		}
-	}
+	return f.lookup(e.seq, key)
 }
 
 // NewSession starts a budgeted round pinned to the CURRENT epoch: every
@@ -537,18 +411,8 @@ func (f *ShardedIface) cacheFor(seq uint64) *answerCache {
 // epoch that was live when the session was created. G <= 0 means
 // unlimited.
 func (f *ShardedIface) NewSession(g int) *Session {
-	return &Session{b: &epochView{f: f, e: f.ss.Epoch()}, bc: NewBudgetCounter(g)}
+	return NewSession(&epochView{f: f, e: f.ss.Epoch()}, g)
 }
-
-// AsSearcher returns an unbudgeted Searcher view of the interface
-// (answers always from the current epoch, not pinned).
-func (f *ShardedIface) AsSearcher() Searcher { return shardedIfaceSearcher{f: f} }
-
-type shardedIfaceSearcher struct{ f *ShardedIface }
-
-func (s shardedIfaceSearcher) Search(q Query) (Result, error) { return s.f.Search(q) }
-func (s shardedIfaceSearcher) K() int                         { return s.f.K() }
-func (s shardedIfaceSearcher) Schema() *schema.Schema         { return s.f.Schema() }
 
 // epochView is the session backend for sharded sessions: a ShardedIface
 // with one epoch pinned for the lifetime of the view.
@@ -559,26 +423,19 @@ type epochView struct {
 
 func (v *epochView) Search(q Query) (Result, error) {
 	v.f.queries.Add(1)
-	return v.f.answer(v.e, q), nil
+	return v.f.answer(v.e, v.e.seq, q).res, nil
 }
 
-func (v *epochView) SearchBatch(qs []Query) []Result {
-	out := make([]Result, len(qs))
-	if len(qs) == 0 {
-		return out
-	}
-	v.f.queries.Add(uint64(len(qs)))
-	for i, q := range qs {
-		out[i] = v.f.answer(v.e, q)
-	}
-	return out
+func (v *epochView) SearchBatch(qs []Query) ([]BatchItem, error) {
+	return batchItems(v.f.batch(qs, v.pin)), nil
 }
 
+func (v *epochView) pin() (frozen, uint64)  { return v.e, v.e.seq }
 func (v *epochView) K() int                 { return v.f.K() }
 func (v *epochView) Schema() *schema.Schema { return v.f.Schema() }
 
 // Epoch returns the sharded epoch this session is pinned to, or nil for
-// a session over an unsharded Iface.
+// a session over any other backend.
 func (s *Session) Epoch() *Epoch {
 	if v, ok := s.b.(*epochView); ok {
 		return v.e

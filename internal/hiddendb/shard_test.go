@@ -69,10 +69,10 @@ func mirroredStores(t testing.TB, seed int64, n, shards int, domains []int) (*St
 }
 
 // TestShardedEquivalenceFuzz is the seeded fuzz proof of the sharded
-// engine's core guarantee: for every shard count, every gather-goroutine
-// count, and a database churning between rounds, scatter-gather answers
-// are byte-identical to the unsharded interface over the same data —
-// tuples, order, overflow flag — and CountMatching agrees exactly.
+// engine's core guarantee: for every shard count and a database churning
+// between rounds, scatter-gather answers are byte-identical to the
+// unsharded interface over the same data — tuples, order, overflow flag
+// — and CountMatching agrees exactly.
 func TestShardedEquivalenceFuzz(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		for seed := int64(90); seed < 93; seed++ {
@@ -81,8 +81,6 @@ func TestShardedEquivalenceFuzz(t *testing.T) {
 				const k = 25
 				fi := NewIface(flat, k, nil)
 				si := NewShardedIface(ss, k, nil)
-				gi := NewShardedIface(ss, k, nil)
-				gi.SetGatherWorkers(shards + 1)
 				qrng := rand.New(rand.NewSource(seed * 17))
 				for round := 0; round < 4; round++ {
 					if round > 0 {
@@ -95,15 +93,13 @@ func TestShardedEquivalenceFuzz(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						for name, f := range map[string]*ShardedIface{"seq": si, "par": gi} {
-							got, err := f.Search(q)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if resultSignature(got) != resultSignature(want) {
-								t.Fatalf("round %d query %v (%s gather): sharded answer diverges\n got %s\nwant %s",
-									round, q, name, resultSignature(got), resultSignature(want))
-							}
+						got, err := si.Search(q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if resultSignature(got) != resultSignature(want) {
+							t.Fatalf("round %d query %v: sharded answer diverges\n got %s\nwant %s",
+								round, q, resultSignature(got), resultSignature(want))
 						}
 						if got, want := ss.CountMatching(q), flat.CountMatching(q); got != want {
 							t.Fatalf("round %d: CountMatching %d vs %d", round, got, want)
@@ -184,7 +180,6 @@ func TestShardedConcurrentSessions(t *testing.T) {
 	_, ss, churn := mirroredStores(t, 11, 1500, 4, []int{7, 6, 5})
 	const k = 25
 	si := NewShardedIface(ss, k, nil)
-	si.SetGatherWorkers(3)
 
 	stop := make(chan struct{})
 	var rounds atomic.Uint64
@@ -223,7 +218,7 @@ func TestShardedConcurrentSessions(t *testing.T) {
 					errs <- err
 					return
 				}
-				want := e.Answer(q, k, DefaultScorer, 1)
+				want := e.Answer(q, k, DefaultScorer)
 				if resultSignature(got) != resultSignature(want) {
 					errs <- fmt.Errorf("session %d query %d: answer not from pinned epoch %d", g, i, e.Seq())
 					return

@@ -234,7 +234,6 @@ func TestHandlerShardedBackend(t *testing.T) {
 	const k = 50
 	flat := hiddendb.NewIface(env.Store, k, nil)
 	sharded := hiddendb.NewShardedIface(senv.Store, k, nil)
-	sharded.SetGatherWorkers(4)
 
 	flatSrv := httptest.NewServer(NewHandler(flat))
 	defer flatSrv.Close()
@@ -265,7 +264,7 @@ func TestHandlerShardedBackend(t *testing.T) {
 	}
 }
 
-// TestClientSessionBatchBudget: webiface.Session.SearchBatch claims its
+// TestClientSessionBatchBudget: a client session's SearchBatch claims its
 // client-side budget per query; queries past the budget come back as
 // items carrying ErrBudgetExhausted without touching the server.
 func TestClientSessionBatchBudget(t *testing.T) {

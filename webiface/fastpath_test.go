@@ -22,14 +22,14 @@ import (
 // pre-encoded bodies, singleflight dedup — must be invisible on the
 // wire: every response byte-identical to what the pre-fast-path handler
 // (parse → Search → encoding/json over wireResult) would have produced,
-// across cache hit/miss, winner/waiter, shard counts and gather widths,
-// and across mutation between identical queries. These tests pin that.
+// across cache hit/miss, winner/waiter and shard counts, and across
+// mutation between identical queries. These tests pin that.
 
 // legacyBody is the oracle: what the handler answered before the fast
 // path existed — json.Encoder over wireResultOf (note the trailing
 // newline Encode appends). It runs the query on a FRESH interface over
 // the same store, so no cache state can leak into the expectation.
-func legacyBody(t *testing.T, h *Handler, fresh Backend, q hiddendb.Query) []byte {
+func legacyBody(t *testing.T, h *Handler, fresh hiddendb.Searcher, q hiddendb.Query) []byte {
 	t.Helper()
 	res, err := fresh.Search(q)
 	if err != nil {
@@ -95,12 +95,11 @@ func randomQuery(rng *rand.Rand, sch interface{ M() int }, domain func(int) int)
 }
 
 // fastPathConfig is one serving stack shape the byte-identity sweep
-// covers: the plain interface plus sharded stores at several shard
-// counts and gather widths.
+// covers: the plain interface plus sharded stores at two shard counts.
 type fastPathConfig struct {
 	name    string
 	backend Backend
-	fresh   func() Backend // fresh same-store interface for oracle answers
+	fresh   func() hiddendb.Searcher // fresh same-store interface for oracle answers
 	churn   func() error
 }
 
@@ -116,7 +115,7 @@ func fastPathConfigs(t *testing.T, k int) []fastPathConfig {
 	cfgs = append(cfgs, fastPathConfig{
 		name:    "unsharded",
 		backend: hiddendb.NewIface(env.Store, k, nil),
-		fresh:   func() Backend { return hiddendb.NewIface(env.Store, k, nil) },
+		fresh:   func() hiddendb.Searcher { return hiddendb.NewIface(env.Store, k, nil) },
 		churn: func() error {
 			if err := env.InsertFromPool(40); err != nil {
 				return err
@@ -125,24 +124,24 @@ func fastPathConfigs(t *testing.T, k int) []fastPathConfig {
 		},
 	})
 
+	// The subtest names keep the gather widths these configurations once
+	// also varied, so their test IDs stay stable; every sharded query
+	// now folds its shards sequentially.
 	for _, sc := range []struct {
-		shards, gather int
-	}{{4, 1}, {16, 4}} {
+		shards int
+		name   string
+	}{{4, "sharded_4x_gather1"}, {16, "sharded_16x_gather4"}} {
 		sc := sc
 		sdata := workload.AutosLikeN(71+int64(sc.shards), 4000, 8)
 		senv, err := workload.NewShardedEnv(sdata, 3500, 72, sc.shards)
 		if err != nil {
 			t.Fatal(err)
 		}
-		si := hiddendb.NewShardedIface(senv.Store, k, nil)
-		si.SetGatherWorkers(sc.gather)
 		cfgs = append(cfgs, fastPathConfig{
-			name:    fmt.Sprintf("sharded_%dx_gather%d", sc.shards, sc.gather),
-			backend: si,
-			fresh: func() Backend {
-				f := hiddendb.NewShardedIface(senv.Store, k, nil)
-				f.SetGatherWorkers(sc.gather)
-				return f
+			name:    sc.name,
+			backend: hiddendb.NewShardedIface(senv.Store, k, nil),
+			fresh: func() hiddendb.Searcher {
+				return hiddendb.NewShardedIface(senv.Store, k, nil)
 			},
 			churn: func() error {
 				if err := senv.InsertFromPool(40); err != nil {

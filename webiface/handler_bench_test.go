@@ -23,7 +23,7 @@ import (
 // two to identical bytes so the benchmark compares equal work.
 
 type legacyHandler struct {
-	b Backend
+	b hiddendb.Searcher
 }
 
 func (h *legacyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -87,7 +87,7 @@ func (d *discardRW) WriteString(s string) (int, error) {
 
 func (d *discardRW) WriteHeader(int) {}
 
-func benchBackend(tb testing.TB) Backend {
+func benchBackend(tb testing.TB) *hiddendb.Iface {
 	tb.Helper()
 	data := workload.AutosLikeN(41, 8000, 10)
 	env, err := workload.NewEnv(data, 7500, 42)

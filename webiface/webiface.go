@@ -106,21 +106,19 @@ type wireAttr struct {
 
 // Backend is the search capability a Handler serves: hiddendb.Iface (one
 // store, answers track its current snapshot) or hiddendb.ShardedIface
-// (N shards, answers scatter-gathered off the pinned epoch). SearchBatch
-// must answer its whole batch under ONE snapshot/epoch pin; Version is a
-// serving diagnostic (store version, or epoch sequence when sharded).
+// (N shards, answers scatter-gathered off the pinned epoch).
+// SearchBatchAnswer must answer its whole batch under ONE snapshot/epoch
+// pin; Version is a serving diagnostic (store version, or epoch sequence
+// when sharded).
 //
-// The Answer-returning methods power the wire fast path: they expose the
-// shared per-version cache entries so the handler can memoize serialized
-// JSON next to each Result (hiddendb.Answer.Wire), and LookupAnswer
-// probes the cache by raw key bytes without constructing a Query.
-// Implementations must keep the fast path observationally equivalent to
-// Search — same Result values, same version semantics — so responses are
-// byte-identical whether they come off a cache hit, a miss, a
-// singleflight winner or a waiter.
+// The handler answers only through the shared per-version cache entries,
+// so it can memoize serialized JSON next to each Result
+// (hiddendb.Answer.Wire); LookupAnswer probes the cache by raw key bytes
+// without constructing a Query. Implementations must keep the lookup
+// observationally equivalent to SearchAnswer — same Result values, same
+// version semantics — so responses are byte-identical whether they come
+// off a cache hit, a miss, a singleflight winner or a waiter.
 type Backend interface {
-	Search(q hiddendb.Query) (hiddendb.Result, error)
-	SearchBatch(qs []hiddendb.Query) []hiddendb.Result
 	SearchAnswer(q hiddendb.Query) (*hiddendb.Answer, error)
 	SearchBatchAnswer(qs []hiddendb.Query) []*hiddendb.Answer
 	LookupAnswer(key []byte) (*hiddendb.Answer, bool)
@@ -497,7 +495,7 @@ func (h *Handler) recordSearchFailure(r *http.Request, start time.Time, route st
 // query rejects the WHOLE batch with 400 before any budget is charged;
 // after that, queries are charged in order and the ones the per-key
 // budget cannot cover come back as per-item budget_exhausted errors while
-// the covered ones are answered together via Backend.SearchBatch.
+// the covered ones are answered together via Backend.SearchBatchAnswer.
 // BatchBudgetErrJSON is the pre-rendered wireBatchItem for a query the
 // per-key budget could not cover — byte-identical to encoding/json over
 // the equivalent envelope payload. Exported so the router splices the
@@ -1035,75 +1033,10 @@ func resultFromWire(wr wireResult) hiddendb.Result {
 	return out
 }
 
-// Session wraps the client with a per-round budget, mirroring
-// hiddendb.Session for remote databases. Budget accounting is atomic, so
-// one Session may be shared by the estimator execution engine's bounded
-// fan-out (several goroutines issuing one round's drill-down walks over
-// the same client).
-type Session struct {
-	c  *Client
-	bc *hiddendb.BudgetCounter
-}
+// NewSession starts a budgeted round against the remote database: a
+// hiddendb.Session over the client, whose atomic budget accounting lets
+// one session be shared by the estimator execution engine's bounded
+// fan-out (several goroutines issuing one round's drill-down walks).
+func (c *Client) NewSession(g int) *hiddendb.Session { return hiddendb.NewSession(c, g) }
 
-// NewSession starts a budgeted round against the remote database.
-func (c *Client) NewSession(g int) *Session {
-	return &Session{c: c, bc: hiddendb.NewBudgetCounter(g)}
-}
-
-// ConcurrentSearchable reports that concurrent Search calls are safe.
-func (s *Session) ConcurrentSearchable() bool { return true }
-
-// Search issues one query, consuming budget.
-func (s *Session) Search(q hiddendb.Query) (hiddendb.Result, error) {
-	if _, ok := s.bc.Claim(); !ok {
-		return hiddendb.Result{}, hiddendb.ErrBudgetExhausted
-	}
-	return s.c.Search(q)
-}
-
-// SearchBatch issues many queries as one batched round trip, claiming
-// budget per query in order: queries past the point of exhaustion come
-// back with hiddendb.ErrBudgetExhausted in their item, exactly as the
-// sequential path would fail them. The error return is a whole-batch
-// transport failure (no per-query attribution possible).
-func (s *Session) SearchBatch(qs []hiddendb.Query) ([]hiddendb.BatchItem, error) {
-	items := make([]hiddendb.BatchItem, len(qs))
-	claimed := make([]hiddendb.Query, 0, len(qs))
-	claimedIdx := make([]int, 0, len(qs))
-	for i, q := range qs {
-		if _, ok := s.bc.Claim(); !ok {
-			items[i].Err = hiddendb.ErrBudgetExhausted
-			continue
-		}
-		claimed = append(claimed, q)
-		claimedIdx = append(claimedIdx, i)
-	}
-	if len(claimed) > 0 {
-		got, err := s.c.SearchBatch(claimed)
-		if err != nil {
-			return nil, err
-		}
-		for j, it := range got {
-			items[claimedIdx[j]] = it
-		}
-	}
-	return items, nil
-}
-
-// K returns the remote cap.
-func (s *Session) K() int { return s.c.K() }
-
-// Schema returns the remote schema.
-func (s *Session) Schema() *schema.Schema { return s.c.Schema() }
-
-// Used returns the queries issued this round.
-func (s *Session) Used() int { return s.bc.Used() }
-
-// Remaining returns the unused budget (negative when unlimited).
-func (s *Session) Remaining() int { return s.bc.Remaining() }
-
-// Budget returns the round's budget G.
-func (s *Session) Budget() int { return s.bc.Budget() }
-
-var _ hiddendb.ConcurrentSearcher = (*Session)(nil)
-var _ hiddendb.BatchSearcher = (*Session)(nil)
+var _ hiddendb.BatchSearcher = (*Client)(nil)
