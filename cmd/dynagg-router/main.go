@@ -1,9 +1,10 @@
 // Command dynagg-router fronts a fleet of shard-mode dynagg-serve
 // processes as ONE logical hidden database. It serves the full /v1/
 // surface — search (GET and batched POST), schema, stats, healthz,
-// metrics — answering every search by scatter-gather across the fleet
-// under one pinned epoch, with responses byte-identical to a single
-// process serving the union of the shards.
+// metrics, debug/requests — through the same webiface.Handler as
+// dynagg-serve, answering every search by scatter-gather across the
+// fleet under one pinned epoch, with responses byte-identical to a
+// single process serving the union of the shards.
 //
 // The router owns the fleet's epoch lifecycle: on -epoch-every it drives
 // the two-phase handshake (freeze every shard with mutators quiescent,

@@ -33,6 +33,11 @@ type Answer struct {
 	wire atomic.Pointer[[]byte]
 }
 
+// NewAnswer wraps a Result computed outside the answer cache, such as
+// the router's merge of per-shard partials, so the serving layer can
+// encode it like a cached one.
+func NewAnswer(res Result) *Answer { return &Answer{res: res} }
+
 // Result returns the engine result. The tuple slice is shared with every
 // other holder of this Answer; treat it as read-only.
 func (a *Answer) Result() Result { return a.res }

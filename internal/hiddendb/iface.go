@@ -1,6 +1,7 @@
 package hiddendb
 
 import (
+	"context"
 	"hash/maphash"
 	"sync"
 	"sync/atomic"
@@ -305,14 +306,15 @@ func (f *Iface) searchAnswer(q Query) *Answer {
 // to what a sequence of Search calls over the unchanged version returns.
 // Like Search it never fails; per-query budget charging lives in Session.
 func (f *Iface) SearchBatch(qs []Query) ([]BatchItem, error) {
-	return batchItems(f.SearchBatchAnswer(qs)), nil
+	return batchItems(f.batch(qs, f.pin)), nil
 }
 
 // SearchBatchAnswer is SearchBatch returning the shared cached Answers —
 // the batched wire path serves pre-encoded bodies through them. Same
-// single-snapshot pin, same byte-identical results.
-func (f *Iface) SearchBatchAnswer(qs []Query) []*Answer {
-	return f.batch(qs, f.pin)
+// single-snapshot pin, same byte-identical results; it ignores ctx and
+// never fails.
+func (f *Iface) SearchBatchAnswer(_ context.Context, qs []Query) ([]*Answer, error) {
+	return f.batch(qs, f.pin), nil
 }
 
 // pin publishes (if needed) and returns the store's current snapshot.

@@ -1,6 +1,7 @@
 package hiddendb
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -385,9 +386,10 @@ func (f *ShardedIface) SearchAnswer(q Query) (*Answer, error) {
 
 // SearchBatchAnswer answers many queries under ONE epoch pin, returning
 // the shared cached Answers: every query in the batch sees the same
-// frozen state even if AdvanceEpoch lands midway.
-func (f *ShardedIface) SearchBatchAnswer(qs []Query) []*Answer {
-	return f.batch(qs, f.pin)
+// frozen state even if AdvanceEpoch lands midway. It ignores ctx and
+// never fails.
+func (f *ShardedIface) SearchBatchAnswer(_ context.Context, qs []Query) ([]*Answer, error) {
+	return f.batch(qs, f.pin), nil
 }
 
 // pin returns the current epoch, publishing the first one if needed.

@@ -80,3 +80,16 @@ func DecodeError(body io.Reader) (Error, bool) {
 	}
 	return env.Error, true
 }
+
+// maxDrain bounds how much of an unread response body DrainClose reads
+// to save the connection; past it, closing the connection is cheaper.
+const maxDrain = 64 << 10
+
+// DrainClose reads what is left of a response body, up to a bound, and
+// closes it. net/http reuses a keep-alive connection only when the body
+// was read to EOF, which a JSON decoder that stops at the end of its
+// value never does.
+func DrainClose(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, maxDrain))
+	_ = body.Close()
+}

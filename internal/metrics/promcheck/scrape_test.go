@@ -224,13 +224,13 @@ func TestRouterExposition(t *testing.T) {
 	}
 	doc := scrape(t, srv, "/v1/metrics")
 	checkDoc(t, doc,
-		"dynagg_router_request_seconds",
+		"dynagg_serve_request_seconds",
 		"dynagg_router_shard_request_seconds",
 	)
 	if !strings.Contains(doc, "# TYPE dynagg_router_merge_seconds histogram") {
 		t.Error("no merge-latency histogram family")
 	}
-	if !strings.Contains(doc, `dynagg_router_request_seconds_count{route="search"} 2`) {
+	if !strings.Contains(doc, `dynagg_serve_request_seconds_count{route="search",outcome="miss"} 2`) {
 		t.Error("router request histogram does not count the two searches")
 	}
 }

@@ -11,11 +11,12 @@ import (
 )
 
 // TraceHeader is the cross-process request-correlation header. The
-// router stamps it on every incoming query (honouring an existing value
-// so external callers can bring their own IDs), webiface.Client
-// forwards it on each fan-out hop, and each daemon's request log and
-// structured logs carry it — so one slow query can be followed from the
-// router's /v1/debug/requests entry to the shard daemon's.
+// router stamps it on every incoming search (honouring an existing
+// value so external callers can bring their own IDs) and puts it on the
+// request context, webiface.Client forwards it on each fan-out hop, and
+// each daemon's request log and structured logs carry it — so one slow
+// query can be followed from the router's /v1/debug/requests entry to
+// the shard daemon's.
 const TraceHeader = "X-Dynagg-Trace"
 
 // traceSeed randomises the per-process trace namespace so IDs from
@@ -44,7 +45,8 @@ func NewTraceID() string {
 type traceKey struct{}
 
 // WithTrace returns a context carrying the trace ID, the plumb between
-// a router handler and the webiface.Client hops it fans out on.
+// the router's request, the webiface.Client hops it fans out on and the
+// request's ring record.
 func WithTrace(ctx context.Context, id string) context.Context {
 	if id == "" {
 		return ctx
@@ -64,6 +66,26 @@ type ShardTiming struct {
 	Shard      int     `json:"shard"`
 	DurationMs float64 `json:"duration_ms"`
 	Error      string  `json:"error,omitempty"`
+}
+
+// Fanout collects one routed request's per-shard timings. The router
+// puts an empty one on the request context, its fan-out fills it in,
+// and the serving handler copies it into the request's ring record.
+type Fanout struct {
+	Shards []ShardTiming
+}
+
+type fanoutKey struct{}
+
+// WithFanout returns a context carrying f.
+func WithFanout(ctx context.Context, f *Fanout) context.Context {
+	return context.WithValue(ctx, fanoutKey{}, f)
+}
+
+// FanoutFrom extracts the context's Fanout (nil when none is set).
+func FanoutFrom(ctx context.Context) *Fanout {
+	f, _ := ctx.Value(fanoutKey{}).(*Fanout)
+	return f
 }
 
 // RequestRecord is one entry in a daemon's recent-request ring.

@@ -6,13 +6,14 @@
 //   - ShardAdmin wraps a shard daemon's serving handler with the epoch
 //     admin wire (/v1/shard/freeze, /v1/shard/publish, /v1/shard/epoch)
 //     and tags every serving response with the epoch it answered from.
-//   - Router owns webiface.Client connections to N shard daemons, drives
-//     the fleet-wide two-phase epoch handshake, and serves /v1/search by
-//     scatter-gather: fan the query out, merge the per-shard top-k
-//     partials with hiddendb.MergePartials, re-encode with the shared
-//     wire encoder — byte-identical to a single process serving the
-//     union of the shards (router_test.go pins this at 1, 4 and 16
-//     shards under churn).
+//   - Router owns webiface.Client connections to N shard daemons and
+//     drives the fleet-wide two-phase epoch handshake. It is a
+//     webiface.Backend whose searches fan out to every shard and merge
+//     the per-shard top-k partials with hiddendb.MergePartials, served
+//     through the same webiface.Handler as a single process. Responses
+//     are byte-identical to a single process serving the union of the
+//     shards (router_test.go pins this at 1, 4 and 16 shards under
+//     churn).
 //
 // docs/deploy.md describes the topology, the handshake and the failure
 // semantics in operator terms.

@@ -199,6 +199,39 @@ func TestRouterDegradedReads(t *testing.T) {
 	}
 }
 
+// TestRouterDegradedReadsAllShardsDown: degraded reads drop failed
+// shards only while some shard survives. With every shard down there
+// is nothing to merge, so a GET and a batch both fail with the
+// unavailable envelope instead of answering "no matches".
+func TestRouterDegradedReadsAllShardsDown(t *testing.T) {
+	injectors := make(map[int]*faultInjector)
+	f := newFleet(t, 2, 39, 300, func(i int, h http.Handler) http.Handler {
+		fi := &faultInjector{next: h}
+		injectors[i] = fi
+		return fi
+	})
+	rt, rtSrv := dialRouter(t, f, Options{
+		Client:        webiface.ClientOptions{Retries: 1, RequestTimeout: 2 * time.Second},
+		DegradedReads: true,
+	})
+	f.round(rt)
+
+	for _, inj := range injectors {
+		inj.set(func(fi *faultInjector) { fi.alwaysFail = true })
+	}
+	code, body := fetch(t, http.MethodGet, rtSrv.URL+"/v1/search?where=0:1", "", "")
+	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"unavailable"`) {
+		t.Fatalf("GET with every shard down: %d %q, want 503 unavailable envelope", code, body)
+	}
+	code, body = fetch(t, http.MethodPost, rtSrv.URL+"/v1/search", "", batchBody([][]string{{"0:1"}, {}}))
+	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"unavailable"`) {
+		t.Fatalf("batch with every shard down: %d %q, want 503 unavailable envelope", code, body)
+	}
+	if _, mb := fetch(t, http.MethodGet, rtSrv.URL+"/v1/metrics", "", ""); !strings.Contains(mb, "dynagg_router_degraded_answers_total 0") {
+		t.Fatalf("an answer from no shard counted as degraded:\n%s", mb)
+	}
+}
+
 // TestShardAdminHandshakeRejections pins the admin wire's conflict
 // semantics: double freeze, stale publish, publish with nothing
 // pending, and the zero-seq guard.

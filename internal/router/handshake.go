@@ -59,7 +59,7 @@ func (rt *Router) adminPost(ctx context.Context, base, route string, body any, o
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer httpapi.DrainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		if e, ok := httpapi.DecodeError(resp.Body); ok {
 			return fmt.Errorf("%s: %s: %w", route, resp.Status, &e)
@@ -83,7 +83,7 @@ func (rt *Router) adminEpoch(ctx context.Context, base string) (wireShardEpoch, 
 	if err != nil {
 		return out, err
 	}
-	defer resp.Body.Close()
+	defer httpapi.DrainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return out, fmt.Errorf("/v1/shard/epoch: %s", resp.Status)
 	}
@@ -160,7 +160,7 @@ func (rt *Router) Handshake(ctx context.Context) (uint64, error) {
 		sc.mismatch.Store(false)
 		sc.healthy.Store(true)
 	}
-	rt.ResetBudgets()
+	rt.h.ResetBudgets()
 	return next, nil
 }
 

@@ -2,7 +2,7 @@ package router
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -50,10 +50,12 @@ type Options struct {
 }
 
 // Router is one logical hidden database over a fleet of shard daemons.
-// It serves the full /v1/ surface of a shard-mode dynagg-serve — search,
-// schema, stats, healthz, metrics — answering every search by
-// scatter-gather under one pinned fleet epoch, with responses
-// byte-identical to a single process serving the union of the shards.
+// It is a webiface.Backend: every search fans out to the shards under
+// one pinned fleet epoch and the per-shard top-k partials merge with
+// hiddendb.MergePartials. ServeHTTP answers every /v1/ route but healthz
+// through one webiface.Handler over that backend, so its envelopes,
+// budgets and byte layouts are single-process serving's, and its answers
+// are byte-identical to a single process serving the union of the shards.
 //
 // Concurrency: serving fan-outs hold pinMu for read; the epoch handshake
 // holds it for write, so a query never straddles an epoch flip. Per-shard
@@ -64,15 +66,12 @@ type Router struct {
 	sch   *schema.Schema
 	k     int
 	admin *http.Client
+	h     *webiface.Handler // serves every route but healthz over rt
 
 	// pinMu pins the fleet epoch: fan-outs read-hold it, Handshake
 	// write-holds it across freeze+publish.
 	pinMu sync.RWMutex
 	seq   atomic.Uint64 // current fleet epoch sequence (0 = none published)
-
-	budgetMu     sync.Mutex
-	perKeyBudget int
-	used         map[string]int
 
 	queries    atomic.Uint64
 	fanouts    atomic.Uint64
@@ -80,18 +79,13 @@ type Router struct {
 	degraded   atomic.Uint64
 	handshakes atomic.Uint64
 
-	// Latency histograms exported by /v1/metrics: end-to-end per route,
-	// plus the top-k partial merge alone so fan-out wait and merge cost
-	// are separable.
-	reqHist   obs.Histogram // GET /v1/search, fan-out + merge + encode
-	batchHist obs.Histogram // POST /v1/search, whole batch
-	mergeHist obs.Histogram // MergePartials time per answered request
-
-	// reqlog is the /v1/debug/requests ring: recent slow/failed requests
-	// with their trace ID, per-shard timings and pinned epoch.
-	reqlog *obs.RequestLog
-	log    *slog.Logger
+	// mergeHist times the top-k partial merge alone, so fan-out wait and
+	// merge cost are separable.
+	mergeHist obs.Histogram
+	log       *slog.Logger
 }
+
+var _ webiface.Backend = (*Router)(nil)
 
 // shardConn is the router's connection to one shard daemon.
 type shardConn struct {
@@ -102,29 +96,19 @@ type shardConn struct {
 	lastSeq  atomic.Uint64 // last epoch seq observed on a serving response
 	mismatch atomic.Bool   // sticky: served an epoch other than the pinned one
 
-	hist obs.Histogram // fan-out request latency distribution
-
-	latMu    sync.Mutex
-	latCount uint64
-	latSum   time.Duration
-	latMax   time.Duration
+	hist  obs.Histogram // fan-out request latency distribution
+	maxNs atomic.Int64  // slowest fan-out request so far
 }
 
-// observe records one request's latency and epoch header.
-func (sc *shardConn) observeLatency(d time.Duration) {
-	sc.latMu.Lock()
-	sc.latCount++
-	sc.latSum += d
-	if d > sc.latMax {
-		sc.latMax = d
+// observe records one fan-out request's latency.
+func (sc *shardConn) observe(d time.Duration) {
+	sc.hist.Observe(d)
+	for {
+		m := sc.maxNs.Load()
+		if int64(d) <= m || sc.maxNs.CompareAndSwap(m, int64(d)) {
+			return
+		}
 	}
-	sc.latMu.Unlock()
-}
-
-func (sc *shardConn) latency() (count uint64, sum, max time.Duration) {
-	sc.latMu.Lock()
-	defer sc.latMu.Unlock()
-	return sc.latCount, sc.latSum, sc.latMax
 }
 
 // New dials every shard daemon, verifies they agree on schema and k, and
@@ -139,23 +123,13 @@ func New(shards []string, opts Options) (*Router, error) {
 		opts.AdminTimeout = 5 * time.Second
 	}
 	rt := &Router{
-		opts:         opts,
-		admin:        &http.Client{Timeout: opts.AdminTimeout},
-		perKeyBudget: opts.PerKeyBudget,
-		used:         make(map[string]int),
-		log:          opts.Logger,
+		opts:  opts,
+		admin: &http.Client{Timeout: opts.AdminTimeout},
+		log:   opts.Logger,
 	}
 	if rt.log == nil {
 		rt.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	size, slow := opts.DebugRequests, opts.SlowRequest
-	if size == 0 {
-		size = webiface.DefaultDebugRequests
-	}
-	if slow == 0 {
-		slow = webiface.DefaultSlowRequest
-	}
-	rt.reqlog = obs.NewRequestLog(size, slow)
 	// Every concurrent client request fans out to EVERY shard, so the
 	// shard connections see len(shards)× the router's own concurrency.
 	// The default transport keeps only 2 idle conns per host, which
@@ -187,6 +161,16 @@ func New(shards []string, opts Options) (*Router, error) {
 			return nil, fmt.Errorf("router: shard %s: %w", sc.base, err)
 		}
 	}
+	size, slow := opts.DebugRequests, opts.SlowRequest
+	if size == 0 {
+		size = webiface.DefaultDebugRequests
+	}
+	if slow == 0 {
+		slow = webiface.DefaultSlowRequest
+	}
+	rt.h = webiface.NewHandler(rt)
+	rt.h.SetPerKeyBudget(opts.PerKeyBudget)
+	rt.h.SetRequestLog(size, slow)
 	return rt, nil
 }
 
@@ -240,11 +224,23 @@ func (rt *Router) NumShards() int { return len(rt.conns) }
 // first handshake).
 func (rt *Router) Seq() uint64 { return rt.seq.Load() }
 
+// Version is Seq: the router answers from the pinned fleet epoch.
+func (rt *Router) Version() uint64 { return rt.seq.Load() }
+
 // K returns the fleet's top-k cap.
 func (rt *Router) K() int { return rt.k }
 
 // Schema returns the fleet schema.
 func (rt *Router) Schema() *schema.Schema { return rt.sch }
+
+// TotalQueries counts the queries the router has fanned out or tried to.
+func (rt *Router) TotalQueries() uint64 { return rt.queries.Load() }
+
+// CacheStats is zero: the router keeps no answer cache.
+func (rt *Router) CacheStats() hiddendb.CacheStats { return hiddendb.CacheStats{} }
+
+// LookupAnswer always misses, sending every search to a fan-out.
+func (rt *Router) LookupAnswer([]byte) (*hiddendb.Answer, bool) { return nil, false }
 
 // RetryCount sums retry attempts across all shard connections.
 func (rt *Router) RetryCount() uint64 {
@@ -258,99 +254,35 @@ func (rt *Router) RetryCount() uint64 {
 // SetRequestLog swaps the /v1/debug/requests ring (size <= 0 disables;
 // slow <= 0 records every request). Call before serving.
 func (rt *Router) SetRequestLog(size int, slow time.Duration) {
-	rt.reqlog = obs.NewRequestLog(size, slow)
-}
-
-// SetPerKeyBudget caps the searches each API key may issue per epoch
-// (g <= 0 means unlimited).
-func (rt *Router) SetPerKeyBudget(g int) {
-	rt.budgetMu.Lock()
-	defer rt.budgetMu.Unlock()
-	rt.perKeyBudget = g
-}
-
-// ResetBudgets starts a new round: every key's budget is restored. A
-// successful Handshake calls it — fleet epochs are the router's rounds.
-func (rt *Router) ResetBudgets() {
-	rt.budgetMu.Lock()
-	defer rt.budgetMu.Unlock()
-	rt.used = make(map[string]int)
-}
-
-func (rt *Router) consumeBudget(key string) bool {
-	rt.budgetMu.Lock()
-	defer rt.budgetMu.Unlock()
-	if rt.perKeyBudget > 0 && rt.used[key] >= rt.perKeyBudget {
-		return false
-	}
-	rt.used[key]++
-	return true
+	rt.h.SetRequestLog(size, slow)
 }
 
 // ServeHTTP serves the same /v1/ surface as a shard daemon's serving
-// handler, plus nothing else: the admin wire is shard-side only.
+// handler, plus nothing else: the admin wire is shard-side only. Every
+// route but healthz goes through the router's webiface.Handler. A search
+// is first stamped with its trace: the caller's X-Dynagg-Trace is
+// honoured so it survives the router hop, otherwise the router mints
+// one. The trace is echoed on the response and rides the request
+// context, with an obs.Fanout for the per-shard timings, to the shards
+// and to the request's ring record.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
-	case "/v1/schema":
-		rt.serveSchema(w)
-	case "/v1/search":
-		if r.Method == http.MethodPost {
-			rt.serveSearchBatch(w, r)
-			return
-		}
-		rt.serveSearch(w, r)
-	case "/v1/stats":
-		rt.serveStats(w)
 	case "/v1/healthz":
 		rt.serveHealthz(w)
+	case "/v1/search":
+		trace := r.Header.Get(obs.TraceHeader)
+		if trace == "" {
+			trace = obs.NewTraceID()
+		}
+		w.Header().Set(obs.TraceHeader, trace)
+		ctx := obs.WithFanout(obs.WithTrace(r.Context(), trace), new(obs.Fanout))
+		rt.h.ServeHTTP(w, r.WithContext(ctx))
 	case "/v1/metrics":
-		rt.serveMetrics(w)
-	case "/v1/debug/requests":
-		rt.reqlog.ServeJSON(w)
+		rt.h.ServeHTTP(w, r)
+		rt.writeFleetMetrics(w)
 	default:
-		httpapi.WriteError(w, http.StatusNotFound, httpapi.CodeNotFound, "no such route: "+r.URL.Path)
+		rt.h.ServeHTTP(w, r)
 	}
-}
-
-// The wire structs mirror webiface's unexported ones field-for-field so
-// encoding/json renders byte-identical bodies.
-
-type wireSchema struct {
-	K     int        `json:"k"`
-	Attrs []wireAttr `json:"attrs"`
-}
-
-type wireAttr struct {
-	Name     string   `json:"name"`
-	Domain   []string `json:"domain"`
-	Nullable bool     `json:"nullable,omitempty"`
-}
-
-type wireStats struct {
-	K       int    `json:"k"`
-	Queries uint64 `json:"queries"`
-	Version uint64 `json:"version"`
-}
-
-type wireBatchRequest struct {
-	Queries []wireBatchQuery `json:"queries"`
-}
-
-type wireBatchQuery struct {
-	Where []string `json:"where"`
-}
-
-func (rt *Router) serveSchema(w http.ResponseWriter) {
-	out := wireSchema{K: rt.k}
-	for i := 0; i < rt.sch.M(); i++ {
-		a := rt.sch.Attr(i)
-		out.Attrs = append(out.Attrs, wireAttr{Name: a.Name, Domain: a.Domain, Nullable: a.Nullable})
-	}
-	writeJSON(w, out)
-}
-
-func (rt *Router) serveStats(w http.ResponseWriter) {
-	writeJSON(w, wireStats{K: rt.k, Queries: rt.queries.Load(), Version: rt.seq.Load()})
 }
 
 // wireHealth is the router's /v1/healthz body: the serve handler's
@@ -383,18 +315,10 @@ func (rt *Router) serveHealthz(w http.ResponseWriter) {
 	})
 }
 
-func (rt *Router) serveMetrics(w http.ResponseWriter) {
-	rt.budgetMu.Lock()
-	budget := rt.perKeyBudget
-	used := make(map[string]int, len(rt.used))
-	for k, v := range rt.used {
-		used[k] = v
-	}
-	rt.budgetMu.Unlock()
-
+// writeFleetMetrics appends the fleet families to the Handler's
+// /v1/metrics document.
+func (rt *Router) writeFleetMetrics(w http.ResponseWriter) {
 	var b metrics.Builder
-	b.Family("dynagg_router_queries_total", "counter", "Queries answered (or failed) by the router across all clients.")
-	b.Value("dynagg_router_queries_total", float64(rt.queries.Load()))
 	b.Family("dynagg_router_fanouts_total", "counter", "Scatter-gather fan-outs issued to the shard fleet.")
 	b.Value("dynagg_router_fanouts_total", float64(rt.fanouts.Load()))
 	b.Family("dynagg_router_retries_total", "counter", "Shard request retry attempts across all connections.")
@@ -417,176 +341,77 @@ func (rt *Router) serveMetrics(w http.ResponseWriter) {
 	}
 	// One loop per family: a metric's samples must stay grouped under
 	// its own HELP/TYPE declaration (promcheck enforces this).
-	b.Family("dynagg_router_shard_requests_total", "counter", "Requests issued to each shard.")
+	hists := make([]obs.HistogramSnapshot, len(rt.conns))
 	for i, sc := range rt.conns {
-		count, _, _ := sc.latency()
-		b.Value("dynagg_router_shard_requests_total", float64(count), "shard", strconv.Itoa(i))
+		hists[i] = sc.hist.Snapshot()
+	}
+	b.Family("dynagg_router_shard_requests_total", "counter", "Requests issued to each shard.")
+	for i, hs := range hists {
+		b.Value("dynagg_router_shard_requests_total", float64(hs.Count), "shard", strconv.Itoa(i))
 	}
 	b.Family("dynagg_router_shard_latency_seconds_sum", "counter", "Total request latency per shard.")
-	for i, sc := range rt.conns {
-		_, sum, _ := sc.latency()
-		b.Value("dynagg_router_shard_latency_seconds_sum", sum.Seconds(), "shard", strconv.Itoa(i))
+	for i, hs := range hists {
+		b.Value("dynagg_router_shard_latency_seconds_sum", hs.SumSeconds, "shard", strconv.Itoa(i))
 	}
 	b.Family("dynagg_router_shard_latency_seconds_max", "gauge", "Maximum request latency per shard.")
 	for i, sc := range rt.conns {
-		_, _, max := sc.latency()
-		b.Value("dynagg_router_shard_latency_seconds_max", max.Seconds(), "shard", strconv.Itoa(i))
+		b.Value("dynagg_router_shard_latency_seconds_max", time.Duration(sc.maxNs.Load()).Seconds(), "shard", strconv.Itoa(i))
 	}
 	bounds := obs.Bounds()
-	b.Family("dynagg_router_request_seconds", "histogram", "End-to-end routed request latency by route (fan-out, merge and encode included).")
-	reqSnap := rt.reqHist.Snapshot()
-	b.Histogram("dynagg_router_request_seconds", bounds, reqSnap.Counts, reqSnap.SumSeconds, "route", routeSearch)
-	batchSnap := rt.batchHist.Snapshot()
-	b.Histogram("dynagg_router_request_seconds", bounds, batchSnap.Counts, batchSnap.SumSeconds, "route", routeSearchBatch)
 	b.Family("dynagg_router_merge_seconds", "histogram", "Top-k partial merge time per answered request.")
 	mergeSnap := rt.mergeHist.Snapshot()
 	b.Histogram("dynagg_router_merge_seconds", bounds, mergeSnap.Counts, mergeSnap.SumSeconds)
 	b.Family("dynagg_router_shard_request_seconds", "histogram", "Fan-out request latency per shard connection.")
-	for i, sc := range rt.conns {
-		hs := sc.hist.Snapshot()
+	for i, hs := range hists {
 		b.Histogram("dynagg_router_shard_request_seconds", bounds, hs.Counts, hs.SumSeconds, "shard", strconv.Itoa(i))
 	}
-	b.Family("dynagg_router_per_key_budget", "gauge", "Per-API-key query budget per epoch (0 = unlimited).")
-	b.Int("dynagg_router_per_key_budget", budget)
-	b.Family("dynagg_router_key_queries_used", "gauge", "Queries charged to each API key this epoch.")
-	for _, k := range metrics.SortedKeys(used) {
-		b.Int("dynagg_router_key_queries_used", used[k], "key", k)
-	}
-	w.Header().Set("Content-Type", metrics.ContentType)
 	_, _ = b.WriteTo(w)
 }
 
-// apiKey mirrors the serve handler's client identification.
-func apiKey(r *http.Request) string {
-	if k := r.Header.Get("X-API-Key"); k != "" {
-		return k
-	}
-	return r.URL.Query().Get("key")
+// SearchAnswer answers one query by fan-out; see SearchAnswerContext.
+func (rt *Router) SearchAnswer(q hiddendb.Query) (*hiddendb.Answer, error) {
+	return rt.SearchAnswerContext(context.Background(), q)
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// unavailable writes the fail-fast envelope for a fleet that cannot
-// answer coherently right now.
-func (rt *Router) unavailable(w http.ResponseWriter, msg string) {
-	rt.failures.Add(1)
-	httpapi.WriteError(w, http.StatusServiceUnavailable, httpapi.CodeUnavailable, msg)
-}
-
-// Route names used in metrics labels and the debug ring.
-const (
-	routeSearch      = "search"
-	routeSearchBatch = "search_batch"
-)
-
-// traceFor stamps a request: the inbound X-Dynagg-Trace is honoured (so
-// a caller-minted ID survives the router hop), otherwise the router
-// mints one. The ID is echoed on the response and propagated to every
-// shard daemon through the fan-out context.
-func traceFor(w http.ResponseWriter, r *http.Request) string {
-	trace := r.Header.Get(obs.TraceHeader)
-	if trace == "" {
-		trace = obs.NewTraceID()
-	}
-	w.Header().Set(obs.TraceHeader, trace)
-	return trace
-}
-
-// finish closes out one routed request: end-to-end latency into the
-// route's histogram, slow/failed requests into the debug ring, failures
-// into the trace-correlated log.
-func (rt *Router) finish(trace, route string, status int, start time.Time, detail string, shards []obs.ShardTiming) {
-	d := time.Since(start)
-	if route == routeSearch {
-		rt.reqHist.Observe(d)
-	} else {
-		rt.batchHist.Observe(d)
-	}
-	failed := status >= 400
-	outcome := "ok"
-	if failed {
-		outcome = "error"
-		rt.log.Warn("request failed",
-			"trace", trace, "route", route, "status", status,
-			"duration_ms", obs.DurationMs(d), "detail", detail)
-	}
-	if rt.reqlog.Qualifies(d, failed) {
-		rt.reqlog.Record(obs.RequestRecord{
-			Trace:      trace,
-			Route:      route,
-			Status:     status,
-			DurationMs: obs.DurationMs(d),
-			Outcome:    outcome,
-			Epoch:      rt.seq.Load(),
-			Detail:     detail,
-			Shards:     shards,
-		})
-	}
-}
-
-// serveSearch answers a single GET query by scatter-gather: parse and
-// charge exactly like a shard daemon would, fan the query out under the
-// pinned epoch, merge the per-shard top-k partials, re-encode with the
-// shared wire encoder. The response bytes are identical to a single
-// process serving the union of the shards.
-func (rt *Router) serveSearch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	trace := traceFor(w, r)
-	vals := r.URL.Query()
-	q, err := webiface.ParseWhere(rt.sch, vals["where"])
-	if err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
-		rt.finish(trace, routeSearch, http.StatusBadRequest, start, err.Error(), nil)
-		return
-	}
-	key := r.Header.Get("X-API-Key")
-	if key == "" {
-		key = vals.Get("key")
-	}
-	if !rt.consumeBudget(key) {
-		httpapi.WriteError(w, http.StatusTooManyRequests, httpapi.CodeBudgetExhausted,
-			"per-round query budget exhausted")
-		rt.finish(trace, routeSearch, http.StatusTooManyRequests, start, "per-round query budget exhausted", nil)
-		return
-	}
+// SearchAnswerContext answers one query with a GET to every shard under
+// the pinned fleet epoch, merged into one Answer. ctx carries the
+// request's trace to the shards and, through an obs.Fanout, the
+// per-shard timings back to the caller.
+func (rt *Router) SearchAnswerContext(ctx context.Context, q hiddendb.Query) (*hiddendb.Answer, error) {
 	rt.queries.Add(1)
-	ctx := obs.WithTrace(r.Context(), trace)
-	partials, timings, err := rt.fanOut(ctx, func(ctx context.Context, sc *shardConn) (hiddendb.Result, error) {
-		return sc.c.SearchContext(ctx, q)
-	})
+	as, err := rt.fanOut(ctx, []hiddendb.Query{q}, false)
 	if err != nil {
-		rt.unavailable(w, err.Error())
-		rt.finish(trace, routeSearch, http.StatusServiceUnavailable, start, err.Error(), timings)
-		return
+		return nil, err
 	}
-	mStart := time.Now()
-	merged := hiddendb.MergePartials(partials, rt.k, nil)
-	buf := webiface.AppendWireResult(nil, rt.k, merged)
-	rt.mergeHist.Observe(time.Since(mStart))
-	buf = append(buf, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(buf)
-	rt.finish(trace, routeSearch, http.StatusOK, start, "", timings)
+	return as[0], nil
 }
 
-// fanOut runs one request against every shard under the pinned epoch,
-// returning the per-shard partial results in shard order plus the
-// per-shard timings for the debug ring. A shard that errors, or whose
-// response carried a different epoch than the pinned one, fails the
-// whole fan-out — unless degraded reads are on, in which case its
-// partial is simply dropped.
-func (rt *Router) fanOut(ctx context.Context, call func(context.Context, *shardConn) (hiddendb.Result, error)) ([]hiddendb.Result, []obs.ShardTiming, error) {
+// SearchBatchAnswer answers a batch with ONE batched POST to every shard
+// under the pinned fleet epoch, so each shard answers it under one epoch
+// pin, merged query by query. An empty batch fans out to nobody.
+func (rt *Router) SearchBatchAnswer(ctx context.Context, qs []hiddendb.Query) ([]*hiddendb.Answer, error) {
+	if len(qs) == 0 {
+		return nil, nil
+	}
+	rt.queries.Add(uint64(len(qs)))
+	return rt.fanOut(ctx, qs, true)
+}
+
+// fanOut asks every shard for qs under the pinned epoch and merges the
+// per-shard partials query by query. A shard that errors, or whose
+// response carried an epoch other than the pinned one, fails the whole
+// fan-out, unless degraded reads are on and some shard survived: then
+// its partial is simply dropped. The per-shard timings go to the
+// context's obs.Fanout, failures to the log.
+func (rt *Router) fanOut(ctx context.Context, qs []hiddendb.Query, batch bool) ([]*hiddendb.Answer, error) {
 	rt.pinMu.RLock()
 	defer rt.pinMu.RUnlock()
 	pinned := rt.seq.Load()
 	if pinned == 0 {
-		return nil, nil, fmt.Errorf("no fleet epoch published yet (handshake pending)")
+		return nil, rt.fail(ctx, errors.New("no fleet epoch published yet (handshake pending)"))
 	}
 	rt.fanouts.Add(1)
-	results := make([]hiddendb.Result, len(rt.conns))
+	parts := make([][]hiddendb.Result, len(rt.conns))
 	errs := make([]error, len(rt.conns))
 	timings := make([]obs.ShardTiming, len(rt.conns))
 	var wg sync.WaitGroup
@@ -595,214 +420,83 @@ func (rt *Router) fanOut(ctx context.Context, call func(context.Context, *shardC
 		go func(i int, sc *shardConn) {
 			defer wg.Done()
 			start := time.Now()
-			results[i], errs[i] = call(ctx, sc)
+			parts[i], errs[i] = sc.search(ctx, qs, batch)
 			d := time.Since(start)
-			sc.observeLatency(d)
-			sc.hist.Observe(d)
+			sc.observe(d)
 			timings[i] = obs.ShardTiming{Shard: i, DurationMs: obs.DurationMs(d)}
 		}(i, sc)
 	}
 	wg.Wait()
-	partials := make([]hiddendb.Result, 0, len(rt.conns))
-	dropped := 0
+	live := make([][]hiddendb.Result, 0, len(rt.conns))
 	var firstErr error
 	for i, sc := range rt.conns {
+		var err error
 		switch {
 		case errs[i] != nil:
 			sc.healthy.Store(false)
-			timings[i].Error = errs[i].Error()
-			dropped++
-			if firstErr == nil {
-				firstErr = fmt.Errorf("shard %d (%s): %v", i, sc.base, errs[i])
-			}
-		case sc.mismatch.Load():
-			timings[i].Error = "epoch mismatch"
-			dropped++
-			if firstErr == nil {
-				firstErr = fmt.Errorf("shard %d (%s): answered epoch %d, fleet pinned %d (re-handshake required)",
-					i, sc.base, sc.lastSeq.Load(), pinned)
-			}
-		default:
-			sc.healthy.Store(true)
-			partials = append(partials, results[i])
-		}
-	}
-	if dropped > 0 {
-		if !rt.opts.DegradedReads {
-			return nil, timings, firstErr
-		}
-		rt.degraded.Add(1)
-	}
-	return partials, timings, nil
-}
-
-// serveSearchBatch answers a batched POST by scatter-gather: the whole
-// batch is validated and budget-charged exactly like a shard daemon
-// would, then the covered queries go to every shard as ONE batched POST
-// each — so the fleet answers the batch under one epoch pin per shard
-// and one pinned fleet epoch overall — and the per-query partials are
-// merged and spliced into the same response bytes a single process
-// produces.
-func (rt *Router) serveSearchBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	trace := traceFor(w, r)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, "batch decode: "+err.Error())
-		rt.finish(trace, routeSearchBatch, http.StatusBadRequest, start, "batch decode: "+err.Error(), nil)
-		return
-	}
-	var req wireBatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, "batch decode: "+err.Error())
-		rt.finish(trace, routeSearchBatch, http.StatusBadRequest, start, "batch decode: "+err.Error(), nil)
-		return
-	}
-	qs := make([]hiddendb.Query, len(req.Queries))
-	for i, wq := range req.Queries {
-		q, err := webiface.ParseWhere(rt.sch, wq.Where)
-		if err != nil {
-			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest,
-				fmt.Sprintf("query %d: %s", i, err))
-			rt.finish(trace, routeSearchBatch, http.StatusBadRequest, start, fmt.Sprintf("query %d: %s", i, err), nil)
-			return
-		}
-		qs[i] = q
-	}
-	key := apiKey(r)
-	charged := make([]hiddendb.Query, 0, len(qs))
-	chargedIdx := make([]int, 0, len(qs))
-	inBudget := make([]bool, len(qs))
-	for i, q := range qs {
-		if !rt.consumeBudget(key) {
-			continue
-		}
-		inBudget[i] = true
-		charged = append(charged, q)
-		chargedIdx = append(chargedIdx, i)
-	}
-	rt.queries.Add(uint64(len(qs)))
-
-	merged := make([]hiddendb.Result, len(qs))
-	var timings []obs.ShardTiming
-	if len(charged) > 0 {
-		var partials [][]hiddendb.Result
-		partials, timings, err = rt.fanOutBatch(obs.WithTrace(r.Context(), trace), charged)
-		if err != nil {
-			rt.unavailable(w, err.Error())
-			rt.finish(trace, routeSearchBatch, http.StatusServiceUnavailable, start, err.Error(), timings)
-			return
-		}
-		mStart := time.Now()
-		scratch := make([]hiddendb.Result, 0, len(partials))
-		for j, idx := range chargedIdx {
-			scratch = scratch[:0]
-			for _, shardItems := range partials {
-				scratch = append(scratch, shardItems[j])
-			}
-			merged[idx] = hiddendb.MergePartials(scratch, rt.k, nil)
-		}
-		rt.mergeHist.Observe(time.Since(mStart))
-	}
-
-	buf := append(make([]byte, 0, 4096), `{"k":`...)
-	buf = strconv.AppendInt(buf, int64(rt.k), 10)
-	buf = append(buf, `,"results":[`...)
-	for i := range qs {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		if !inBudget[i] {
-			buf = append(buf, webiface.BatchBudgetErrJSON...)
-			continue
-		}
-		buf = append(buf, `{"result":`...)
-		buf = webiface.AppendWireResult(buf, rt.k, merged[i])
-		buf = append(buf, '}')
-	}
-	buf = append(buf, `]}`...)
-	buf = append(buf, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(buf)
-	rt.finish(trace, routeSearchBatch, http.StatusOK, start, "", timings)
-}
-
-// fanOutBatch sends the covered queries to every shard as one batched
-// POST each, returning per-shard slices of per-query partial results
-// (surviving shards only, shard order preserved) plus per-shard
-// timings. Failure semantics match fanOut; a per-item error inside an
-// otherwise-successful batch (which the router's unlimited shard
-// budgets should never produce) fails that shard too.
-func (rt *Router) fanOutBatch(ctx context.Context, charged []hiddendb.Query) ([][]hiddendb.Result, []obs.ShardTiming, error) {
-	type shardBatch struct {
-		items []hiddendb.BatchItem
-		err   error
-	}
-	rt.pinMu.RLock()
-	defer rt.pinMu.RUnlock()
-	pinned := rt.seq.Load()
-	if pinned == 0 {
-		return nil, nil, fmt.Errorf("no fleet epoch published yet (handshake pending)")
-	}
-	rt.fanouts.Add(1)
-	outs := make([]shardBatch, len(rt.conns))
-	timings := make([]obs.ShardTiming, len(rt.conns))
-	var wg sync.WaitGroup
-	for i, sc := range rt.conns {
-		wg.Add(1)
-		go func(i int, sc *shardConn) {
-			defer wg.Done()
-			start := time.Now()
-			outs[i].items, outs[i].err = sc.c.SearchBatchContext(ctx, charged)
-			d := time.Since(start)
-			sc.observeLatency(d)
-			sc.hist.Observe(d)
-			timings[i] = obs.ShardTiming{Shard: i, DurationMs: obs.DurationMs(d)}
-		}(i, sc)
-	}
-	wg.Wait()
-	partials := make([][]hiddendb.Result, 0, len(rt.conns))
-	dropped := 0
-	var firstErr error
-	for i, sc := range rt.conns {
-		err := outs[i].err
-		if err == nil {
-			for _, it := range outs[i].items {
-				if it.Err != nil {
-					err = fmt.Errorf("batch item: %w", it.Err)
-					break
-				}
-			}
-		}
-		switch {
-		case err != nil:
-			sc.healthy.Store(false)
+			err = errs[i]
 			timings[i].Error = err.Error()
-			dropped++
-			if firstErr == nil {
-				firstErr = fmt.Errorf("shard %d (%s): %v", i, sc.base, err)
-			}
 		case sc.mismatch.Load():
+			err = fmt.Errorf("answered epoch %d, fleet pinned %d (re-handshake required)", sc.lastSeq.Load(), pinned)
 			timings[i].Error = "epoch mismatch"
-			dropped++
-			if firstErr == nil {
-				firstErr = fmt.Errorf("shard %d (%s): answered epoch %d, fleet pinned %d (re-handshake required)",
-					i, sc.base, sc.lastSeq.Load(), pinned)
-			}
 		default:
 			sc.healthy.Store(true)
-			rs := make([]hiddendb.Result, len(outs[i].items))
-			for j, it := range outs[i].items {
-				rs[j] = it.Result
-			}
-			partials = append(partials, rs)
+			live = append(live, parts[i])
+			continue
+		}
+		if firstErr == nil {
+			firstErr = fmt.Errorf("shard %d (%s): %w", i, sc.base, err)
 		}
 	}
-	if dropped > 0 {
-		if !rt.opts.DegradedReads {
-			return nil, timings, firstErr
+	if f := obs.FanoutFrom(ctx); f != nil {
+		f.Shards = timings
+	}
+	if firstErr != nil {
+		if !rt.opts.DegradedReads || len(live) == 0 {
+			return nil, rt.fail(ctx, firstErr)
 		}
 		rt.degraded.Add(1)
 	}
-	return partials, timings, nil
+	start := time.Now()
+	out := make([]*hiddendb.Answer, len(qs))
+	scratch := make([]hiddendb.Result, len(live))
+	for j := range qs {
+		for s, p := range live {
+			scratch[s] = p[j]
+		}
+		out[j] = hiddendb.NewAnswer(hiddendb.MergePartials(scratch, rt.k, nil))
+	}
+	rt.mergeHist.Observe(time.Since(start))
+	return out, nil
+}
+
+// fail counts and logs a fan-out that cannot answer; the Handler turns
+// the error into the 503 unavailable envelope.
+func (rt *Router) fail(ctx context.Context, err error) error {
+	rt.failures.Add(1)
+	rt.log.Warn("fan-out failed", "trace", obs.TraceID(ctx), "error", err)
+	return err
+}
+
+// search asks one shard for qs: a GET for a single search, one batched
+// POST for a batch. A per-item error inside an otherwise successful
+// batch (which the shards' unlimited budgets should never produce)
+// fails the shard.
+func (sc *shardConn) search(ctx context.Context, qs []hiddendb.Query, batch bool) ([]hiddendb.Result, error) {
+	if !batch {
+		res, err := sc.c.SearchContext(ctx, qs[0])
+		return []hiddendb.Result{res}, err
+	}
+	items, err := sc.c.SearchBatchContext(ctx, qs)
+	if err != nil {
+		return nil, err
+	}
+	rs := make([]hiddendb.Result, len(items))
+	for j, it := range items {
+		if it.Err != nil {
+			return nil, fmt.Errorf("batch item: %w", it.Err)
+		}
+		rs[j] = it.Result
+	}
+	return rs, nil
 }

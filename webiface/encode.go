@@ -72,9 +72,9 @@ func (h *Handler) encodeResult(res hiddendb.Result) []byte {
 }
 
 // AppendWireResult appends the wire JSON encoding of a search answer to
-// dst. It is the exported face of the serving encoder for other wire
-// speakers — the multi-process router re-encodes its merged answers with
-// it so router responses are byte-identical to single-process serving.
+// dst. It is the exported face of the serving encoder for code outside
+// the Handler that must produce the same bytes, such as a reference
+// encoder checking served bodies.
 func AppendWireResult(dst []byte, k int, res hiddendb.Result) []byte {
 	return appendWireResult(dst, k, res)
 }

@@ -7,8 +7,9 @@
 //   - Client: a hiddendb.Searcher that translates conjunctive queries
 //     into HTTP requests, with rate limiting and bounded retries — so a
 //     dynagg.Tracker can track a remote database unchanged.
-//   - Handler: an http.Handler exposing a simulated hiddendb.Store
-//     through the same wire format, used in tests and demos.
+//   - Handler: an http.Handler exposing a Backend through the same wire
+//     format — a simulated hiddendb store in tests and demos, or the
+//     multi-process router's fleet.
 //
 // The wire format is deliberately tiny: a GET with the conjunctive
 // predicates encoded as repeated "where=attr:value" query parameters,
@@ -105,22 +106,24 @@ type wireAttr struct {
 }
 
 // Backend is the search capability a Handler serves: hiddendb.Iface (one
-// store, answers track its current snapshot) or hiddendb.ShardedIface
-// (N shards, answers scatter-gathered off the pinned epoch).
+// store, answers track its current snapshot), hiddendb.ShardedIface (N
+// shards, answers scatter-gathered off the pinned epoch) or router.Router
+// (shard daemons, answers fanned out under the pinned fleet epoch).
 // SearchBatchAnswer must answer its whole batch under ONE snapshot/epoch
-// pin; Version is a serving diagnostic (store version, or epoch sequence
-// when sharded).
+// pin; its error, like SearchAnswer's, means the backend cannot answer
+// right now (503 unavailable). Version is a serving diagnostic (store
+// version, or epoch sequence when sharded or routed).
 //
-// The handler answers only through the shared per-version cache entries,
-// so it can memoize serialized JSON next to each Result
-// (hiddendb.Answer.Wire); LookupAnswer probes the cache by raw key bytes
-// without constructing a Query. Implementations must keep the lookup
-// observationally equivalent to SearchAnswer — same Result values, same
-// version semantics — so responses are byte-identical whether they come
-// off a cache hit, a miss, a singleflight winner or a waiter.
+// The handler answers only through Answers, so it can memoize serialized
+// JSON next to each Result (hiddendb.Answer.Wire); LookupAnswer probes
+// the cache by raw key bytes without constructing a Query. Implementations
+// must keep the lookup observationally equivalent to SearchAnswer — same
+// Result values, same version semantics — so responses are byte-identical
+// whether they come off a cache hit, a miss, a singleflight winner or a
+// waiter.
 type Backend interface {
 	SearchAnswer(q hiddendb.Query) (*hiddendb.Answer, error)
-	SearchBatchAnswer(qs []hiddendb.Query) []*hiddendb.Answer
+	SearchBatchAnswer(ctx context.Context, qs []hiddendb.Query) ([]*hiddendb.Answer, error)
 	LookupAnswer(key []byte) (*hiddendb.Answer, bool)
 	CacheStats() hiddendb.CacheStats
 	K() int
@@ -129,10 +132,18 @@ type Backend interface {
 	Version() uint64
 }
 
+// contextSearcher is a Backend whose GET misses need the request context:
+// the router, whose fan-out carries the request's trace to the shards and
+// its per-shard timings back to the ring record. In-process backends do
+// not implement it, so their miss path stays the plain SearchAnswer.
+type contextSearcher interface {
+	SearchAnswerContext(ctx context.Context, q hiddendb.Query) (*hiddendb.Answer, error)
+}
+
 var _ Backend = (*hiddendb.Iface)(nil)
 var _ Backend = (*hiddendb.ShardedIface)(nil)
 
-// Handler exposes a simulated store through the wire format. Routes
+// Handler exposes a Backend through the wire format. Routes
 // (versioned only — the deprecated unversioned aliases were removed
 // after their one-release grace period and return 404 envelopes):
 //
@@ -153,12 +164,13 @@ var _ Backend = (*hiddendb.ShardedIface)(nil)
 //
 // A Handler is safe for concurrent use by any number of clients: queries
 // are answered against the backend's immutable snapshot or epoch of the
-// current round (both backends are concurrent-reader-safe), and the
+// current round (every backend is concurrent-reader-safe), and the
 // per-API-key budget accounting below is guarded by its own mutex.
 // Clients identify themselves with an X-API-Key header (or key= query
 // parameter); absent both, they share the anonymous bucket.
 type Handler struct {
-	b Backend
+	b  Backend
+	cs contextSearcher // b, when its misses take the request context
 
 	mu           sync.Mutex
 	perKeyBudget int
@@ -190,8 +202,10 @@ const (
 
 // NewHandler wraps a search backend for serving.
 func NewHandler(b Backend) *Handler {
+	cs, _ := b.(contextSearcher)
 	return &Handler{
 		b:      b,
+		cs:     cs,
 		used:   make(map[string]int),
 		reqlog: obs.NewRequestLog(DefaultDebugRequests, DefaultSlowRequest),
 	}
@@ -357,12 +371,12 @@ func (h *Handler) serveSchema(w http.ResponseWriter) {
 	writeJSON(w, out)
 }
 
-// ParseWhere validates and assembles one query's "attr:value" predicate
-// strings against a schema. NewQuery panics on duplicates (trusted-caller
-// API), so untrusted wire input is rejected before it gets there. The
-// router reuses it so router-side parse errors are byte-identical to a
-// shard's.
-func ParseWhere(sch *schema.Schema, where []string) (hiddendb.Query, error) {
+// parseWhere validates and assembles one batch query's "attr:value"
+// predicate strings against the schema. NewQuery panics on duplicates
+// (trusted-caller API), so untrusted wire input is rejected before it
+// gets there.
+func (h *Handler) parseWhere(where []string) (hiddendb.Query, error) {
+	sch := h.b.Schema()
 	var preds []hiddendb.Pred
 	seen := make(map[int]bool)
 	for _, raw := range where {
@@ -380,10 +394,6 @@ func ParseWhere(sch *schema.Schema, where []string) (hiddendb.Query, error) {
 		preds = append(preds, hiddendb.Pred{Attr: attr, Val: val})
 	}
 	return hiddendb.NewQuery(preds...), nil
-}
-
-func (h *Handler) parseWhere(where []string) (hiddendb.Query, error) {
-	return ParseWhere(h.b.Schema(), where)
 }
 
 func (h *Handler) wireResultOf(res hiddendb.Result) wireResult {
@@ -428,10 +438,15 @@ func (h *Handler) serveSearch(w http.ResponseWriter, r *http.Request) {
 		h.finishSearch(r, start, &h.lat.searchHit, outcomeHit)
 		return
 	}
-	a, err := h.b.SearchAnswer(hiddendb.NewQuery(sc.preds...))
+	q := hiddendb.NewQuery(sc.preds...)
+	var a *hiddendb.Answer
+	if h.cs != nil {
+		a, err = h.cs.SearchAnswerContext(r.Context(), q)
+	} else {
+		a, err = h.b.SearchAnswer(q)
+	}
 	if err != nil {
-		httpapi.WriteError(w, http.StatusInternalServerError, httpapi.CodeInternal, err.Error())
-		h.recordSearchFailure(r, start, routeSearch, http.StatusInternalServerError, err.Error())
+		h.unavailable(w, r, start, routeSearch, err)
 		return
 	}
 	h.writeAnswer(w, a)
@@ -456,14 +471,7 @@ func (h *Handler) finishSearch(r *http.Request, start time.Time, hist *obs.Histo
 	d := time.Since(start)
 	hist.Observe(d)
 	if h.reqlog.Qualifies(d, false) {
-		h.reqlog.Record(obs.RequestRecord{
-			Trace:      r.Header.Get(obs.TraceHeader),
-			Route:      routeSearch,
-			Status:     http.StatusOK,
-			DurationMs: obs.DurationMs(d),
-			Outcome:    outcome,
-			Epoch:      h.b.Version(),
-		})
+		h.record(r, obs.RequestRecord{Route: routeSearch, Status: http.StatusOK, DurationMs: obs.DurationMs(d), Outcome: outcome})
 	}
 }
 
@@ -478,16 +486,31 @@ func (h *Handler) recordSearchFailure(r *http.Request, start time.Time, route st
 		h.lat.searchBatchErr.Observe(d)
 	}
 	if h.reqlog.Qualifies(d, true) {
-		h.reqlog.Record(obs.RequestRecord{
-			Trace:      r.Header.Get(obs.TraceHeader),
-			Route:      route,
-			Status:     status,
-			DurationMs: obs.DurationMs(d),
-			Outcome:    outcomeError,
-			Epoch:      h.b.Version(),
-			Detail:     detail,
-		})
+		h.record(r, obs.RequestRecord{Route: route, Status: status, DurationMs: obs.DurationMs(d), Outcome: outcomeError, Detail: detail})
 	}
+}
+
+// unavailable answers a backend error — a router fan-out that cannot
+// answer coherently — with the 503 unavailable envelope.
+func (h *Handler) unavailable(w http.ResponseWriter, r *http.Request, start time.Time, route string, err error) {
+	httpapi.WriteError(w, http.StatusServiceUnavailable, httpapi.CodeUnavailable, err.Error())
+	h.recordSearchFailure(r, start, route, http.StatusServiceUnavailable, err.Error())
+}
+
+// record adds one request to the debug ring at the current version. The
+// trace and any per-shard fan-out timings come from the request context
+// when the router put them there; otherwise the trace is the inbound
+// header's.
+func (h *Handler) record(r *http.Request, rec obs.RequestRecord) {
+	ctx := r.Context()
+	if rec.Trace = obs.TraceID(ctx); rec.Trace == "" {
+		rec.Trace = r.Header.Get(obs.TraceHeader)
+	}
+	if f := obs.FanoutFrom(ctx); f != nil {
+		rec.Shards = f.Shards
+	}
+	rec.Epoch = h.b.Version()
+	h.reqlog.Record(rec)
 }
 
 // serveSearchBatch answers a POST /search: many queries, one round trip,
@@ -496,11 +519,10 @@ func (h *Handler) recordSearchFailure(r *http.Request, start time.Time, route st
 // after that, queries are charged in order and the ones the per-key
 // budget cannot cover come back as per-item budget_exhausted errors while
 // the covered ones are answered together via Backend.SearchBatchAnswer.
-// BatchBudgetErrJSON is the pre-rendered wireBatchItem for a query the
+// batchBudgetErrJSON is the pre-rendered wireBatchItem for a query the
 // per-key budget could not cover — byte-identical to encoding/json over
-// the equivalent envelope payload. Exported so the router splices the
-// same bytes for its own per-key budget.
-const BatchBudgetErrJSON = `{"error":{"code":"` + httpapi.CodeBudgetExhausted +
+// the equivalent envelope payload.
+const batchBudgetErrJSON = `{"error":{"code":"` + httpapi.CodeBudgetExhausted +
 	`","message":"per-round query budget exhausted"}}`
 
 // decodeBatch unmarshals a batch body into the pooled scratch's request
@@ -557,8 +579,13 @@ func (h *Handler) serveSearchBatch(w http.ResponseWriter, r *http.Request) {
 	// One epoch/snapshot pin for the whole covered batch; each answer's
 	// wire bytes are memoized on its shared cache entry, so the splice
 	// below is a copy per item, not an encode per item, once warm.
+	covered, err := h.b.SearchBatchAnswer(r.Context(), charged)
+	if err != nil {
+		h.unavailable(w, r, start, routeSearchBatch, err)
+		return
+	}
 	answers := make([]*hiddendb.Answer, len(qs))
-	for j, a := range h.b.SearchBatchAnswer(charged) {
+	for j, a := range covered {
 		answers[chargedIdx[j]] = a
 	}
 	buf := append(sc.buf[:0], `{"k":`...)
@@ -569,7 +596,7 @@ func (h *Handler) serveSearchBatch(w http.ResponseWriter, r *http.Request) {
 			buf = append(buf, ',')
 		}
 		if !inBudget[i] {
-			buf = append(buf, BatchBudgetErrJSON...)
+			buf = append(buf, batchBudgetErrJSON...)
 			continue
 		}
 		buf = append(buf, `{"result":`...)
@@ -584,14 +611,7 @@ func (h *Handler) serveSearchBatch(w http.ResponseWriter, r *http.Request) {
 	d := time.Since(start)
 	h.lat.searchBatch.Observe(d)
 	if h.reqlog.Qualifies(d, false) {
-		h.reqlog.Record(obs.RequestRecord{
-			Trace:      r.Header.Get(obs.TraceHeader),
-			Route:      routeSearchBatch,
-			Status:     http.StatusOK,
-			DurationMs: obs.DurationMs(d),
-			Outcome:    outcomeBatch,
-			Epoch:      h.b.Version(),
-		})
+		h.record(r, obs.RequestRecord{Route: routeSearchBatch, Status: http.StatusOK, DurationMs: obs.DurationMs(d), Outcome: outcomeBatch})
 	}
 }
 
@@ -722,7 +742,7 @@ func Dial(base string, opts ClientOptions) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("webiface: schema fetch: %w", err)
 	}
-	defer resp.Body.Close()
+	defer httpapi.DrainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("webiface: schema fetch: %s", resp.Status)
 	}
@@ -879,7 +899,7 @@ func (c *Client) batchAttempt(ctx context.Context, qs []hiddendb.Query) (items [
 		}
 		return nil, true, err
 	}
-	defer resp.Body.Close()
+	defer httpapi.DrainClose(resp.Body)
 	if c.opts.ObserveResponse != nil {
 		c.opts.ObserveResponse(resp)
 	}
@@ -942,7 +962,7 @@ func (c *Client) attempt(ctx context.Context, q hiddendb.Query) (res hiddendb.Re
 		}
 		return hiddendb.Result{}, true, err
 	}
-	defer resp.Body.Close()
+	defer httpapi.DrainClose(resp.Body)
 	if c.opts.ObserveResponse != nil {
 		c.opts.ObserveResponse(resp)
 	}
