@@ -129,4 +129,4 @@ bench-load-router:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-ci: build test vet perfbench-check fmt-check promcheck race bench-smoke
+ci: build test vet perfbench-check fmt-check loc promcheck race bench-smoke

@@ -17,11 +17,11 @@
 // Usage:
 //
 //	dynagg-serve -shard-mode -addr :8081 &
-//	dynagg-serve -shard-mode -addr :8082 -seed 2 &
-//	dynagg-router -addr :8080 -shards http://localhost:8081,http://localhost:8082
+//	dynagg-router -addr :8080 -shards http://localhost:8081
 //
-// docs/deploy.md describes the topology, handshake and failure
-// semantics in operator terms.
+// Shards must hold disjoint tuple IDs; the router answers 503 to a
+// search that meets one ID on two shards. docs/deploy.md describes the
+// topology, handshake and failure semantics in operator terms.
 package main
 
 import (

@@ -3,8 +3,6 @@ package hiddendb
 import (
 	"math/bits"
 	"reflect"
-
-	"github.com/dynagg/dynagg/internal/schema"
 )
 
 // ID-domain scoring.
@@ -16,7 +14,7 @@ import (
 // scorer that is a pure function of the tuple ID doesn't need the tuple
 // at all: a posting container reconstructs every member's full ID from
 // its key and low 16 bits, so candidates can be ranked entirely off index
-// material and only the ≤ k winners are ever dereferenced.
+// material and only those that clear the top-k bar load a tuple pointer.
 //
 // The engine recognises such scorers by code-pointer identity against a
 // registry of known ID-pure functions (currently DefaultScorer, whose
@@ -47,107 +45,6 @@ var defaultScorerPC = reflect.ValueOf(Scorer(DefaultScorer)).Pointer()
 // function value, which is worth ~10% on the indexed hot path.
 func scorerIsIDPure(sc Scorer) bool {
 	return sc != nil && reflect.ValueOf(sc).Pointer() == defaultScorerPC
-}
-
-// idTopK is topK in the ID domain: candidates are ranked by (score, ID)
-// with only their container and payload position retained, so no tuple
-// memory is touched until drain fetches the winners.
-type idTopK struct {
-	ids    []uint64
-	scores []float64
-	srcC   []*pcontainer
-	srcP   []int32 // payload index within srcC; container counts fit int32
-}
-
-func (h *idTopK) reset() {
-	h.ids = h.ids[:0]
-	h.scores = h.scores[:0]
-	h.srcC = h.srcC[:0]
-	h.srcP = h.srcP[:0]
-}
-
-func (h *idTopK) worse(i, j int) bool {
-	if h.scores[i] != h.scores[j] {
-		return h.scores[i] < h.scores[j]
-	}
-	return h.ids[i] > h.ids[j]
-}
-
-func (h *idTopK) swap(i, j int) {
-	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
-	h.scores[i], h.scores[j] = h.scores[j], h.scores[i]
-	h.srcC[i], h.srcC[j] = h.srcC[j], h.srcC[i]
-	h.srcP[i], h.srcP[j] = h.srcP[j], h.srcP[i]
-}
-
-func (h *idTopK) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.worse(i, p) {
-			return
-		}
-		h.swap(i, p)
-		i = p
-	}
-}
-
-func (h *idTopK) siftDown(i int) {
-	n := len(h.ids)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && h.worse(r, l) {
-			m = r
-		}
-		if !h.worse(m, i) {
-			return
-		}
-		h.swap(i, m)
-		i = m
-	}
-}
-
-func (h *idTopK) offer(id uint64, s float64, c *pcontainer, pos int32, k int) {
-	if len(h.ids) < k {
-		h.ids = append(h.ids, id)
-		h.scores = append(h.scores, s)
-		h.srcC = append(h.srcC, c)
-		h.srcP = append(h.srcP, pos)
-		h.siftUp(len(h.ids) - 1)
-		return
-	}
-	if s > h.scores[0] || (s == h.scores[0] && id < h.ids[0]) {
-		h.ids[0], h.scores[0], h.srcC[0], h.srcP[0] = id, s, c, pos
-		h.siftDown(0)
-	}
-}
-
-// drain dereferences the retained winners into a freshly allocated
-// best-first slice, same (score desc, ID asc) order as topK.drain.
-func (h *idTopK) drain() []*schema.Tuple {
-	out := make([]*schema.Tuple, len(h.ids))
-	for i := len(h.ids) - 1; i >= 0; i-- {
-		out[i] = h.srcC[0].tuples[h.srcP[0]]
-		last := len(h.ids) - 1
-		h.ids[0], h.scores[0], h.srcC[0], h.srcP[0] = h.ids[last], h.scores[last], h.srcC[last], h.srcP[last]
-		h.ids = h.ids[:last]
-		h.scores = h.scores[:last]
-		h.srcC = h.srcC[:last]
-		h.srcP = h.srcP[:last]
-		h.siftDown(0)
-	}
-	return out
-}
-
-// drop reports that a candidate cannot enter the (full) heap: strictly
-// worse than the current root under (score desc, ID asc). Small enough
-// to inline at the scan call sites, so the overwhelmingly common reject
-// case never pays the offer call.
-func (h *idTopK) drop(id uint64, s float64, k int) bool {
-	return len(h.ids) == k && (s < h.scores[0] || (s == h.scores[0] && id >= h.ids[0]))
 }
 
 // idGather is how many tuple IDs rankRange loads before scoring any of
@@ -185,11 +82,14 @@ func (s *Snapshot) rankRange(pln *queryPlan, sc *queryScratch, k int) {
 	}
 }
 
-// scanIDScored runs a fully covered postings plan in the ID domain,
-// filling sc.idtop with the top k and adding the match count to
-// sc.matches. Valid only when pln.postings is set and rest is empty.
+// scanIDScored runs a fully covered postings plan in the ID domain: it
+// folds every survivor into sc.topk under defaultScoreID and adds the
+// match count to sc.matches. The drop test reads only index material; a
+// candidate that ranks ahead of the top-k bar loads its tuple pointer
+// from the container payload. Valid only when pln.postings is set and
+// rest is empty.
 func (s *Snapshot) scanIDScored(pln *queryPlan, sc *queryScratch, k int) {
-	h := &sc.idtop
+	h := &sc.topk
 	for _, part := range [2]*postingList{pln.seed.val, pln.seed.null} {
 		if part == nil {
 			continue
@@ -204,20 +104,20 @@ func (s *Snapshot) scanIDScored(pln *queryPlan, sc *queryScratch, k int) {
 				if c.bits == nil {
 					for i, low := range c.ids {
 						id := base | uint64(low)
-						if s := defaultScoreID(id); !h.drop(id, s, k) {
-							h.offer(id, s, c, int32(i), k)
+						if s := defaultScoreID(id); !h.drop(id, s) {
+							h.push(c.tuples[i], s, k)
 						}
 					}
 					continue
 				}
-				pos := int32(0)
+				pos := 0
 				for w := 0; w < bitmapWords; w++ {
 					m := c.bits[w]
 					wbase := base | uint64(w)<<6
 					for m != 0 {
 						id := wbase | uint64(bits.TrailingZeros64(m))
-						if s := defaultScoreID(id); !h.drop(id, s, k) {
-							h.offer(id, s, c, pos, k)
+						if s := defaultScoreID(id); !h.drop(id, s) {
+							h.push(c.tuples[pos], s, k)
 						}
 						pos++
 						m &= m - 1
@@ -232,16 +132,16 @@ func (s *Snapshot) scanIDScored(pln *queryPlan, sc *queryScratch, k int) {
 				for _, low := range surv {
 					j = gallopTo(c.ids, j, low)
 					id := base | uint64(low)
-					if s := defaultScoreID(id); !h.drop(id, s, k) {
-						h.offer(id, s, c, int32(j), k)
+					if s := defaultScoreID(id); !h.drop(id, s) {
+						h.push(c.tuples[j], s, k)
 					}
 					j++
 				}
 			} else {
 				for _, low := range surv {
 					id := base | uint64(low)
-					if s := defaultScoreID(id); !h.drop(id, s, k) {
-						h.offer(id, s, c, int32(c.rankOf(low)), k)
+					if s := defaultScoreID(id); !h.drop(id, s) {
+						h.push(c.tuples[c.rankOf(low)], s, k)
 					}
 				}
 			}

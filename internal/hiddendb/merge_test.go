@@ -3,6 +3,7 @@ package hiddendb
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/dynagg/dynagg/internal/schema"
@@ -13,20 +14,27 @@ import (
 // MergePartials — exactly what the multi-process router does with
 // decoded shard answers — reconstructs the answer the unsharded engine
 // and the in-process ShardedIface give, at every shard count, under
-// churn.
+// churn, at the paper's k = 1 and at k = 25.
 func TestMergePartialsEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			flat, ss, churn := mirroredStores(t, 41, 1100, shards, []int{7, 5, 4, 6})
-			const k = 25
-			fi := NewIface(flat, k, nil)
-			si := NewShardedIface(ss, k, nil)
-			// One single-shard interface per shard store plays the role of
-			// the remote shard daemons: its top-k partial is what a daemon
-			// would put on the wire.
-			parts := make([]*Iface, shards)
-			for i := range parts {
-				parts[i] = NewIface(ss.Shard(i), k, nil)
+			type view struct {
+				k  int
+				fi *Iface
+				si *ShardedIface
+				// One single-shard interface per shard store plays the
+				// role of the remote shard daemons: its top-k partial is
+				// what a daemon would put on the wire.
+				parts []*Iface
+			}
+			var views []view
+			for _, k := range []int{1, 25} {
+				v := view{k: k, fi: NewIface(flat, k, nil), si: NewShardedIface(ss, k, nil)}
+				for i := 0; i < shards; i++ {
+					v.parts = append(v.parts, NewIface(ss.Shard(i), k, nil))
+				}
+				views = append(views, v)
 			}
 			rng := rand.New(rand.NewSource(43))
 			for round := 0; round < 3; round++ {
@@ -36,29 +44,34 @@ func TestMergePartialsEquivalence(t *testing.T) {
 				}
 				for i := 0; i < 50; i++ {
 					q := randomQueryOver(rng, flat.Schema())
-					want, err := fi.Search(q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					partials := make([]Result, shards)
-					for j, p := range parts {
-						r, err := p.Search(q)
+					for _, v := range views {
+						want, err := v.fi.Search(q)
 						if err != nil {
 							t.Fatal(err)
 						}
-						partials[j] = r
-					}
-					got := MergePartials(partials, k, nil)
-					if resultSignature(got) != resultSignature(want) {
-						t.Fatalf("round %d query %v: merged partials diverge\n got %s\nwant %s",
-							round, q, resultSignature(got), resultSignature(want))
-					}
-					sgot, err := si.Search(q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if resultSignature(got) != resultSignature(sgot) {
-						t.Fatalf("round %d query %v: merge vs ShardedIface diverge", round, q)
+						partials := make([]Result, shards)
+						for j, p := range v.parts {
+							r, err := p.Search(q)
+							if err != nil {
+								t.Fatal(err)
+							}
+							partials[j] = r
+						}
+						got, err := MergePartials(partials, v.k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if resultSignature(got) != resultSignature(want) {
+							t.Fatalf("round %d query %v k=%d: merged partials diverge\n got %s\nwant %s",
+								round, q, v.k, resultSignature(got), resultSignature(want))
+						}
+						sgot, err := v.si.Search(q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if resultSignature(got) != resultSignature(sgot) {
+							t.Fatalf("round %d query %v k=%d: merge vs ShardedIface diverge", round, q, v.k)
+						}
 					}
 				}
 			}
@@ -79,22 +92,43 @@ func TestMergePartialsOverflow(t *testing.T) {
 		return r
 	}
 	const k = 3
-	if got := MergePartials([]Result{mk(1, 2), mk(3)}, k, nil); got.Overflow {
+	merge := func(partials ...Result) Result {
+		t.Helper()
+		got, err := MergePartials(partials, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if got := merge(mk(1, 2), mk(3)); got.Overflow {
 		t.Fatalf("total %d <= k=%d must not overflow", 3, k)
 	}
-	if got := MergePartials([]Result{mk(1, 2), mk(3, 4)}, k, nil); !got.Overflow {
+	if got := merge(mk(1, 2), mk(3, 4)); !got.Overflow {
 		t.Fatalf("total 4 > k=%d must overflow", k)
 	}
 	over := mk(1, 2, 3)
 	over.Overflow = true
-	if got := MergePartials([]Result{over, mk()}, k, nil); !got.Overflow {
+	if got := merge(over, mk()); !got.Overflow {
 		t.Fatal("any-shard overflow must propagate")
 	}
-	if got := MergePartials([]Result{over, mk()}, k, nil); len(got.Tuples) != 3 {
+	if got := merge(over, mk()); len(got.Tuples) != 3 {
 		t.Fatalf("merged top-k has %d tuples, want 3", len(got.Tuples))
 	}
-	if got := MergePartials(nil, k, nil); got.Overflow || len(got.Tuples) != 0 {
+	if got := merge(); got.Overflow || len(got.Tuples) != 0 {
 		t.Fatal("empty fold must be an empty non-overflowing result")
+	}
+}
+
+// TestMergePartialsRefusesOverlap: partials from shards that share a
+// tuple ID cannot be merged exactly, so the merge names the ID instead
+// of answering with it twice.
+func TestMergePartialsRefusesOverlap(t *testing.T) {
+	tu := func(id uint64) *schema.Tuple { return &schema.Tuple{ID: id, Vals: []uint16{0}} }
+	a := Result{Tuples: []*schema.Tuple{tu(7), tu(8)}}
+	b := Result{Tuples: []*schema.Tuple{tu(9), tu(7)}}
+	_, err := MergePartials([]Result{a, b}, 10)
+	if err == nil || !strings.Contains(err.Error(), "tuple ID 7 twice") {
+		t.Fatalf("overlapping partials: err = %v, want one naming tuple ID 7", err)
 	}
 }
 

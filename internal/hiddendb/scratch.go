@@ -12,7 +12,7 @@ import (
 //
 // Every query borrows one queryScratch from a process-wide sync.Pool for
 // the duration of the call: intersection ping-pong buffers, the covered/
-// uncovered predicate split, and the top-k buffers all live here, so
+// uncovered predicate split, and the one top-k buffer all live here, so
 // the steady-state answering path allocates only the Result slice it
 // hands back. The pool is snapshot-independent — scratch holds no
 // reference to any snapshot after putScratch, which nils out every
@@ -25,6 +25,26 @@ import (
 // getScratch and putScratch, and a scratch is owned by exactly one
 // goroutine at a time — the query's own (a scatter-gather query folds
 // every shard through one scratch, sequentially).
+
+// The top-k fold.
+//
+// Every answer the package gives is one fold of disjoint parts into one
+// queryScratch, then one drain (answer): Snapshot.Answer folds one
+// snapshot, Epoch.Answer each pinned shard snapshot in turn, and
+// MergePartials each shard's wire answer. A snapshot part (Snapshot.fold)
+// offers every match to sc.topk and counts it in sc.matches; a wire part
+// offers only the tuples its shard returned, counts those, and ORs its
+// overflow flag into sc.overflow. The fold is exact over the union of
+// the parts, in any part order:
+//
+//   - Tuples: a tuple of the global top-k ranks at least as well within
+//     its own part, so it is in that part's top-k; folding each part's
+//     top-k (or all of its matches) into one top-k under the strict
+//     (score desc, ID asc) order reconstructs the global top-k.
+//   - Overflow: if some part overflowed, the union has more than k
+//     matches a fortiori; if none did, every part contributed all of
+//     its matches, so sc.matches is the exact total. Hence overflow is
+//     sc.overflow || sc.matches > k.
 
 // topK keeps the best k tuples offered so far under the strict
 // (score desc, ID asc) total order. Offers append to an unordered
@@ -157,9 +177,11 @@ func (h *topK) drain(k int) []*schema.Tuple {
 
 // queryScratch is the reusable per-query working set.
 type queryScratch struct {
-	topk    topK
-	idtop   idTopK // ID-domain heap for ID-pure scorers (idscore.go)
-	matches int
+	// the top-k fold: retained candidates, matches counted so far, and
+	// whether some folded wire part overflowed.
+	topk     topK
+	matches  int
+	overflow bool
 
 	// plan storage: covered predicates (posting lists to intersect) and
 	// uncovered ones (filtered tuple-by-tuple at emit time).
@@ -175,6 +197,11 @@ type queryScratch struct {
 	bufA, bufB, bufC, bufD []uint16
 }
 
+// answer drains the top-k fold into the Result it proves exact.
+func (sc *queryScratch) answer(k int) Result {
+	return Result{Tuples: sc.topk.drain(k), Overflow: sc.overflow || sc.matches > k}
+}
+
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
 
 func getScratch() *queryScratch { return scratchPool.Get().(*queryScratch) }
@@ -188,11 +215,6 @@ func putScratch(sc *queryScratch) {
 		ts[i] = scoredTuple{}
 	}
 	sc.topk.reset()
-	cs := sc.idtop.srcC[:cap(sc.idtop.srcC)]
-	for i := range cs {
-		cs[i] = nil
-	}
-	sc.idtop.reset()
 	ps := sc.preds[:cap(sc.preds)]
 	for i := range ps {
 		ps[i] = predPostings{}
@@ -200,5 +222,6 @@ func putScratch(sc *queryScratch) {
 	sc.preds = sc.preds[:0]
 	sc.rest = sc.rest[:0]
 	sc.matches = 0
+	sc.overflow = false
 	scratchPool.Put(sc)
 }

@@ -308,29 +308,18 @@ func (e *Epoch) CountMatching(q Query) int {
 	return n
 }
 
-// Answer computes the top-k result for q by scatter-gather: each pinned
-// shard snapshot in turn folds its matches into one running top-k, so the
-// global cut happens under the same strict (score desc, ID asc) order
-// Snapshot.Answer ranks by, without materialising per-shard partial
-// Results. All top-k and intersection buffers come from one pooled
-// scratch, and the only steady-state allocation is the returned Result
-// slice.
-//
-// Byte-identity with the unsharded engine: every tuple of the global
-// top-k is necessarily in its own shard's top-k (per-shard rank can only
-// be better than global rank), so offering every per-shard retained
-// tuple to the merged top-k reconstructs the global top-k exactly; and
-// since each shard counts ALL its matches, the exact global overflow
-// predicate is totalMatches > k, independent of shard count.
+// Answer computes the top-k result for q by scatter-gather: a drain of
+// the top-k fold (scratch.go) over the pinned shard snapshots, in shard
+// order, through one pooled scratch. Shards partition the tuple IDs, so
+// the answer is byte-identical to the unsharded engine's at every shard
+// count; the only steady-state allocation is the returned Result slice.
 func (e *Epoch) Answer(q Query, k int, scorer Scorer) Result {
 	sc := getScratch()
 	defer putScratch(sc)
-	sc.topk.reset()
-	total := 0
 	for _, s := range e.snaps {
-		total += s.collectTopK(q, k, scorer, sc)
+		s.fold(q, k, scorer, strategyAuto, sc)
 	}
-	return Result{Tuples: sc.topk.drain(k), Overflow: total > k}
+	return sc.answer(k)
 }
 
 // ShardedIface is the restrictive top-k search view over a ShardedStore:

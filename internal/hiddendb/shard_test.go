@@ -72,15 +72,35 @@ func mirroredStores(t testing.TB, seed int64, n, shards int, domains []int) (*St
 // engine's core guarantee: for every shard count and a database churning
 // between rounds, scatter-gather answers are byte-identical to the
 // unsharded interface over the same data — tuples, order, overflow flag
-// — and CountMatching agrees exactly.
+// — and CountMatching agrees exactly. Each query runs at the paper's
+// k = 1 and at k = 25, under DefaultScorer, AuxScorer(0) and a
+// tie-heavy tuple scorer whose ties the cross-shard fold must break by
+// ID.
 func TestShardedEquivalenceFuzz(t *testing.T) {
+	scorers := []struct {
+		name string
+		fn   Scorer
+	}{
+		{"default", nil},
+		{"aux", AuxScorer(0)},
+		{"ties", func(t *schema.Tuple) float64 { return float64(t.Vals[0]) }},
+	}
 	for _, shards := range []int{1, 4, 16} {
 		for seed := int64(90); seed < 93; seed++ {
 			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
 				flat, ss, churn := mirroredStores(t, seed, 1200, shards, []int{7, 5, 4, 6})
-				const k = 25
-				fi := NewIface(flat, k, nil)
-				si := NewShardedIface(ss, k, nil)
+				type view struct {
+					name string
+					fi   *Iface
+					si   *ShardedIface
+				}
+				var views []view
+				for _, k := range []int{1, 25} {
+					for _, sc := range scorers {
+						views = append(views, view{fmt.Sprintf("k=%d/%s", k, sc.name),
+							NewIface(flat, k, sc.fn), NewShardedIface(ss, k, sc.fn)})
+					}
+				}
 				qrng := rand.New(rand.NewSource(seed * 17))
 				for round := 0; round < 4; round++ {
 					if round > 0 {
@@ -89,17 +109,19 @@ func TestShardedEquivalenceFuzz(t *testing.T) {
 					}
 					for i := 0; i < 60; i++ {
 						q := randomQueryOver(qrng, flat.Schema())
-						want, err := fi.Search(q)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err := si.Search(q)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if resultSignature(got) != resultSignature(want) {
-							t.Fatalf("round %d query %v: sharded answer diverges\n got %s\nwant %s",
-								round, q, resultSignature(got), resultSignature(want))
+						for _, v := range views {
+							want, err := v.fi.Search(q)
+							if err != nil {
+								t.Fatal(err)
+							}
+							got, err := v.si.Search(q)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if resultSignature(got) != resultSignature(want) {
+								t.Fatalf("round %d %s query %v: sharded answer diverges\n got %s\nwant %s",
+									round, v.name, q, resultSignature(got), resultSignature(want))
+							}
 						}
 						if got, want := ss.CountMatching(q), flat.CountMatching(q); got != want {
 							t.Fatalf("round %d: CountMatching %d vs %d", round, got, want)

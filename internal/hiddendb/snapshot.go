@@ -25,7 +25,7 @@ import (
 //   - postings: intersect the candidate posting lists of every covered
 //     predicate — seeded from the smallest — with the galloping/bitmap
 //     kernels in intersect.go, then gather only the survivors back to
-//     tuples (under DefaultScorer, only the ≤ k winners);
+//     tuples (under DefaultScorer, only those that clear the top-k bar);
 //   - scan: the full O(n) pass (the only option the pre-snapshot engine
 //     had for non-prefix queries).
 //
@@ -124,8 +124,8 @@ func (s *Snapshot) CountMatching(q Query) int {
 	return n
 }
 
-// strategy selects how forEachMatching enumerates candidates. Tests force
-// each strategy explicitly to prove they answer identically.
+// strategy selects a query's access path. Tests force each strategy
+// explicitly to prove they answer identically.
 type strategy int
 
 const (
@@ -379,16 +379,6 @@ func (s *Snapshot) countPostings(pln *queryPlan, sc *queryScratch) int {
 	return n
 }
 
-// forEachMatching yields every tuple matching q, choosing the cheapest
-// available access path (or the forced one). The set of visited tuples is
-// identical for every strategy; only the visit order may differ.
-func (s *Snapshot) forEachMatching(q Query, strat strategy, fn func(*schema.Tuple)) {
-	sc := getScratch()
-	defer putScratch(sc)
-	pln := s.plan(q, strat, sc)
-	s.execPlan(&pln, sc, fn)
-}
-
 // Answer computes the top-k result for q under the given scorer. It is
 // the query engine behind Iface.Search; callers that bypass Iface (the
 // serving benchmarks) must pass a deterministic scorer for reproducible
@@ -397,61 +387,30 @@ func (s *Snapshot) Answer(q Query, k int, scorer Scorer) Result {
 	return s.answerWith(q, k, scorer, strategyAuto)
 }
 
-// answerWith is Answer with a forced access path (tests only). Steady
-// state it allocates exactly the returned Result slice; everything else
-// is pooled scratch.
+// answerWith is Answer with a forced access path (tests only): a drain
+// of the top-k fold (scratch.go) over this one snapshot.
 func (s *Snapshot) answerWith(q Query, k int, scorer Scorer, strat strategy) Result {
 	sc := getScratch()
 	defer putScratch(sc)
-	sc.matches = 0
+	s.fold(q, k, scorer, strat, sc)
+	return sc.answer(k)
+}
+
+// fold offers every match of q in s to the scratch's top-k (capacity k)
+// and counts it in sc.matches: one snapshot part of the top-k fold.
+// With no residual predicates under an ID-pure scorer the plan ranks in
+// the ID domain (idscore.go); otherwise each match is scored as a tuple.
+func (s *Snapshot) fold(q Query, k int, scorer Scorer, strat strategy, sc *queryScratch) {
 	pln := s.plan(q, strat, sc)
-	idPure := len(pln.rest) == 0 && scorerIsIDPure(scorer)
-	if idPure && pln.postings {
-		sc.idtop.reset()
-		s.scanIDScored(&pln, sc, k)
-		return Result{Tuples: sc.idtop.drain(), Overflow: sc.matches > k}
-	}
-	sc.topk.reset()
-	if idPure {
-		s.rankRange(&pln, sc, k)
-	} else {
+	switch {
+	case len(pln.rest) > 0 || !scorerIsIDPure(scorer):
 		s.execPlan(&pln, sc, func(t *schema.Tuple) {
 			sc.matches++
 			sc.topk.offer(t, scorer(t), k)
 		})
-	}
-	return Result{Tuples: sc.topk.drain(k), Overflow: sc.matches > k}
-}
-
-// collectTopK folds s's matches for q into the scratch's running top-k
-// (capacity k) and returns the number of matching tuples. The
-// scatter-gather path calls it once per shard snapshot, accumulating the
-// global top-k across calls on one scratch.
-func (s *Snapshot) collectTopK(q Query, k int, scorer Scorer, sc *queryScratch) int {
-	sc.matches = 0
-	pln := s.plan(q, strategyAuto, sc)
-	idPure := len(pln.rest) == 0 && scorerIsIDPure(scorer)
-	if idPure && pln.postings {
-		// Rank this shard's candidates in the ID domain, then fold the
-		// ≤ k retained winners into the cross-shard top-k (any global
-		// top-k tuple is in its shard's top-k, so folding the retained
-		// set loses nothing).
-		sc.idtop.reset()
+	case pln.postings:
 		s.scanIDScored(&pln, sc, k)
-		h := &sc.idtop
-		for i := range h.ids {
-			sc.topk.offer(h.srcC[i].tuples[h.srcP[i]], h.scores[i], k)
-		}
-		return sc.matches
-	}
-	if idPure {
-		// A range folds straight into the cross-shard top-k.
+	default:
 		s.rankRange(&pln, sc, k)
-		return sc.matches
 	}
-	s.execPlan(&pln, sc, func(t *schema.Tuple) {
-		sc.matches++
-		sc.topk.offer(t, scorer(t), k)
-	})
-	return sc.matches
 }

@@ -111,6 +111,52 @@ func TestSnapshotStrategyEquivalence(t *testing.T) {
 	}
 }
 
+// TestAnswerAllocs pins the top-k fold's allocation contract: every
+// drain — one snapshot, an epoch's shard snapshots, wire partials —
+// allocates exactly the Result slice it returns, on every access path.
+func TestAnswerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	// 20,000 tuples: the flat store's attribute-1 lists are bitmap
+	// containers, the 4 shards' are arrays.
+	flat, ss, _ := mirroredStores(t, 5, 20000, 4, []int{2, 3, 4, 5})
+	snap, epoch := flat.Snapshot(), ss.Epoch()
+	const k = 25
+	cases := []struct {
+		name   string
+		q      Query
+		scorer Scorer
+	}{
+		{"root", NewQuery(), DefaultScorer},
+		{"prefix", NewQuery(Pred{Attr: 0, Val: 1}), DefaultScorer},
+		{"postings", NewQuery(Pred{Attr: 1, Val: 2}), DefaultScorer},
+		{"intersection", NewQuery(Pred{Attr: 1, Val: 2}, Pred{Attr: 3, Val: 4}), DefaultScorer},
+		{"aux", NewQuery(Pred{Attr: 1, Val: 2}), AuxScorer(0)},
+	}
+	// Build every index the cases plan over, so no measured run does.
+	for _, a := range []int{1, 3} {
+		q := NewQuery(Pred{Attr: a, Val: 0})
+		snap.Answer(q, k, DefaultScorer)
+		epoch.Answer(q, k, DefaultScorer)
+	}
+	allocs := func(name string, f func()) {
+		t.Helper()
+		if n := testing.AllocsPerRun(100, f); n != 1 {
+			t.Errorf("%s: %.1f allocs per answer, want exactly 1 (the Result slice)", name, n)
+		}
+	}
+	for _, c := range cases {
+		allocs("Snapshot.Answer/"+c.name, func() { snap.Answer(c.q, k, c.scorer) })
+		allocs("Epoch.Answer/"+c.name, func() { epoch.Answer(c.q, k, c.scorer) })
+	}
+	partials := make([]Result, epoch.NumShards())
+	for i, s := range epoch.snaps {
+		partials[i] = s.Answer(cases[3].q, k, DefaultScorer)
+	}
+	allocs("MergePartials", func() { MergePartials(partials, k) })
+}
+
 // TestSnapshotIsolation proves a published snapshot is frozen: whatever
 // churn hits the store afterwards — incremental inserts/deletes, batch
 // merges, replaces — the old snapshot keeps answering exactly as at

@@ -9,11 +9,13 @@
 //   - Router owns webiface.Client connections to N shard daemons and
 //     drives the fleet-wide two-phase epoch handshake. It is a
 //     webiface.Backend whose searches fan out to every shard and merge
-//     the per-shard top-k partials with hiddendb.MergePartials, served
-//     through the same webiface.Handler as a single process. Responses
-//     are byte-identical to a single process serving the union of the
-//     shards (router_test.go pins this at 1, 4 and 16 shards under
-//     churn).
+//     the per-shard top-k partials with hiddendb.MergePartials (the
+//     top-k fold of the in-process engine), served through the same
+//     webiface.Handler as a single process. Over shards with disjoint
+//     tuple IDs, responses are byte-identical to a single process
+//     serving the union of the shards (router_test.go pins this at 1, 4
+//     and 16 shards under churn); a merge that meets one ID twice is
+//     refused.
 //
 // docs/deploy.md describes the topology, the handshake and the failure
 // semantics in operator terms.

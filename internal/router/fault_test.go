@@ -5,8 +5,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -403,4 +405,65 @@ func TestRouterKillOneShardRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	verify("after restart and re-handshake")
+}
+
+// TestRouterRefusesOverlappingShards: two shard daemons that number
+// their tuples from 1 alike, as independently started shard-mode daemons
+// do, hold no partition of one database, and merging them would answer
+// each shared tuple twice. The router fails such a fan-out with the
+// unavailable envelope naming the repeated ID, and counts and logs it
+// like any failed fan-out.
+func TestRouterRefusesOverlappingShards(t *testing.T) {
+	sch := testSchema()
+	const n = 200
+	var bases []string
+	for seed := int64(1); seed <= 2; seed++ {
+		ss := hiddendb.NewShardedStore(sch, 1)
+		rng := rand.New(rand.NewSource(seed))
+		ts := make([]*schema.Tuple, 0, n)
+		for id := uint64(1); id <= n; id++ {
+			vals := make([]uint16, sch.M())
+			for a := range vals {
+				vals[a] = uint16(rng.Intn(sch.DomainSize(a)))
+			}
+			ts = append(ts, &schema.Tuple{ID: id, Vals: vals})
+		}
+		if err := ss.ApplyBatch(ts, nil); err != nil {
+			t.Fatal(err)
+		}
+		h := webiface.NewHandler(hiddendb.NewShardedIface(ss, 25, nil))
+		srv := httptest.NewServer(NewShardAdmin(ss, h, AdminOptions{}))
+		t.Cleanup(srv.Close)
+		bases = append(bases, srv.URL)
+	}
+	rt, err := New(bases, Options{Client: webiface.ClientOptions{RequestTimeout: 10 * time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Handshake(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	rtSrv := httptest.NewServer(rt)
+	t.Cleanup(rtSrv.Close)
+
+	// Both shards rank the same IDs for the root query, so the first
+	// repeat in the merged answer is the best-ranked ID of all.
+	best := uint64(1)
+	for id := uint64(2); id <= n; id++ {
+		if hiddendb.DefaultScorer(&schema.Tuple{ID: id}) > hiddendb.DefaultScorer(&schema.Tuple{ID: best}) {
+			best = id
+		}
+	}
+	named := fmt.Sprintf("tuple ID %d twice", best)
+	code, body := fetch(t, http.MethodGet, rtSrv.URL+"/v1/search", "", "")
+	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"unavailable"`) || !strings.Contains(body, named) {
+		t.Fatalf("GET over overlapping shards: %d %q, want 503 unavailable envelope naming %q", code, body, named)
+	}
+	code, body = fetch(t, http.MethodPost, rtSrv.URL+"/v1/search", "", batchBody([][]string{{}}))
+	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"unavailable"`) || !strings.Contains(body, named) {
+		t.Fatalf("batch over overlapping shards: %d %q, want 503 unavailable envelope naming %q", code, body, named)
+	}
+	if _, mb := fetch(t, http.MethodGet, rtSrv.URL+"/v1/metrics", "", ""); !strings.Contains(mb, "dynagg_router_failures_total 2") {
+		t.Fatalf("both refused fan-outs must count as failures:\n%s", mb)
+	}
 }

@@ -52,10 +52,13 @@ type Options struct {
 // Router is one logical hidden database over a fleet of shard daemons.
 // It is a webiface.Backend: every search fans out to the shards under
 // one pinned fleet epoch and the per-shard top-k partials merge with
-// hiddendb.MergePartials. ServeHTTP answers every /v1/ route but healthz
-// through one webiface.Handler over that backend, so its envelopes,
-// budgets and byte layouts are single-process serving's, and its answers
-// are byte-identical to a single process serving the union of the shards.
+// hiddendb.MergePartials, the top-k fold Epoch.Answer runs in process.
+// ServeHTTP answers every /v1/ route but healthz through one
+// webiface.Handler over that backend, so its envelopes, budgets and byte
+// layouts are single-process serving's, and its answers are
+// byte-identical to a single process serving the union of the shards.
+// Shards whose tuple IDs overlap break that union: a merge that meets
+// one ID twice fails the fan-out with a 503.
 //
 // Concurrency: serving fan-outs hold pinMu for read; the epoch handshake
 // holds it for write, so a query never straddles an epoch flip. Per-shard
@@ -464,7 +467,11 @@ func (rt *Router) fanOut(ctx context.Context, qs []hiddendb.Query, batch bool) (
 		for s, p := range live {
 			scratch[s] = p[j]
 		}
-		out[j] = hiddendb.NewAnswer(hiddendb.MergePartials(scratch, rt.k, nil))
+		res, err := hiddendb.MergePartials(scratch, rt.k)
+		if err != nil {
+			return nil, rt.fail(ctx, err)
+		}
+		out[j] = hiddendb.NewAnswer(res)
 	}
 	rt.mergeHist.Observe(time.Since(start))
 	return out, nil
