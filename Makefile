@@ -40,8 +40,8 @@ fmt-check:
 	fi
 
 # race exercises the parallel trial engine, the estimator execution
-# engine (concurrent drill-down walks sharing one session, sequential
-# and lockstep-batched), the tracking service (32 HTTP readers while Run
+# engine (concurrent drill-down walks sharing one session, local and
+# remote), the tracking service (32 HTTP readers while Run
 # advances rounds), the fleet scheduler + control plane (readers and
 # task-table writers racing the tick loop), the snapshot engine's
 # concurrent-reader contract (32 sessions on one Iface), the sharded

@@ -2,7 +2,6 @@ package dynagg
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 
@@ -200,7 +199,8 @@ type TrackerOptions struct {
 	RetainTuples bool
 	// ClientCache enables the client-side answer cache ablation.
 	ClientCache bool
-	// DeltaTarget makes RS optimise the trans-round delta (Figs 15–17).
+	// DeltaTarget makes RS allocate its budget for the trans-round delta
+	// instead of the single-round value (Figs 15–17).
 	DeltaTarget bool
 	// MaxDrills bounds the drill-down pool (0 = unlimited).
 	MaxDrills int
@@ -208,18 +208,26 @@ type TrackerOptions struct {
 	// NULL-valued tuples for any predicate on that attribute (§5); the
 	// estimators then apply the matching probability correction.
 	BroadMatchNull bool
-	// Parallelism bounds how many of a round's planned drill-down walks
-	// the estimator issues concurrently against the session (0 reads
+	// Parallelism bounds how many goroutines issue a round's planned
+	// drill-down walks concurrently against the session (0 reads
 	// DYNAGG_ESTIMATOR_WORKERS, defaulting to sequential). Estimates are
 	// byte-identical for every value; sessions that are not safe for
 	// concurrent searching are served sequentially regardless.
 	Parallelism int
-	// Batch issues each planned wave of drill-down walks as lockstep
-	// query batches through the session's SearchBatch (one round trip
-	// per tree level for remote sessions). Estimates stay byte-identical.
-	// Effective only with Parallelism > 1 and a session implementing
-	// hiddendb.BatchSearcher; ignored otherwise.
-	Batch bool
+}
+
+// estimatorConfig maps the options onto the estimator's configuration.
+func (o TrackerOptions) estimatorConfig() estimator.Config {
+	return estimator.Config{
+		Rand:           rand.New(rand.NewSource(o.Seed)),
+		Pilot:          o.Pilot,
+		RetainTuples:   o.RetainTuples,
+		ClientCache:    o.ClientCache,
+		MaxDrills:      o.MaxDrills,
+		BroadMatchNull: o.BroadMatchNull,
+		Parallelism:    o.Parallelism,
+		DeltaTarget:    o.DeltaTarget,
+	}
 }
 
 // BudgetedSession is the per-round query capability a Tracker consumes:
@@ -265,36 +273,7 @@ func NewTrackerWithSource(sch *Schema, source SessionSource, aggs []*Aggregate, 
 	if sch == nil || source == nil {
 		return nil, errors.New("dynagg: schema and session source required")
 	}
-	cfg := estimator.Config{
-		Rand:           rand.New(rand.NewSource(opts.Seed)),
-		Pilot:          opts.Pilot,
-		RetainTuples:   opts.RetainTuples,
-		ClientCache:    opts.ClientCache,
-		MaxDrills:      opts.MaxDrills,
-		Parallelism:    opts.Parallelism,
-		Batch:          opts.Batch,
-		BroadMatchNull: opts.BroadMatchNull,
-	}
-	algo := opts.Algorithm
-	if algo == "" {
-		algo = AlgoRS
-	}
-	var est estimator.Estimator
-	var err error
-	switch algo {
-	case AlgoRestart:
-		est, err = estimator.NewRestart(sch, aggs, cfg)
-	case AlgoReissue:
-		est, err = estimator.NewReissue(sch, aggs, cfg)
-	case AlgoRS:
-		var rsOpts []estimator.RSOption
-		if opts.DeltaTarget {
-			rsOpts = append(rsOpts, estimator.WithDeltaTarget())
-		}
-		est, err = estimator.NewRS(sch, aggs, cfg, rsOpts...)
-	default:
-		return nil, fmt.Errorf("dynagg: unknown algorithm %q", algo)
-	}
+	est, err := estimator.New(string(opts.Algorithm), sch, aggs, opts.estimatorConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -344,22 +323,13 @@ func (t *Tracker) Save(w io.Writer) error { return estimator.Save(t.est, w) }
 // interface. The aggregate list must match the saved tracker's (same
 // order and count); opts supplies the budget and a fresh random seed —
 // estimates and drill-down state come from the snapshot, and
-// opts.Algorithm is ignored in favour of the snapshot's.
+// opts.Algorithm and opts.DeltaTarget are ignored in favour of the
+// snapshot's.
 func LoadTracker(r io.Reader, iface *Iface, aggs []*Aggregate, opts TrackerOptions) (*Tracker, error) {
 	if iface == nil {
 		return nil, errors.New("dynagg: nil interface")
 	}
-	cfg := estimator.Config{
-		Rand:           rand.New(rand.NewSource(opts.Seed)),
-		Pilot:          opts.Pilot,
-		RetainTuples:   opts.RetainTuples,
-		ClientCache:    opts.ClientCache,
-		MaxDrills:      opts.MaxDrills,
-		Parallelism:    opts.Parallelism,
-		Batch:          opts.Batch,
-		BroadMatchNull: opts.BroadMatchNull,
-	}
-	est, err := estimator.Load(r, iface.Schema(), aggs, cfg)
+	est, err := estimator.Load(r, iface.Schema(), aggs, opts.estimatorConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -373,15 +343,4 @@ func LoadTracker(r io.Reader, iface *Iface, aggs []*Aggregate, opts TrackerOptio
 // AdHoc estimates an aggregate that was never registered, against the
 // drill downs of a past round (the ad hoc query model of §5.1). Requires
 // TrackerOptions.RetainTuples.
-func (t *Tracker) AdHoc(a *Aggregate, round int) (Estimate, error) {
-	switch e := t.est.(type) {
-	case *estimator.Restart:
-		return e.AdHoc(a, round)
-	case *estimator.Reissue:
-		return e.AdHoc(a, round)
-	case *estimator.RS:
-		return e.AdHoc(a, round)
-	default:
-		return Estimate{}, fmt.Errorf("dynagg: %s does not support ad hoc queries", t.est.Name())
-	}
-}
+func (t *Tracker) AdHoc(a *Aggregate, round int) (Estimate, error) { return t.est.AdHoc(a, round) }

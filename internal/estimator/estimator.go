@@ -68,14 +68,10 @@ type Config struct {
 	// engine silently falls back to 1 when the session is not safe for
 	// concurrent Search calls or ClientCache is on.
 	Parallelism int
-	// Batch issues each budget-covered wave of planned walks as lockstep
-	// query batches through the session's SearchBatch (when it implements
-	// hiddendb.BatchSearcher) instead of fanning goroutines out: one
-	// round-trip per drill level, one snapshot/epoch pin per batch, one
-	// budget charge per query. Estimates stay byte-identical to both the
-	// sequential and the goroutine paths. Effective only with
-	// Parallelism > 1 (waves exist only there); ignored otherwise.
-	Batch bool
+	// DeltaTarget makes RS allocate its budget to minimise the variance
+	// of the trans-round delta Q(D_j) − Q(D_{j-1}) instead of the
+	// single-round aggregate (Figs. 15–17). RESTART and REISSUE ignore it.
+	DeltaTarget bool
 }
 
 func (c Config) withDefaults() Config {
@@ -149,6 +145,32 @@ type Estimator interface {
 	// wastes a query, so this is exactly the price of Parallelism > 1 on
 	// rounds that end abnormally.
 	WastedQueries() int
+	// AdHoc evaluates an aggregate that was not tracked at Step time
+	// against the retained tuples of the drill downs current at a past
+	// round (the ad hoc query model of §5.1). It requires
+	// Config.RetainTuples.
+	AdHoc(a *agg.Aggregate, round int) (Estimate, error)
+}
+
+// New builds the named estimator: "RESTART", "REISSUE" or "RS". An empty
+// name means RS.
+func New(algo string, sch *schema.Schema, aggs []*agg.Aggregate, cfg Config) (Estimator, error) {
+	var e Estimator
+	var err error
+	switch algo {
+	case "RESTART":
+		e, err = NewRestart(sch, aggs, cfg)
+	case "REISSUE":
+		e, err = NewReissue(sch, aggs, cfg)
+	case "RS", "":
+		e, err = NewRS(sch, aggs, cfg)
+	default:
+		err = fmt.Errorf("estimator: unknown algorithm %q", algo)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // contribution is the state of one drill down at one round: its top
@@ -440,11 +462,10 @@ func (c *clientCache) Search(q hiddendb.Query) (hiddendb.Result, error) {
 func (c *clientCache) K() int                 { return c.inner.K() }
 func (c *clientCache) Schema() *schema.Schema { return c.inner.Schema() }
 
-// AdHocPair evaluates a NEW aggregate (not tracked at Step time) against
-// the retained tuples of the drill downs current at the given round,
-// supporting the ad hoc query model of §5.1. It requires
-// Config.RetainTuples. The aggregate must not narrow the tree selection
-// (its own selection is applied result-side).
+// adHocPair evaluates a NEW aggregate (not tracked at Step time) against
+// the retained tuples of the drill downs current at the given round: the
+// body of every estimator's AdHoc. The aggregate must not narrow the tree
+// selection (its own selection is applied result-side).
 func adHocPair(drills []*drill, a *agg.Aggregate, round int) (Estimate, error) {
 	var pair agg.Pair
 	var primaries []float64

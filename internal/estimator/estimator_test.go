@@ -40,14 +40,19 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := NewRestart(sch, []*agg.Aggregate{agg.CountAll()}, Config{}); err == nil {
 		t.Error("missing Rand accepted")
 	}
-	for _, mk := range []func() (Estimator, error){
-		func() (Estimator, error) { return NewRestart(sch, []*agg.Aggregate{agg.CountAll()}, cfg(2)) },
-		func() (Estimator, error) { return NewReissue(sch, []*agg.Aggregate{agg.CountAll()}, cfg(2)) },
-		func() (Estimator, error) { return NewRS(sch, []*agg.Aggregate{agg.CountAll()}, cfg(2)) },
-	} {
-		e, err := mk()
+	if e, err := New("BOGUS", sch, []*agg.Aggregate{agg.CountAll()}, cfg(1)); err == nil || e != nil {
+		t.Errorf("unknown algorithm: got %v, %v; want a nil Estimator and an error", e, err)
+	}
+	if e, err := New("RS", sch, nil, cfg(1)); err == nil || e != nil {
+		t.Errorf("no aggregates: got %v, %v; want a nil Estimator and an error", e, err)
+	}
+	for algo, want := range map[string]string{"RESTART": "RESTART", "REISSUE": "REISSUE", "RS": "RS", "": "RS"} {
+		e, err := New(algo, sch, []*agg.Aggregate{agg.CountAll()}, cfg(2))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if e.Name() != want {
+			t.Errorf("New(%q) built %s, want %s", algo, e.Name(), want)
 		}
 		if e.Round() != 0 {
 			t.Errorf("%s: fresh round = %d", e.Name(), e.Round())
@@ -70,16 +75,7 @@ func TestBudgetNeverExceeded(t *testing.T) {
 		te := newTestEnv(t, 10, 5000, 4000, 100)
 		sch := te.env.Store.Schema()
 		aggs := []*agg.Aggregate{agg.CountAll()}
-		var e Estimator
-		var err error
-		switch name {
-		case "RESTART":
-			e, err = NewRestart(sch, aggs, cfg(11))
-		case "REISSUE":
-			e, err = NewReissue(sch, aggs, cfg(11))
-		case "RS":
-			e, err = NewRS(sch, aggs, cfg(11))
-		}
+		e, err := New(name, sch, aggs, cfg(11))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,17 +114,8 @@ func TestUnbiasedOverTrials(t *testing.T) {
 		var r stats.Running
 		for trial := 0; trial < 40; trial++ {
 			aggs := []*agg.Aggregate{agg.CountAll()}
-			var e Estimator
-			var err error
 			c := cfg(int64(1000 + trial))
-			switch name {
-			case "RESTART":
-				e, err = NewRestart(sch, aggs, c)
-			case "REISSUE":
-				e, err = NewReissue(sch, aggs, c)
-			case "RS":
-				e, err = NewRS(sch, aggs, c)
-			}
+			e, err := New(name, sch, aggs, c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,16 +178,7 @@ func TestTrackingUnderChurn(t *testing.T) {
 		te := newTestEnv(t, 40, 30000, 25000, 100)
 		sch := te.env.Store.Schema()
 		aggs := []*agg.Aggregate{agg.CountAll()}
-		var e Estimator
-		var err error
-		switch name {
-		case "RESTART":
-			e, err = NewRestart(sch, aggs, cfg(41))
-		case "REISSUE":
-			e, err = NewReissue(sch, aggs, cfg(41))
-		case "RS":
-			e, err = NewRS(sch, aggs, cfg(41))
-		}
+		e, err := New(name, sch, aggs, cfg(41))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -489,7 +467,9 @@ func TestMaxDrillsBoundsPool(t *testing.T) {
 func TestRSDeltaTarget(t *testing.T) {
 	te := newTestEnv(t, 120, 30000, 25000, 100)
 	sch := te.env.Store.Schema()
-	e, err := NewRS(sch, []*agg.Aggregate{agg.CountAll()}, cfg(121), WithDeltaTarget())
+	c := cfg(121)
+	c.DeltaTarget = true
+	e, err := NewRS(sch, []*agg.Aggregate{agg.CountAll()}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,27 +500,6 @@ func TestRSDeltaTarget(t *testing.T) {
 	}
 }
 
-func TestWithPrimaryAggregate(t *testing.T) {
-	te := newTestEnv(t, 130, 5000, 4500, 100)
-	sch := te.env.Store.Schema()
-	aggs := []*agg.Aggregate{agg.CountAll(), agg.SumOf("SUM(price)", agg.AuxField(0))}
-	e, err := NewRS(sch, aggs, cfg(131), WithPrimaryAggregate(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.primary != 1 {
-		t.Errorf("primary = %d", e.primary)
-	}
-	// Out of range resets to 0.
-	e2, err := NewRS(sch, aggs, cfg(132), WithPrimaryAggregate(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e2.primary != 0 {
-		t.Errorf("out-of-range primary = %d", e2.primary)
-	}
-}
-
 // Tiny budgets: estimators must degrade gracefully, never exceed the
 // budget, and never return an error other than nil.
 func TestTinyBudgets(t *testing.T) {
@@ -549,16 +508,7 @@ func TestTinyBudgets(t *testing.T) {
 			te := newTestEnv(t, 140, 5000, 4500, 100)
 			sch := te.env.Store.Schema()
 			aggs := []*agg.Aggregate{agg.CountAll()}
-			var e Estimator
-			var err error
-			switch name {
-			case "RESTART":
-				e, err = NewRestart(sch, aggs, cfg(141))
-			case "REISSUE":
-				e, err = NewReissue(sch, aggs, cfg(141))
-			case "RS":
-				e, err = NewRS(sch, aggs, cfg(141))
-			}
+			e, err := New(name, sch, aggs, cfg(141))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -89,7 +89,7 @@ func (b *base) planUpdate(d *drill) drillOp {
 		d:         d,
 		sig:       d.sig,
 		prevDepth: pd,
-		maxCost:   1 + maxInt(pd, b.tree.Depth()-pd),
+		maxCost:   1 + max(pd, b.tree.Depth()-pd),
 	}
 }
 
@@ -162,11 +162,7 @@ func (b *base) runPlan(sess Session, s hiddendb.Searcher, ops []drillOp) []opRes
 			i++
 			continue
 		}
-		if bs, ok := s.(hiddendb.BatchSearcher); ok && b.cfg.Batch {
-			b.runWaveBatch(bs, ops[i:i+wave], results[i:i+wave])
-		} else {
-			b.runWave(workers, s, ops[i:i+wave], results[i:i+wave])
-		}
+		b.runWave(workers, s, ops[i:i+wave], results[i:i+wave])
 		for j := i; j < i+wave; j++ {
 			if results[j].err != nil {
 				// First-in-order error ends the plan (a server-side budget
@@ -213,71 +209,6 @@ func (b *base) runWave(workers int, s hiddendb.Searcher, ops []drillOp, results 
 		}()
 	}
 	wg.Wait()
-}
-
-// runWaveBatch issues one budget-covered wave as lockstep query batches:
-// every still-running walk contributes its next query (in op order), the
-// whole level goes out as ONE SearchBatch call — one round-trip, one
-// snapshot/epoch pin — and each answer advances its walk's state machine.
-// The walks are the same querytree.Walk machines the sequential paths
-// loop over, so queries, costs and outcomes are byte-identical to
-// runWave; only the transport pattern differs. Like runWave, every walk
-// in the wave runs to completion (admission guarantees the shared budget
-// covers all of them), and per-walk used counts include errored queries,
-// mirroring the allowance wrapper.
-func (b *base) runWaveBatch(bs hiddendb.BatchSearcher, ops []drillOp, results []opResult) {
-	walks := make([]*querytree.Walk, len(ops))
-	used := make([]int, len(ops))
-	for i := range ops {
-		if ops[i].d == nil {
-			walks[i] = querytree.NewFreshWalk(b.tree, ops[i].sig)
-		} else {
-			walks[i] = querytree.NewUpdateWalk(b.tree, ops[i].sig, ops[i].prevDepth)
-		}
-	}
-	live := make([]int, len(ops))
-	for i := range live {
-		live[i] = i
-	}
-	qs := make([]hiddendb.Query, 0, len(ops))
-	for len(live) > 0 {
-		qs = qs[:0]
-		for _, i := range live {
-			qs = append(qs, walks[i].NextQuery())
-		}
-		items, err := bs.SearchBatch(qs)
-		if err != nil {
-			// Whole-batch transport failure: every in-flight query was
-			// attempted (and, remotely, charged) — fail all live walks.
-			for _, i := range live {
-				used[i]++
-				walks[i].Fail(err)
-			}
-		} else {
-			next := live[:0]
-			for j, i := range live {
-				used[i]++
-				if it := items[j]; it.Err != nil {
-					walks[i].Fail(it.Err)
-				} else {
-					walks[i].Feed(it.Result)
-				}
-				if !walks[i].Done() {
-					next = append(next, i)
-				}
-			}
-			live = next
-		}
-		for i := range walks {
-			if walks[i].Done() && !results[i].ran {
-				o, werr := walks[i].Outcome()
-				results[i] = opResult{outcome: o, err: werr, ran: true, used: used[i]}
-			}
-		}
-		if err != nil {
-			return
-		}
-	}
 }
 
 // allowance caps the queries one walk may issue. Wave walks carry their

@@ -69,18 +69,7 @@ func compareRuns(t *testing.T, label string, want, got []stepRecord) {
 
 func newAlgo(t *testing.T, algo string, te *testEnv, c Config, aggs []*agg.Aggregate) Estimator {
 	t.Helper()
-	var e Estimator
-	var err error
-	switch algo {
-	case "RESTART":
-		e, err = NewRestart(te.env.Store.Schema(), aggs, c)
-	case "REISSUE":
-		e, err = NewReissue(te.env.Store.Schema(), aggs, c)
-	case "RS":
-		e, err = NewRS(te.env.Store.Schema(), aggs, c)
-	default:
-		t.Fatalf("unknown algo %s", algo)
-	}
+	e, err := New(algo, te.env.Store.Schema(), aggs, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,12 +82,11 @@ var equivAggs = func() []*agg.Aggregate {
 
 // runLocalRounds executes one full tracking run (fresh environment, fresh
 // estimator, deterministic churn) at the given executor parallelism.
-func runLocalRounds(t *testing.T, algo string, seed int64, par, rounds, g int, batch bool) []stepRecord {
+func runLocalRounds(t *testing.T, algo string, seed int64, par, rounds, g int) []stepRecord {
 	t.Helper()
 	te := newTestEnv(t, seed, 8000, 7000, 100)
 	c := cfg(seed + 7)
 	c.Parallelism = par
-	c.Batch = batch
 	aggs := equivAggs()
 	e := newAlgo(t, algo, te, c, aggs)
 	var recs []stepRecord
@@ -131,12 +119,10 @@ func TestExecutorParallelismEquivalenceLocal(t *testing.T) {
 			g := 60 + fuzz.Intn(300)
 			name := fmt.Sprintf("%s/seed=%d/G=%d", algo, seed, g)
 			t.Run(name, func(t *testing.T) {
-				base := runLocalRounds(t, algo, seed, 1, 4, g, false)
+				base := runLocalRounds(t, algo, seed, 1, 4, g)
 				for _, par := range []int{2, 8} {
-					got := runLocalRounds(t, algo, seed, par, 4, g, false)
+					got := runLocalRounds(t, algo, seed, par, 4, g)
 					compareRuns(t, fmt.Sprintf("%s par=%d", name, par), base, got)
-					batched := runLocalRounds(t, algo, seed, par, 4, g, true)
-					compareRuns(t, fmt.Sprintf("%s par=%d batch", name, par), base, batched)
 				}
 			})
 		}
@@ -149,7 +135,7 @@ func TestExecutorParallelismEquivalenceLocal(t *testing.T) {
 // walks cannot race a server-side 429. With local=true the same database
 // is tracked through a local session instead, for the lossless-wire
 // comparison.
-func runRemoteRounds(t *testing.T, algo string, seed int64, par, rounds, g int, local, batch bool) []stepRecord {
+func runRemoteRounds(t *testing.T, algo string, seed int64, par, rounds, g int, local bool) []stepRecord {
 	t.Helper()
 	data := workload.AutosLikeN(seed, 4000, 8)
 	env, err := workload.NewEnv(data, 3600, seed+1)
@@ -172,17 +158,8 @@ func runRemoteRounds(t *testing.T, algo string, seed int64, par, rounds, g int, 
 
 	ecfg := cfg(seed + 7)
 	ecfg.Parallelism = par
-	ecfg.Batch = batch
 	aggs := equivAggs()
-	var e Estimator
-	switch algo {
-	case "RESTART":
-		e, err = NewRestart(sch, aggs, ecfg)
-	case "REISSUE":
-		e, err = NewReissue(sch, aggs, ecfg)
-	case "RS":
-		e, err = NewRS(sch, aggs, ecfg)
-	}
+	e, err := New(algo, sch, aggs, ecfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,14 +189,12 @@ func TestExecutorParallelismEquivalenceRemote(t *testing.T) {
 	const seed, rounds, g = 4242, 3, 150
 	for _, algo := range []string{"RESTART", "REISSUE", "RS"} {
 		t.Run(algo, func(t *testing.T) {
-			base := runRemoteRounds(t, algo, seed, 1, rounds, g, false, false)
+			base := runRemoteRounds(t, algo, seed, 1, rounds, g, false)
 			for _, par := range []int{2, 8} {
-				got := runRemoteRounds(t, algo, seed, par, rounds, g, false, false)
+				got := runRemoteRounds(t, algo, seed, par, rounds, g, false)
 				compareRuns(t, fmt.Sprintf("remote par=%d", par), base, got)
-				batched := runRemoteRounds(t, algo, seed, par, rounds, g, false, true)
-				compareRuns(t, fmt.Sprintf("remote par=%d batch", par), base, batched)
 			}
-			local := runRemoteRounds(t, algo, seed, 1, rounds, g, true, false)
+			local := runRemoteRounds(t, algo, seed, 1, rounds, g, true)
 			compareRuns(t, "remote vs local", local, base)
 		})
 	}

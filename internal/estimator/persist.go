@@ -2,6 +2,7 @@ package estimator
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 
@@ -75,7 +76,6 @@ type snapshot struct {
 	Hist          [][]snapEstimate
 	VarModels     []snapVarModel
 	OptimizeDelta bool
-	Primary       int
 }
 
 const snapshotVersion = 1
@@ -151,8 +151,7 @@ func Save(e Estimator, w io.Writer) error {
 				HT: vm.ht, Diff: vm.diff, HaveHT: vm.haveHT, HaveDiff: vm.haveDiff,
 			})
 		}
-		snap.OptimizeDelta = t.optimizeDelta
-		snap.Primary = t.primary
+		snap.OptimizeDelta = t.cfg.DeltaTarget
 	default:
 		return fmt.Errorf("estimator: cannot save %T", e)
 	}
@@ -180,7 +179,9 @@ func (s *snapshot) restoreBase(b *base) {
 
 // Load reconstructs an estimator saved by Save. The schema, aggregate
 // list (same order and count as at save time) and config are re-supplied
-// by the caller because they contain functions.
+// by the caller because they contain functions; the snapshot's algorithm
+// and RS delta target override the config. A snapshot that names no
+// algorithm, or an unknown one, is refused.
 func Load(r io.Reader, sch *schema.Schema, aggs []*agg.Aggregate, cfg Config) (Estimator, error) {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -193,54 +194,41 @@ func Load(r io.Reader, sch *schema.Schema, aggs []*agg.Aggregate, cfg Config) (E
 		return nil, fmt.Errorf("estimator: snapshot tracked %d aggregates, caller supplied %d",
 			snap.NumAggs, len(aggs))
 	}
-	switch snap.Algo {
-	case "RESTART":
-		e, err := NewRestart(sch, aggs, cfg)
-		if err != nil {
-			return nil, err
-		}
-		snap.restoreBase(e.base)
-		e.prevEst, e.prevOK = snapToEstimates(snap.PrevEst)
+	if snap.Algo == "" {
+		return nil, errors.New("estimator: snapshot names no algorithm")
+	}
+	cfg.DeltaTarget = snap.OptimizeDelta
+	e, err := New(snap.Algo, sch, aggs, cfg)
+	if err != nil {
+		return nil, err
+	}
+	switch t := e.(type) {
+	case *Restart:
+		snap.restoreBase(t.base)
+		t.prevEst, t.prevOK = snapToEstimates(snap.PrevEst)
 		for _, sd := range snap.LastRound {
-			e.lastRound = append(e.lastRound, snapToDrill(sd))
+			t.lastRound = append(t.lastRound, snapToDrill(sd))
 		}
-		return e, nil
-	case "REISSUE":
-		e, err := NewReissue(sch, aggs, cfg)
-		if err != nil {
-			return nil, err
-		}
-		snap.restoreBase(e.base)
+	case *Reissue:
+		snap.restoreBase(t.base)
 		for _, sd := range snap.Pool {
-			e.pool = append(e.pool, snapToDrill(sd))
+			t.pool = append(t.pool, snapToDrill(sd))
 		}
-		return e, nil
-	case "RS":
-		var opts []RSOption
-		if snap.OptimizeDelta {
-			opts = append(opts, WithDeltaTarget())
-		}
-		opts = append(opts, WithPrimaryAggregate(snap.Primary))
-		e, err := NewRS(sch, aggs, cfg, opts...)
-		if err != nil {
-			return nil, err
-		}
-		snap.restoreBase(e.base)
+	case *RS:
+		snap.restoreBase(t.base)
 		for _, sd := range snap.Pool {
-			e.pool = append(e.pool, snapToDrill(sd))
+			t.pool = append(t.pool, snapToDrill(sd))
 		}
-		e.hist = e.hist[:0]
+		t.hist = t.hist[:0]
 		for _, h := range snap.Hist {
 			ests, ok := snapToEstimates(h)
-			e.hist = append(e.hist, histEntry{est: ests, ok: ok})
+			t.hist = append(t.hist, histEntry{est: ests, ok: ok})
 		}
 		for i, vm := range snap.VarModels {
-			if i < len(e.vm) {
-				e.vm[i] = varModel{ht: vm.HT, diff: vm.Diff, haveHT: vm.HaveHT, haveDiff: vm.HaveDiff}
+			if i < len(t.vm) {
+				t.vm[i] = varModel{ht: vm.HT, diff: vm.Diff, haveHT: vm.HaveHT, haveDiff: vm.HaveDiff}
 			}
 		}
-		return e, nil
-	default:
-		return nil, fmt.Errorf("estimator: unknown algorithm %q in snapshot", snap.Algo)
 	}
+	return e, nil
 }

@@ -2,6 +2,7 @@ package estimator
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
@@ -37,7 +38,9 @@ func TestSaveLoadPreservesEstimates(t *testing.T) {
 			return NewReissue(te.env.Store.Schema(), []*agg.Aggregate{agg.CountAll()}, cfg(301))
 		}},
 		{"RS", func(te *testEnv) (Estimator, error) {
-			return NewRS(te.env.Store.Schema(), []*agg.Aggregate{agg.CountAll()}, cfg(301), WithDeltaTarget())
+			c := cfg(301)
+			c.DeltaTarget = true
+			return NewRS(te.env.Store.Schema(), []*agg.Aggregate{agg.CountAll()}, c)
 		}},
 	} {
 		t.Run(mk.name, func(t *testing.T) {
@@ -155,6 +158,27 @@ func TestLoadValidation(t *testing.T) {
 		[]*agg.Aggregate{agg.CountAll()}, cfg(323)); err == nil {
 		t.Error("garbage snapshot accepted")
 	}
+	// A snapshot naming no algorithm or an unknown one, or written in
+	// another format version.
+	for _, bad := range []func(s *snapshot){
+		func(s *snapshot) { s.Algo = "" },
+		func(s *snapshot) { s.Algo = "BOGUS" },
+		func(s *snapshot) { s.Version = snapshotVersion + 1 },
+	} {
+		var snap snapshot
+		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		bad(&snap)
+		var b bytes.Buffer
+		if err := gob.NewEncoder(&b).Encode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		e, err := Load(&b, te.env.Store.Schema(), []*agg.Aggregate{agg.CountAll()}, cfg(324))
+		if err == nil || e != nil {
+			t.Errorf("snapshot algorithm %q version %d accepted", snap.Algo, snap.Version)
+		}
+	}
 }
 
 // swapRand replaces the estimator's round RNG mid-run, simulating the
@@ -203,16 +227,7 @@ func TestCheckpointResumeByteIdenticalUnderExecutor(t *testing.T) {
 	}
 	build := func(t *testing.T, algo string, te *testEnv) Estimator {
 		t.Helper()
-		var e Estimator
-		var err error
-		switch algo {
-		case "RESTART":
-			e, err = NewRestart(te.env.Store.Schema(), aggs(), cfg(seed+1))
-		case "REISSUE":
-			e, err = NewReissue(te.env.Store.Schema(), aggs(), cfg(seed+1))
-		case "RS":
-			e, err = NewRS(te.env.Store.Schema(), aggs(), cfg(seed+1))
-		}
+		e, err := New(algo, te.env.Store.Schema(), aggs(), cfg(seed+1))
 		if err != nil {
 			t.Fatal(err)
 		}

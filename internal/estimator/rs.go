@@ -30,18 +30,15 @@ import (
 // When the database barely changes, α of the updated groups collapses and
 // the budget flows into new drill downs; under drastic change the
 // allocation degenerates to "update everything", i.e. REISSUE (the
-// Corollary 4.1 discussion).
+// Corollary 4.1 discussion). The first tracked aggregate drives the
+// allocation; Config.DeltaTarget switches its target to the trans-round
+// delta.
 type RS struct {
 	*base
 	pool []*drill
 	// hist[x] holds the combined estimates produced at round x (indexed
 	// from 1; entry 0 unused).
 	hist []histEntry
-	// optimizeDelta switches the allocation target to the trans-round
-	// delta Q(D_j)−Q(D_{j-1}) instead of the single-round aggregate.
-	optimizeDelta bool
-	// primary selects the aggregate driving allocation decisions.
-	primary int
 	// vm holds the smoothed variance models, one per aggregate.
 	vm []varModel
 }
@@ -115,36 +112,13 @@ func (m *varModel) diffVarFor(gap int, htFallback float64) float64 {
 	return base * float64(gap)
 }
 
-// RSOption tweaks RS-specific behaviour.
-type RSOption func(*RS)
-
-// WithDeltaTarget makes the budget allocation optimise the trans-round
-// delta instead of the single-round aggregate (used when the tracked
-// quantity is |D_j| − |D_{j-1}|, Figs. 15–17).
-func WithDeltaTarget() RSOption {
-	return func(r *RS) { r.optimizeDelta = true }
-}
-
-// WithPrimaryAggregate selects which tracked aggregate drives the budget
-// allocation (default: the first).
-func WithPrimaryAggregate(i int) RSOption {
-	return func(r *RS) { r.primary = i }
-}
-
 // NewRS builds the reservoir-style estimator.
-func NewRS(sch *schema.Schema, aggs []*agg.Aggregate, cfg Config, opts ...RSOption) (*RS, error) {
+func NewRS(sch *schema.Schema, aggs []*agg.Aggregate, cfg Config) (*RS, error) {
 	b, err := newBase("RS", sch, aggs, cfg)
 	if err != nil {
 		return nil, err
 	}
-	r := &RS{base: b, hist: make([]histEntry, 1), vm: make([]varModel, len(aggs))}
-	for _, o := range opts {
-		o(r)
-	}
-	if r.primary < 0 || r.primary >= len(aggs) {
-		r.primary = 0
-	}
-	return r, nil
+	return &RS{base: b, hist: make([]histEntry, 1), vm: make([]varModel, len(aggs))}, nil
 }
 
 // group aggregates the per-round bookkeeping for drills last updated at
@@ -200,14 +174,14 @@ func (r *RS) Step(sess Session) error {
 	// may issue the walks concurrently without changing any estimate.
 	pilot := r.cfg.Pilot
 	if g := sess.Budget(); g > 0 && pilot*len(groups) > g/3 {
-		pilot = maxInt(1, g/(3*len(groups)))
+		pilot = max(1, g/(3*len(groups)))
 	}
 	var ops []drillOp
 	var opGrp []*rsGroup
 	for _, grp := range groups {
 		n := pilot
 		if grp.key != newGroupKey {
-			n = minInt(n, len(grp.members))
+			n = min(n, len(grp.members))
 			r.shufflePrefix(grp.members, n)
 			for i := 0; i < n; i++ {
 				ops = append(ops, r.planUpdate(grp.members[i]))
@@ -237,7 +211,7 @@ func (r *RS) Step(sess Session) error {
 
 	// Phase 2: estimate α, β, g per group and allocate the remaining
 	// budget (Corollary 4.3, solved by greedy marginal allocation).
-	htVar := r.pooledHTVariance(groups)
+	htVar := r.pooledHTVariance(groups, 0)
 	for _, grp := range groups {
 		grp.g = meanOr(grp.costs, 2)
 		grp.alpha = r.groupAlpha(grp, htVar)
@@ -303,13 +277,12 @@ func (r *RS) shufflePrefix(ds []*drill, n int) {
 }
 
 // pooledHTVariance estimates the per-drill variance of a plain
-// Horvitz–Thompson estimate (π_j of the primary aggregate) pooled over
-// every drill refreshed this round. Drill-down estimates are zero-inflated
-// and heavy-tailed, so small per-group samples wildly underestimate their
-// own variance; the pooled value anchors the rule-of-three floors below.
-func (r *RS) pooledHTVariance(groups []*rsGroup) float64 {
+// Horvitz–Thompson estimate (π_j of aggregate i) pooled over every drill
+// refreshed this round. Drill-down estimates are zero-inflated and
+// heavy-tailed, so small per-group samples wildly underestimate their own
+// variance; the pooled value anchors the rule-of-three floors below.
+func (r *RS) pooledHTVariance(groups []*rsGroup, i int) float64 {
 	var run stats.Running
-	i := r.primary
 	a := r.aggs[i]
 	for _, grp := range groups {
 		for _, d := range grp.updated {
@@ -326,11 +299,11 @@ func (r *RS) pooledHTVariance(groups []*rsGroup) float64 {
 // the HT variance. Under the delta target the roles shift per §4.3's fQ
 // cases (only the x = j−1 group contributes paired diffs).
 func (r *RS) groupAlpha(grp *rsGroup, htVar float64) float64 {
-	vm := &r.vm[r.primary]
+	vm := &r.vm[0]
 	if grp.key == newGroupKey {
 		return vm.htVar(htVar)
 	}
-	if r.optimizeDelta && grp.key != r.round-1 {
+	if r.cfg.DeltaTarget && grp.key != r.round-1 {
 		return vm.htVar(htVar)
 	}
 	return vm.diffVarFor(r.round-grp.key, htVar)
@@ -338,13 +311,13 @@ func (r *RS) groupAlpha(grp *rsGroup, htVar float64) float64 {
 
 // groupBeta is the carried variance β_x of the group's estimation term.
 func (r *RS) groupBeta(grp *rsGroup) float64 {
-	if r.optimizeDelta {
+	if r.cfg.DeltaTarget {
 		// Delta target: the x = j−1 group needs no historical estimate
 		// (fQ = π_j − π_{j-1}), everything else carries Var(Q̃_{j-1}).
 		if grp.key == r.round-1 {
 			return 0
 		}
-		if h, ok := r.histEst(r.round-1, r.primary); ok {
+		if h, ok := r.histEst(r.round-1, 0); ok {
 			return h.Variance
 		}
 		return 0
@@ -352,7 +325,7 @@ func (r *RS) groupBeta(grp *rsGroup) float64 {
 	if grp.key == newGroupKey {
 		return 0
 	}
-	if h, ok := r.histEst(grp.key, r.primary); ok {
+	if h, ok := r.histEst(grp.key, 0); ok {
 		return h.Variance
 	}
 	return 0
@@ -431,7 +404,7 @@ func (r *RS) execute(sess Session, s hiddendb.Searcher, groups []*rsGroup, budge
 	for _, grp := range groups {
 		extra := grp.want - len(grp.updated)
 		if grp.key != newGroupKey {
-			extra = minInt(extra, len(grp.members))
+			extra = min(extra, len(grp.members))
 		}
 		for i := 0; i < extra; i++ {
 			order = append(order, grp)
@@ -574,7 +547,7 @@ func combineParts(a *agg.Aggregate, parts []groupPart) (Estimate, bool) {
 // i by combining per-group estimates (Corollary 4.2, with the
 // correlation-aware pooling described at combineParts).
 func (r *RS) combineSingle(a *agg.Aggregate, groups []*rsGroup, i int) (Estimate, bool) {
-	htVar := r.pooledHTVarianceFor(groups, i)
+	htVar := r.pooledHTVariance(groups, i)
 	var parts []groupPart
 	for _, grp := range groups {
 		n := len(grp.updated)
@@ -582,16 +555,12 @@ func (r *RS) combineSingle(a *agg.Aggregate, groups []*rsGroup, i int) (Estimate
 			continue
 		}
 		var diffPair agg.Pair
-		var terms []float64
 		for _, d := range grp.updated {
 			cs := d.cur.scaled(i)
 			if grp.key == newGroupKey {
 				diffPair.Add(cs)
-				terms = append(terms, a.Primary(cs))
 			} else {
-				ps := d.prev.scaled(i)
-				diffPair.Add(cs.Sub(ps))
-				terms = append(terms, a.Primary(cs)-a.Primary(ps))
+				diffPair.Add(cs.Sub(d.prev.scaled(i)))
 			}
 		}
 		fn := float64(n)
@@ -622,19 +591,6 @@ func (r *RS) combineSingle(a *agg.Aggregate, groups []*rsGroup, i int) (Estimate
 	return combineParts(a, parts)
 }
 
-// pooledHTVarianceFor is pooledHTVariance for an arbitrary aggregate
-// index.
-func (r *RS) pooledHTVarianceFor(groups []*rsGroup, i int) float64 {
-	var run stats.Running
-	a := r.aggs[i]
-	for _, grp := range groups {
-		for _, d := range grp.updated {
-			run.Add(a.Primary(d.cur.scaled(i)))
-		}
-	}
-	return run.Var()
-}
-
 // combineDelta estimates Q(D_j) − Q(D_{j-1}) (§4.3's fQ cases): drills
 // last updated at j−1 contribute direct paired diffs (no carried
 // variance); every other group contributes its single-round estimate
@@ -644,7 +600,7 @@ func (r *RS) combineDelta(a *agg.Aggregate, groups []*rsGroup, i int) (Estimate,
 		return Estimate{}, false
 	}
 	prevH, havePrev := r.histEst(r.round-1, i)
-	htVar := r.pooledHTVarianceFor(groups, i)
+	htVar := r.pooledHTVariance(groups, i)
 
 	var parts []groupPart
 	for _, grp := range groups {
@@ -655,11 +611,8 @@ func (r *RS) combineDelta(a *agg.Aggregate, groups []*rsGroup, i int) (Estimate,
 		if grp.key == r.round-1 {
 			// Direct paired diff: fQ = π_j − π_{j-1}, no history carried.
 			var diffPair agg.Pair
-			var terms []float64
 			for _, d := range grp.updated {
-				cs, ps := d.cur.scaled(i), d.prev.scaled(i)
-				diffPair.Add(cs.Sub(ps))
-				terms = append(terms, a.Primary(cs)-a.Primary(ps))
+				diffPair.Add(d.cur.scaled(i).Sub(d.prev.scaled(i)))
 			}
 			fn := float64(n)
 			meanPair := agg.Pair{SumF: diffPair.SumF / fn, Count: diffPair.Count / fn}
@@ -686,25 +639,19 @@ func (r *RS) combineDelta(a *agg.Aggregate, groups []*rsGroup, i int) (Estimate,
 			carried = hist.Variance
 		}
 		var curPair agg.Pair
-		var terms []float64
 		for _, d := range grp.updated {
 			cs := d.cur.scaled(i)
 			if grp.key == newGroupKey {
 				curPair.Add(cs)
-				terms = append(terms, a.Primary(cs))
 			} else {
 				ps := d.prev.scaled(i)
 				curPair.Add(agg.Pair{
 					SumF:  hist.Pair.SumF + cs.SumF - ps.SumF,
 					Count: hist.Pair.Count + cs.Count - ps.Count,
 				})
-				terms = append(terms, hist.Value+a.Primary(cs)-a.Primary(ps))
 			}
 		}
-		if len(terms) == 0 {
-			continue
-		}
-		fn := float64(len(terms))
+		fn := float64(n)
 		meanPair := agg.Pair{SumF: curPair.SumF/fn - prevH.Pair.SumF, Count: curPair.Count/fn - prevH.Pair.Count}
 		var sv float64
 		if grp.key == newGroupKey {
@@ -717,7 +664,7 @@ func (r *RS) combineDelta(a *agg.Aggregate, groups []*rsGroup, i int) (Estimate,
 			value:   a.Primary(meanPair),
 			indep:   sv / fn,
 			carried: carried + math.Max(prevH.Variance, 1e-12),
-			n:       len(terms),
+			n:       n,
 		})
 	}
 	return combineParts(a, parts)
@@ -764,8 +711,8 @@ func (r *RS) gcPool() {
 // PoolSize returns the number of live drill downs (diagnostics).
 func (r *RS) PoolSize() int { return len(r.pool) }
 
-// AdHoc evaluates a new aggregate against retained tuples of a past round
-// (requires Config.RetainTuples).
+// AdHoc evaluates a new aggregate against the retained tuples of any past
+// round still held by the pool (requires Config.RetainTuples).
 func (r *RS) AdHoc(a *agg.Aggregate, round int) (Estimate, error) {
 	return adHocPair(r.pool, a, round)
 }
@@ -782,18 +729,4 @@ func meanOr(xs []float64, def float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

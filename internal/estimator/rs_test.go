@@ -282,15 +282,6 @@ func TestMeanOr(t *testing.T) {
 	}
 }
 
-func TestMinMaxInt(t *testing.T) {
-	if minInt(2, 3) != 2 || minInt(3, 2) != 2 {
-		t.Error("minInt")
-	}
-	if maxInt(2, 3) != 3 || maxInt(3, 2) != 3 {
-		t.Error("maxInt")
-	}
-}
-
 func TestSampleVarOfMean(t *testing.T) {
 	if sampleVarOfMean(nil) != 0 || sampleVarOfMean([]float64{5}) != 0 {
 		t.Error("degenerate cases should be 0")

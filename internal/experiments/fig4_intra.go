@@ -54,7 +54,7 @@ func Fig4(opt Options) (*Figure, error) {
 			}
 			iface := hiddendb.NewIface(env.Store, p.k, nil)
 			cfg := estimator.Config{Rand: rand.New(rand.NewSource(dataSeed + rngSeedOffset)), Parallelism: opt.Parallelism}
-			est, err := newEstimator(m.algo, env.Store.Schema(), countAggs(env.Store.Schema()), cfg, nil)
+			est, err := estimator.New(string(m.algo), env.Store.Schema(), countAggs(env.Store.Schema()), cfg)
 			if err != nil {
 				return nil, err
 			}

@@ -26,7 +26,7 @@ func Fig20(opt Options) (*Figure, error) {
 	iface := am.Interface()
 	aggs := am.Aggregates()
 	cfg := estimator.Config{Rand: rand.New(rand.NewSource(opt.Seed + 7)), Parallelism: opt.Parallelism}
-	est, err := estimator.NewRS(am.Env.Store.Schema(), aggs, cfg)
+	est, err := estimator.New("RS", am.Env.Store.Schema(), aggs, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -76,8 +76,8 @@ func Fig21(opt Options) (*Figure, error) {
 	ests := map[Algo]estimator.Estimator{}
 	for _, a := range AllAlgos {
 		cfg := estimator.Config{Rand: rand.New(rand.NewSource(opt.Seed + 7)), Parallelism: opt.Parallelism}
-		e, err := newEstimator(a, eb.Env.Store.Schema(),
-			[]*agg.Aggregate{eb.FixAggregate(), eb.BidAggregate()}, cfg, nil)
+		e, err := estimator.New(string(a), eb.Env.Store.Schema(),
+			[]*agg.Aggregate{eb.FixAggregate(), eb.BidAggregate()}, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -371,7 +371,7 @@ func Fig12(opt Options) (*Figure, error) {
 	series := map[Algo][]float64{}
 	for _, n := range sizes {
 		nn := n
-		churn := maxInt(1, nn/1000)
+		churn := max(1, nn/1000)
 		spec := TrackSpec{
 			Dataset:  func(seed int64) *workload.Dataset { return workload.Scalable(seed, nn+nn/10, 50, 3) },
 			Initial:  nn,
@@ -444,11 +444,4 @@ func Fig13(opt Options) (*Figure, error) {
 		f.AddSeries(string(a), series[a])
 	}
 	return f, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/dynagg/dynagg/internal/estimator"
 	"github.com/dynagg/dynagg/internal/workload"
 )
 
@@ -55,7 +54,7 @@ func deltaParams(opt Options, paperInsert int, deleteFrac float64, rounds int) a
 		p.insert = paperInsert
 	} else {
 		// Scale insertions with the dataset so the relative churn matches.
-		p.insert = maxInt(1, paperInsert*p.n/workload.AutosSize)
+		p.insert = max(1, paperInsert*p.n/workload.AutosSize)
 	}
 	p.deleteFrac = deleteFrac
 	p.rounds = rounds
@@ -74,9 +73,8 @@ func Fig15(opt Options) (*Figure, error) {
 			func(round int, env *workload.Env) error { return env.InsertFromPool(p.insert) },
 		),
 		K: p.k, G: p.g, Rounds: p.rounds,
-		Aggs:   countAggs,
-		Delta:  true,
-		RSOpts: []estimator.RSOption{estimator.WithDeltaTarget()},
+		Aggs:  countAggs,
+		Delta: true,
 	}
 	res, err := RunTracking(spec, opt, p.trials)
 	if err != nil {
@@ -105,9 +103,8 @@ func Fig16(opt Options) (*Figure, error) {
 			func(round int, env *workload.Env) error { return env.InsertFromPool(p.insert) },
 		),
 		K: p.k, G: p.g, Rounds: p.rounds,
-		Aggs:   countAggs,
-		Delta:  true,
-		RSOpts: []estimator.RSOption{estimator.WithDeltaTarget()},
+		Aggs:  countAggs,
+		Delta: true,
 	}
 	res, err := RunTracking(spec, opt, p.trials)
 	if err != nil {
@@ -133,9 +130,8 @@ func Fig17(opt Options) (*Figure, error) {
 		Dataset: p.dataset(), Initial: p.initial,
 		Schedule: workload.FreshChurn(p.insert, p.deleteFrac),
 		K:        p.k, G: p.g, Rounds: p.rounds,
-		Aggs:   countAggs,
-		Delta:  true,
-		RSOpts: []estimator.RSOption{estimator.WithDeltaTarget()},
+		Aggs:  countAggs,
+		Delta: true,
 	}
 	res, err := RunTracking(spec, opt, p.trials)
 	if err != nil {

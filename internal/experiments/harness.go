@@ -236,14 +236,13 @@ type TrackSpec struct {
 	// Aggs builds the tracked aggregates (index 0 is the measured one).
 	Aggs func(sch *schema.Schema) []*agg.Aggregate
 	// Delta measures the trans-round delta of aggregate 0 instead of its
-	// single-round value.
+	// single-round value, and makes RS allocate its budget for it
+	// (estimator.Config.DeltaTarget).
 	Delta bool
 	// Window, when > 0, measures the running average of aggregate 0 over
 	// the last Window rounds (the Fig 14 trans-round aggregate). Mutually
 	// exclusive with Delta.
 	Window int
-	// RSOpts tweaks the RS estimator (e.g. WithDeltaTarget for deltas).
-	RSOpts []estimator.RSOption
 	// Algos lists the algorithms to run (nil = all three).
 	Algos []Algo
 	// Pilot overrides RS's bootstrap parameter ϖ (0 = default 10).
@@ -289,20 +288,6 @@ func (r *TrackResult) FinalErr(a Algo) float64 {
 	return s / float64(tail)
 }
 
-// newEstimator builds the named estimator.
-func newEstimator(a Algo, sch *schema.Schema, aggs []*agg.Aggregate, cfg estimator.Config, rsOpts []estimator.RSOption) (estimator.Estimator, error) {
-	switch a {
-	case Restart:
-		return estimator.NewRestart(sch, aggs, cfg)
-	case Reissue:
-		return estimator.NewReissue(sch, aggs, cfg)
-	case RS:
-		return estimator.NewRS(sch, aggs, cfg, rsOpts...)
-	default:
-		return nil, fmt.Errorf("experiments: unknown algorithm %q", a)
-	}
-}
-
 // trackCell is what one trial contributes to one (algorithm, round)
 // aggregate cell.
 type trackCell struct {
@@ -342,8 +327,9 @@ func runTrackingTrial(spec TrackSpec, opt Options, trial int) (*trackTrial, erro
 			Rand:        rand.New(rand.NewSource(dataSeed + rngSeedOffset)),
 			Pilot:       spec.Pilot,
 			Parallelism: opt.Parallelism,
+			DeltaTarget: spec.Delta,
 		}
-		est, err := newEstimator(a, env.Store.Schema(), spec.Aggs(env.Store.Schema()), cfg, spec.RSOpts)
+		est, err := estimator.New(string(a), env.Store.Schema(), spec.Aggs(env.Store.Schema()), cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -39,7 +39,7 @@ func (m *Manager) Handler() http.Handler {
 		mux.HandleFunc(method+" /"+httpapi.Version+pattern, h)
 	}
 	handle("GET", "/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, m.Status())
+		httpapi.WriteJSON(w, http.StatusOK, m.Status())
 	})
 	handle("GET", "/healthz", func(w http.ResponseWriter, r *http.Request) {
 		// Readiness probes fire often: answer from cheap counters instead
@@ -52,7 +52,7 @@ func (m *Manager) Handler() http.Handler {
 		if ticks == 0 {
 			code = http.StatusServiceUnavailable
 		}
-		writeJSON(w, code, map[string]any{
+		httpapi.WriteJSON(w, code, map[string]any{
 			"ticks_this_process": ticks,
 			"ticks":              m.Ticks(),
 			"tasks":              m.TaskCount(),
@@ -63,7 +63,7 @@ func (m *Manager) Handler() http.Handler {
 		m.serveMetrics(w)
 	})
 	handle("GET", "/tasks", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, m.Status().Tasks)
+		httpapi.WriteJSON(w, http.StatusOK, m.Status().Tasks)
 	})
 	handle("POST", "/tasks", func(w http.ResponseWriter, r *http.Request) {
 		var spec TaskSpec
@@ -80,7 +80,7 @@ func (m *Manager) Handler() http.Handler {
 			return
 		}
 		ts, _ := m.TaskView(spec.ID)
-		writeJSON(w, http.StatusCreated, ts)
+		httpapi.WriteJSON(w, http.StatusCreated, ts)
 	})
 	handle("GET", "/tasks/{id}", func(w http.ResponseWriter, r *http.Request) {
 		ts, ok := m.TaskView(r.PathValue("id"))
@@ -88,14 +88,14 @@ func (m *Manager) Handler() http.Handler {
 			httpapi.WriteError(w, http.StatusNotFound, httpapi.CodeNotFound, "no such task")
 			return
 		}
-		writeJSON(w, http.StatusOK, ts)
+		httpapi.WriteJSON(w, http.StatusOK, ts)
 	})
 	handle("DELETE", "/tasks/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if err := m.Remove(r.PathValue("id")); err != nil {
 			httpapi.WriteError(w, http.StatusNotFound, httpapi.CodeNotFound, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"removed": r.PathValue("id")})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"removed": r.PathValue("id")})
 	})
 	setPaused := func(paused bool) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
@@ -105,7 +105,7 @@ func (m *Manager) Handler() http.Handler {
 				return
 			}
 			ts, _ := m.TaskView(id)
-			writeJSON(w, http.StatusOK, ts)
+			httpapi.WriteJSON(w, http.StatusOK, ts)
 		}
 	}
 	handle("POST", "/tasks/{id}/pause", setPaused(true))
@@ -116,7 +116,7 @@ func (m *Manager) Handler() http.Handler {
 			httpapi.WriteError(w, http.StatusNotFound, httpapi.CodeNotFound, "no such task")
 			return
 		}
-		writeJSON(w, http.StatusOK, ts.View.Estimates)
+		httpapi.WriteJSON(w, http.StatusOK, ts.View.Estimates)
 	})
 	return mux
 }
@@ -204,10 +204,4 @@ func (m *Manager) serveMetrics(w http.ResponseWriter) {
 	}
 	w.Header().Set("Content-Type", metrics.ContentType)
 	_, _ = b.WriteTo(w)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
 }

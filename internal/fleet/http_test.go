@@ -142,6 +142,47 @@ func TestControlPlaneLifecycle(t *testing.T) {
 	}
 }
 
+// TestControlPlaneReAddOtherAlgorithm: a task removed and re-added under
+// its old ID resumes its checkpoint only under the algorithm that wrote
+// it. Another algorithm is refused with a 400 naming both, and the
+// original one still resumes.
+func TestControlPlaneReAddOtherAlgorithm(t *testing.T) {
+	mgr := fleetManager(t, []fixture{{id: "a", seed: 1234}}, 200, t.TempDir())
+	srv := httptest.NewServer(mgr.Handler())
+	t.Cleanup(srv.Close)
+	spec := TaskSpec{ID: "t", Target: "db-a", Algorithm: "REISSUE", Seed: 5}
+	if err := mgr.Add(spec); err != nil {
+		t.Fatal(err)
+	}
+	mgr.TickOnce()
+	if err := mgr.Remove("t"); err != nil {
+		t.Fatal(err)
+	}
+
+	other := spec
+	other.Algorithm = "RS"
+	resp, raw := do(t, "POST", srv.URL+"/v1/tasks", other)
+	if resp.StatusCode != 400 || !strings.Contains(string(raw), "REISSUE") || !strings.Contains(string(raw), "RS") {
+		t.Fatalf("re-add under RS: %d %s, want 400 naming both algorithms", resp.StatusCode, raw)
+	}
+	if n := mgr.Status().TaskCount; n != 0 {
+		t.Fatalf("refused re-add registered %d tasks", n)
+	}
+
+	resp, raw = do(t, "POST", srv.URL+"/v1/tasks", spec)
+	if resp.StatusCode != 201 {
+		t.Fatalf("re-add under REISSUE: %d %s", resp.StatusCode, raw)
+	}
+	var ts TaskStatus
+	if err := json.Unmarshal(raw, &ts); err != nil {
+		t.Fatal(err)
+	}
+	if v := ts.View; v.Algorithm != "REISSUE" || !v.Resumed || v.Round != 1 {
+		t.Fatalf("re-added task: algorithm %s resumed %v round %d, want REISSUE resumed at round 1",
+			v.Algorithm, v.Resumed, v.Round)
+	}
+}
+
 // TestControlPlaneConcurrentWithScheduler hammers the control plane —
 // readers on every endpoint plus add/pause/resume/delete writers — while
 // the scheduler loop advances ticks. Run under -race (make race) this

@@ -144,149 +144,6 @@ type Outcome struct {
 // P returns p(q) of the outcome's node within tree t.
 func (o Outcome) P(t *Tree) float64 { return t.P(o.Depth) }
 
-// Walk is one drill-down (fresh or update) as a resumable state machine:
-// NextQuery exposes the next interface query the walk needs, Feed consumes
-// its result, and the cycle repeats until Done. DrillFromRoot and
-// UpdateDrill are thin loops over a Walk, so the per-query and batched
-// execution paths share one implementation — identical queries, identical
-// cost accounting, identical outcomes.
-//
-// A Walk is single-goroutine; the batching executor interleaves many
-// walks in lockstep, feeding each walk one answer per wave.
-type Walk struct {
-	t    *Tree
-	sig  Signature
-	mode walkMode
-	d    int             // depth of the pending query
-	cur  hiddendb.Result // last non-overflowing result while climbing
-	cost int
-	done bool
-	out  Outcome
-	err  error
-}
-
-type walkMode int
-
-const (
-	walkDrill   walkMode = iota // descending: pending query at depth d
-	walkReissue                 // update step 1: reissue the previous top node
-	walkClimb                   // ascending: pending parent query at depth d-1
-)
-
-// NewFreshWalk starts a from-root drill down for the signature.
-func NewFreshWalk(t *Tree, sig Signature) *Walk {
-	return &Walk{t: t, sig: sig, mode: walkDrill}
-}
-
-// NewUpdateWalk starts the localized update of a previous drill down that
-// terminated at prevDepth in an earlier round.
-func NewUpdateWalk(t *Tree, sig Signature, prevDepth int) *Walk {
-	if prevDepth < 0 || prevDepth > t.Depth() {
-		panic(fmt.Sprintf("querytree: previous depth %d out of range [0,%d]", prevDepth, t.Depth()))
-	}
-	return &Walk{t: t, sig: sig, mode: walkReissue, d: prevDepth}
-}
-
-// Done reports whether the walk has terminated (successfully or not).
-func (w *Walk) Done() bool { return w.done }
-
-// NextQuery returns the interface query the walk needs answered next.
-// Must not be called on a Done walk.
-func (w *Walk) NextQuery() hiddendb.Query {
-	if w.done {
-		panic("querytree: NextQuery on a finished walk")
-	}
-	if w.mode == walkClimb {
-		return w.t.Node(w.sig, w.d-1)
-	}
-	return w.t.Node(w.sig, w.d)
-}
-
-// Feed consumes the result of the query NextQuery last returned, charging
-// one unit of cost and advancing the state machine.
-func (w *Walk) Feed(r hiddendb.Result) {
-	if w.done {
-		panic("querytree: Feed on a finished walk")
-	}
-	w.cost++
-	switch w.mode {
-	case walkDrill:
-		if !r.Overflow {
-			w.finish(Outcome{Depth: w.d, Result: r, Cost: w.cost}, nil)
-			return
-		}
-		if w.d == w.t.Depth() {
-			w.finish(Outcome{Cost: w.cost}, ErrLeafOverflow)
-			return
-		}
-		w.d++
-	case walkReissue:
-		if r.Overflow {
-			// Case 2: drill down below the previous top node.
-			if w.d == w.t.Depth() {
-				w.finish(Outcome{Cost: w.cost}, ErrLeafOverflow)
-				return
-			}
-			w.mode = walkDrill
-			w.d++
-			return
-		}
-		// Cases 1 and 3: climb until the parent overflows.
-		if w.d == 0 {
-			w.finish(Outcome{Depth: 0, Result: r, Cost: w.cost}, nil)
-			return
-		}
-		w.cur = r
-		w.mode = walkClimb
-	case walkClimb:
-		if r.Overflow {
-			w.finish(Outcome{Depth: w.d, Result: w.cur, Cost: w.cost}, nil)
-			return
-		}
-		w.d--
-		w.cur = r
-		if w.d == 0 {
-			w.finish(Outcome{Depth: 0, Result: w.cur, Cost: w.cost}, nil)
-		}
-	}
-}
-
-// Fail terminates the walk with a query-level error (budget exhaustion),
-// preserving the cost spent so far. The failed query is NOT charged —
-// matching the sequential paths, where an errored Search never increments
-// cost.
-func (w *Walk) Fail(err error) {
-	if w.done {
-		panic("querytree: Fail on a finished walk")
-	}
-	w.finish(Outcome{Cost: w.cost}, err)
-}
-
-func (w *Walk) finish(out Outcome, err error) {
-	w.out, w.err, w.done = out, err, true
-}
-
-// Outcome returns the walk's end state. Valid only once Done.
-func (w *Walk) Outcome() (Outcome, error) {
-	if !w.done {
-		panic("querytree: Outcome on an unfinished walk")
-	}
-	return w.out, w.err
-}
-
-// runWalk drives a walk to completion against a sequential Searcher.
-func runWalk(s hiddendb.Searcher, w *Walk) (Outcome, error) {
-	for !w.Done() {
-		r, err := s.Search(w.NextQuery())
-		if err != nil {
-			w.Fail(err)
-			break
-		}
-		w.Feed(r)
-	}
-	return w.Outcome()
-}
-
 // DrillFromRoot performs a fresh drill down for the signature: issue the
 // path's queries from the root downward until the first node that does not
 // overflow (the static algorithm of [13], one drill-down instance).
@@ -294,7 +151,18 @@ func runWalk(s hiddendb.Searcher, w *Walk) (Outcome, error) {
 // On budget exhaustion it returns hiddendb.ErrBudgetExhausted together
 // with the cost already spent.
 func DrillFromRoot(s hiddendb.Searcher, t *Tree, sig Signature) (Outcome, error) {
-	return runWalk(s, NewFreshWalk(t, sig))
+	cost := 0
+	for d := 0; d <= t.Depth(); d++ {
+		r, err := s.Search(t.Node(sig, d))
+		if err != nil {
+			return Outcome{Cost: cost}, err
+		}
+		cost++
+		if !r.Overflow {
+			return Outcome{Depth: d, Result: r, Cost: cost}, nil
+		}
+	}
+	return Outcome{Cost: cost}, ErrLeafOverflow
 }
 
 // UpdateDrill refreshes a previous drill down that terminated at prevDepth
@@ -309,9 +177,48 @@ func DrillFromRoot(s hiddendb.Searcher, t *Tree, sig Signature) (Outcome, error)
 //
 // When the database did not change, this costs exactly two queries (one to
 // reissue q, one to re-verify its parent), the constant the RS analysis
-// (§4.1) relies on.
+// (§4.1) relies on. Like DrillFromRoot, it returns the cost already spent
+// with any query error.
 func UpdateDrill(s hiddendb.Searcher, t *Tree, sig Signature, prevDepth int) (Outcome, error) {
-	return runWalk(s, NewUpdateWalk(t, sig, prevDepth))
+	if prevDepth < 0 || prevDepth > t.Depth() {
+		panic(fmt.Sprintf("querytree: previous depth %d out of range [0,%d]", prevDepth, t.Depth()))
+	}
+	cost := 0
+	d := prevDepth
+	r, err := s.Search(t.Node(sig, d))
+	if err != nil {
+		return Outcome{Cost: cost}, err
+	}
+	cost++
+	if r.Overflow {
+		// Case 2: drill down below q.
+		for d < t.Depth() {
+			d++
+			r2, err := s.Search(t.Node(sig, d))
+			if err != nil {
+				return Outcome{Cost: cost}, err
+			}
+			cost++
+			if !r2.Overflow {
+				return Outcome{Depth: d, Result: r2, Cost: cost}, nil
+			}
+		}
+		return Outcome{Cost: cost}, ErrLeafOverflow
+	}
+	// Cases 1 and 3: q does not overflow; climb until the parent overflows.
+	for d > 0 {
+		pr, err := s.Search(t.Node(sig, d-1))
+		if err != nil {
+			return Outcome{Cost: cost}, err
+		}
+		cost++
+		if pr.Overflow {
+			return Outcome{Depth: d, Result: r, Cost: cost}, nil
+		}
+		d--
+		r = pr
+	}
+	return Outcome{Depth: 0, Result: r, Cost: cost}, nil
 }
 
 // ExpectedDrillDepthLowerBound returns the paper's Theorem 3.2 lower bound

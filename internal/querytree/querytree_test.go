@@ -3,6 +3,7 @@ package querytree
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/dynagg/dynagg/internal/hiddendb"
@@ -509,4 +510,117 @@ func TestUpdateDrillAfterTotalDeletion(t *testing.T) {
 	if u.Cost != o.Depth+1 {
 		t.Errorf("roll-up cost %d, want %d", u.Cost, o.Depth+1)
 	}
+}
+
+// recorder logs the key of every query that reaches the database.
+type recorder struct {
+	hiddendb.BatchSearcher
+	keys []string
+}
+
+func (r *recorder) Search(q hiddendb.Query) (hiddendb.Result, error) {
+	r.keys = append(r.keys, q.Key())
+	return r.BatchSearcher.Search(q)
+}
+
+// TestDrillBudgetCuts cuts fresh drills and updates short at every budget
+// below their cost. A cut walk must stop with ErrBudgetExhausted after
+// exactly the first b queries of the unbudgeted walk, and a budget equal
+// to the cost must reproduce the unbudgeted outcome. The store is churned
+// between the fresh drills and their updates so that every UpdateDrill
+// case occurs: drilling below the previous node, climbing above it, and
+// staying at it.
+func TestDrillBudgetCuts(t *testing.T) {
+	st := buildStore(t, 51, 3000, []int{8, 7, 6, 5, 4})
+	f := hiddendb.NewIface(st, 10, nil)
+	tr := New(st.Schema())
+	rng := rand.New(rand.NewSource(52))
+
+	// check runs walk unbudgeted, then at every budget up to its cost.
+	check := func(label string, walk func(s hiddendb.Searcher) (Outcome, error)) Outcome {
+		t.Helper()
+		full := &recorder{BatchSearcher: f}
+		want, err := walk(full)
+		if err != nil {
+			t.Fatalf("%s: unbudgeted walk: %v", label, err)
+		}
+		if want.Cost != len(full.keys) {
+			t.Fatalf("%s: cost %d, issued %d queries", label, want.Cost, len(full.keys))
+		}
+		for b := 1; b <= want.Cost; b++ {
+			rec := &recorder{BatchSearcher: f}
+			s := hiddendb.NewSession(rec, b)
+			got, err := walk(s)
+			if !reflect.DeepEqual(rec.keys, full.keys[:b]) {
+				t.Fatalf("%s budget %d: issued %v, want %v", label, b, rec.keys, full.keys[:b])
+			}
+			if b == want.Cost {
+				if err != nil || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s budget %d: got %+v, %v; want %+v", label, b, got, err, want)
+				}
+				continue
+			}
+			if err != hiddendb.ErrBudgetExhausted {
+				t.Fatalf("%s budget %d: err = %v, want budget exhausted", label, b, err)
+			}
+			if got.Cost != b || s.Used() != b {
+				t.Fatalf("%s budget %d: cost %d, session used %d", label, b, got.Cost, s.Used())
+			}
+		}
+		return want
+	}
+
+	sigs := make([]Signature, 60)
+	depths := make([]int, len(sigs))
+	for i := range sigs {
+		sig := tr.RandomSignature(rng)
+		o := check("fresh", func(s hiddendb.Searcher) (Outcome, error) { return DrillFromRoot(s, tr, sig) })
+		sigs[i], depths[i] = sig, o.Depth
+	}
+
+	// Shrink the half of the tree under A1 >= 4 and grow the other half,
+	// so updates both climb and drill below their previous nodes.
+	for _, id := range st.IDs() {
+		if st.Get(id).Vals[0] >= 4 && rng.Float64() < 0.7 {
+			if _, err := st.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	seen := make(map[string]bool)
+	st.ForEach(func(tu *schema.Tuple) { seen[tu.Key()] = true })
+	for added := 0; added < 1500; {
+		vals := make([]uint16, 5)
+		for i := range vals {
+			vals[i] = uint16(rng.Intn(st.Schema().DomainSize(i)))
+		}
+		vals[0] %= 4
+		tu := &schema.Tuple{ID: st.NextID(), Vals: vals}
+		if seen[tu.Key()] {
+			continue
+		}
+		seen[tu.Key()] = true
+		if err := st.Insert(tu); err != nil {
+			t.Fatal(err)
+		}
+		added++
+	}
+
+	var below, climb, stay int
+	for i, sig := range sigs {
+		prev := depths[i]
+		o := check("update", func(s hiddendb.Searcher) (Outcome, error) { return UpdateDrill(s, tr, sig, prev) })
+		switch {
+		case o.Depth > prev:
+			below++
+		case o.Depth < prev:
+			climb++
+		default:
+			stay++
+		}
+	}
+	if below == 0 || climb == 0 || stay == 0 {
+		t.Fatalf("update cases: %d below, %d climb, %d stay; want all three", below, climb, stay)
+	}
+	t.Logf("update cases: %d below, %d climb, %d stay", below, climb, stay)
 }

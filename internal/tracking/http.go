@@ -1,7 +1,6 @@
 package tracking
 
 import (
-	"encoding/json"
 	"net/http"
 	"time"
 
@@ -35,10 +34,10 @@ func (s *Service) Handler() http.Handler {
 		mux.HandleFunc("GET /"+httpapi.Version+pattern, h)
 	}
 	handle("/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.statusView())
+		httpapi.WriteJSON(w, http.StatusOK, s.statusView())
 	})
 	handle("/estimates", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.CurrentView().Estimates)
+		httpapi.WriteJSON(w, http.StatusOK, s.CurrentView().Estimates)
 	})
 	handle("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		v := s.CurrentView()
@@ -118,9 +117,4 @@ func (s *Service) serveMetrics(w http.ResponseWriter) {
 	}
 	w.Header().Set("Content-Type", metrics.ContentType)
 	_, _ = b.WriteTo(w)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
 }

@@ -50,6 +50,7 @@ type SessionSource func(budget int) Session
 // Config tunes a Service.
 type Config struct {
 	// Algorithm picks the estimator: RESTART, REISSUE or RS (default).
+	// A checkpoint resumes only under the algorithm that wrote it.
 	Algorithm string
 	// Aggregates are the tracked aggregate specs (required). On resume
 	// they must match the checkpoint (same count and order).
@@ -157,8 +158,9 @@ type EstimateDelta struct {
 
 // New builds a service over the given schema and session source. When
 // Config.CheckpointPath names an existing file, the estimator state is
-// resumed from it (the aggregate list must match the checkpoint);
-// otherwise a fresh estimator starts at round 0.
+// resumed from it: the aggregate list must match the checkpoint, and a
+// checkpoint of another algorithm than Config.Algorithm is refused.
+// Otherwise a fresh estimator starts at round 0.
 func New(sch *schema.Schema, source SessionSource, cfg Config) (*Service, error) {
 	if sch == nil || source == nil {
 		return nil, errors.New("tracking: schema and session source required")
@@ -171,6 +173,7 @@ func New(sch *schema.Schema, source SessionSource, cfg Config) (*Service, error)
 		Pilot:       cfg.Pilot,
 		MaxDrills:   cfg.MaxDrills,
 		Parallelism: cfg.Parallelism,
+		DeltaTarget: cfg.DeltaTarget,
 	}
 	var est estimator.Estimator
 	resumed := false
@@ -183,6 +186,14 @@ func New(sch *schema.Schema, source SessionSource, cfg Config) (*Service, error)
 			if err != nil {
 				return nil, fmt.Errorf("tracking: resume %s: %w", cfg.CheckpointPath, err)
 			}
+			want := cfg.Algorithm
+			if want == "" {
+				want = "RS"
+			}
+			if est.Name() != want {
+				return nil, fmt.Errorf("tracking: resume %s: checkpoint holds %s, config asks for %s",
+					cfg.CheckpointPath, est.Name(), want)
+			}
 			resumed = true
 		case !os.IsNotExist(err):
 			return nil, fmt.Errorf("tracking: checkpoint: %w", err)
@@ -190,21 +201,7 @@ func New(sch *schema.Schema, source SessionSource, cfg Config) (*Service, error)
 	}
 	if est == nil {
 		var err error
-		switch algo := cfg.Algorithm; algo {
-		case "RESTART":
-			est, err = estimator.NewRestart(sch, cfg.Aggregates, ecfg)
-		case "REISSUE":
-			est, err = estimator.NewReissue(sch, cfg.Aggregates, ecfg)
-		case "RS", "":
-			var opts []estimator.RSOption
-			if cfg.DeltaTarget {
-				opts = append(opts, estimator.WithDeltaTarget())
-			}
-			est, err = estimator.NewRS(sch, cfg.Aggregates, ecfg, opts...)
-		default:
-			err = fmt.Errorf("tracking: unknown algorithm %q", algo)
-		}
-		if err != nil {
+		if est, err = estimator.New(cfg.Algorithm, sch, cfg.Aggregates, ecfg); err != nil {
 			return nil, err
 		}
 	}

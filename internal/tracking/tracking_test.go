@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -104,6 +105,37 @@ func TestServiceCheckpointResume(t *testing.T) {
 	}
 	if got := svc2.CurrentView().Round; got != before.Round+1 {
 		t.Fatalf("round after resumed step = %d", got)
+	}
+}
+
+// TestServiceRefusesCheckpointOfAnotherAlgorithm: a checkpoint resumes
+// only under the algorithm that wrote it, where an empty Algorithm means
+// RS. Resuming it under another name must fail and name both algorithms,
+// not silently run the checkpoint's estimator.
+func TestServiceRefusesCheckpointOfAnotherAlgorithm(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "track.ckpt")
+	svc, _ := newLocalService(t, 250, ckpt) // REISSUE
+	if err := svc.StepOnce(); err != nil {
+		t.Fatal(err)
+	}
+	data := workload.AutosLikeN(250, 10000, 10)
+	env, err := workload.NewEnv(data, 9000, 251)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iface := hiddendb.NewIface(env.Store, 100, nil)
+	for _, algo := range []string{"RS", ""} {
+		svc2, err := New(iface.Schema(), func(g int) Session { return iface.NewSession(g) }, Config{
+			Algorithm:      algo,
+			Aggregates:     []*agg.Aggregate{agg.CountAll()},
+			CheckpointPath: ckpt,
+		})
+		if err == nil {
+			t.Fatalf("Algorithm %q resumed a REISSUE checkpoint (running %s)", algo, svc2.CurrentView().Algorithm)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "REISSUE") || !strings.Contains(msg, "RS") {
+			t.Errorf("Algorithm %q: error %q does not name both algorithms", algo, msg)
+		}
 	}
 }
 

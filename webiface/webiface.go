@@ -346,7 +346,7 @@ type wireStats struct {
 }
 
 func (h *Handler) serveStats(w http.ResponseWriter) {
-	writeJSON(w, wireStats{
+	httpapi.WriteJSON(w, http.StatusOK, wireStats{
 		K:       h.b.K(),
 		Queries: h.b.TotalQueries(),
 		Version: h.b.Version(),
@@ -368,7 +368,7 @@ func (h *Handler) serveSchema(w http.ResponseWriter) {
 		a := sch.Attr(i)
 		out.Attrs = append(out.Attrs, wireAttr{Name: a.Name, Domain: a.Domain, Nullable: a.Nullable})
 	}
-	writeJSON(w, out)
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
 // parseWhere validates and assembles one batch query's "attr:value"
@@ -629,11 +629,6 @@ func parsePred(raw string) (int, uint16, error) {
 		return 0, 0, fmt.Errorf("webiface: bad value in %q", raw)
 	}
 	return attr, uint16(val), nil
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 // RequestFunc builds the HTTP request for a conjunctive query. The
