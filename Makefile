@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-serving bench-load bench-load-router bench-smoke fmt fmt-check vet perfbench-check promcheck loc ci
+.PHONY: build test race fuzz bench bench-serving bench-load bench-load-router bench-smoke fmt fmt-check vet perfbench-check promcheck loc ci
 
 build:
 	$(GO) build ./...
@@ -55,6 +55,18 @@ race:
 		./internal/tracking/ ./internal/fleet/ ./internal/hiddendb/ \
 		./internal/router/ ./webiface/ ./internal/obs/ \
 		./internal/metrics/promcheck/
+
+# fuzz runs each native fuzz target for a bounded time: the client's
+# wire-answer walk (GET and batch) differential against encoding/json,
+# and the handler's query-string walk differential against net/url. The
+# committed seed corpora under webiface/testdata/fuzz also run in every
+# plain go test; `go test -fuzz` takes one target per run.
+FUZZTIME ?= 10s
+FUZZ_TARGETS := FuzzParseWireResult FuzzParseWireBatch FuzzParseSearchParams
+fuzz:
+	@for t in $(FUZZ_TARGETS); do \
+		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./webiface/ || exit 1; \
+	done
 
 # promcheck scrapes the LIVE /v1/metrics of all four daemons' handlers
 # (serve, track, fleet, router) and holds each document to the strict
@@ -129,4 +141,4 @@ bench-load-router:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-ci: build test vet perfbench-check fmt-check loc promcheck race bench-smoke
+ci: build test vet perfbench-check fmt-check loc promcheck race fuzz bench-smoke

@@ -23,7 +23,7 @@ import (
 // faultInjector sits between a shard's HTTP server and its admin
 // handler, injecting the failure modes the router must survive.
 type faultInjector struct {
-	next http.Handler
+	next http.Handler // swappable under mu: a restart behind the same address
 
 	mu             sync.Mutex
 	failNextSearch int           // 500 this many /v1/search requests, then recover
@@ -41,6 +41,7 @@ func (fi *faultInjector) set(f func(*faultInjector)) {
 
 func (fi *faultInjector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	fi.mu.Lock()
+	next := fi.next
 	fail := false
 	var delay time.Duration
 	switch r.URL.Path {
@@ -69,7 +70,7 @@ func (fi *faultInjector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, http.StatusInternalServerError, httpapi.CodeInternal, "injected fault")
 		return
 	}
-	fi.next.ServeHTTP(w, r)
+	next.ServeHTTP(w, r)
 }
 
 // TestRouterRetriesTransientShardFailures: a shard that 500s twice and
@@ -124,6 +125,40 @@ func TestRouterFailsFastOnDeadShard(t *testing.T) {
 	gotCode, gotBody := fetch(t, http.MethodGet, rtSrv.URL+"/v1/search?where=0:1", "", "")
 	if gotCode != wantCode || gotBody != wantBody {
 		t.Fatalf("post-recovery answer diverges: %d %q vs %d %q", gotCode, gotBody, wantCode, wantBody)
+	}
+}
+
+// TestRouterRefusesShardUnderOtherK: a shard daemon restarted behind
+// the same address with another -k passes the next handshake, which
+// checks epochs, not k. Its shorter partials must not merge into a 200:
+// the shard client refuses every answer under another k than it dialed,
+// without retrying, and the router answers GETs and batches with the
+// unavailable envelope naming both values.
+func TestRouterRefusesShardUnderOtherK(t *testing.T) {
+	injectors := make(map[int]*faultInjector)
+	f := newFleet(t, 2, 40, 300, func(i int, h http.Handler) http.Handler {
+		fi := &faultInjector{next: h}
+		injectors[i] = fi
+		return fi
+	})
+	rt, rtSrv := dialRouter(t, f, Options{Client: webiface.ClientOptions{Retries: 2, RequestTimeout: 2 * time.Second}})
+	f.round(rt)
+
+	restarted := NewShardAdmin(f.stores[1], webiface.NewHandler(hiddendb.NewShardedIface(f.stores[1], 3, nil)), AdminOptions{})
+	injectors[1].set(func(fi *faultInjector) { fi.next = restarted })
+	f.round(rt)
+
+	const named = "answered k=3, dialed k=25"
+	code, body := fetch(t, http.MethodGet, rtSrv.URL+"/v1/search?where=0:1", "", "")
+	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"unavailable"`) || !strings.Contains(body, named) {
+		t.Fatalf("GET with a shard under k=3: %d %q, want 503 unavailable envelope naming %q", code, body, named)
+	}
+	code, body = fetch(t, http.MethodPost, rtSrv.URL+"/v1/search", "", batchBody([][]string{{"0:1"}, {}}))
+	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"unavailable"`) || !strings.Contains(body, named) {
+		t.Fatalf("batch with a shard under k=3: %d %q, want 503 unavailable envelope naming %q", code, body, named)
+	}
+	if n := rt.RetryCount(); n != 0 {
+		t.Fatalf("an answer under another k was retried %d times", n)
 	}
 }
 

@@ -50,24 +50,39 @@ func putReqScratch(sc *reqScratch) {
 	reqScratchPool.Put(sc)
 }
 
-// encodeBufPool recycles whole-result encode buffers; only the
-// exact-size copy retained on the Answer is allocated per encode.
-var encodeBufPool = sync.Pool{New: func() any {
+// bufPool recycles the whole-answer byte buffers of both sides: the
+// handler's encode buffer, of which only the exact-size copy retained on
+// the Answer is allocated per encode, and the client's read buffer, which
+// no decoded Result aliases. Each buffer is owned by one call from getBuf
+// to putBuf.
+var bufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 4096)
 	return &b
 }}
+
+// maxPooledBuf bounds the buffers bufPool keeps: one huge answer must not
+// pin its memory in the pool for the life of the process.
+const maxPooledBuf = 1 << 20
+
+func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
+
+func putBuf(bp *[]byte) {
+	if cap(*bp) <= maxPooledBuf {
+		bufPool.Put(bp)
+	}
+}
 
 // encodeResult renders one search answer to a fresh exact-size byte
 // slice (no trailing newline — callers splice or append it). The slice
 // is retained forever on the Answer that memoizes it, so it must not
 // alias pooled memory.
 func (h *Handler) encodeResult(res hiddendb.Result) []byte {
-	bp := encodeBufPool.Get().(*[]byte)
+	bp := getBuf()
 	b := appendWireResult((*bp)[:0], h.b.K(), res)
 	out := make([]byte, len(b))
 	copy(out, b)
 	*bp = b
-	encodeBufPool.Put(bp)
+	putBuf(bp)
 	return out
 }
 
@@ -249,9 +264,12 @@ func sortPreds(preds []hiddendb.Pred) {
 	}
 }
 
-// readBody drains a batch request body into the pooled scratch buffer.
-func readBody(r io.Reader, sc *reqScratch) ([]byte, error) {
-	b := sc.body[:0]
+// readBody reads r to EOF into b's storage, growing it as needed: a
+// handler's batch request into its pooled scratch, a client's answer
+// into a pooled buffer. It returns the grown buffer on error too, so
+// the caller can keep it.
+func readBody(r io.Reader, b []byte) ([]byte, error) {
+	b = b[:0]
 	if cap(b) == 0 {
 		b = make([]byte, 0, 4096)
 	}
@@ -262,12 +280,10 @@ func readBody(r io.Reader, sc *reqScratch) ([]byte, error) {
 		n, err := r.Read(b[len(b):cap(b)])
 		b = b[:len(b)+n]
 		if err == io.EOF {
-			sc.body = b
 			return b, nil
 		}
 		if err != nil {
-			sc.body = b
-			return nil, err
+			return b, err
 		}
 	}
 }

@@ -28,8 +28,10 @@
 // Serving is wire-level fast-pathed (encode.go): requests parse into
 // pooled scratch, answers memoize their serialized JSON on the shared
 // per-version cache entry, and repeat queries under an unchanged
-// version are served with a single pre-encoded buffer write. docs/perf.md
-// ("Wire fast path") documents the ownership rules.
+// version are served with a single pre-encoded buffer write. A Client
+// decodes native answers with the inverse walk (decode.go) and falls back
+// to encoding/json on any other body. docs/perf.md ("Wire fast path")
+// documents the ownership rules.
 //
 // Real sites need a site-specific request builder and response parser;
 // both are injectable (RequestFunc / ParseFunc).
@@ -39,9 +41,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -426,9 +428,8 @@ func (h *Handler) serveSearch(w http.ResponseWriter, r *http.Request) {
 	// Charge the budget only for well-formed queries: a request rejected
 	// at parse time was never answered, so it must not burn a unit of G.
 	if !h.consumeBudget(key) {
-		httpapi.WriteError(w, http.StatusTooManyRequests, httpapi.CodeBudgetExhausted,
-			"per-round query budget exhausted")
-		h.recordSearchFailure(r, start, routeSearch, http.StatusTooManyRequests, "per-round query budget exhausted")
+		httpapi.WriteError(w, http.StatusTooManyRequests, httpapi.CodeBudgetExhausted, budgetExhaustedMsg)
+		h.recordSearchFailure(r, start, routeSearch, http.StatusTooManyRequests, budgetExhaustedMsg)
 		return
 	}
 	sortPreds(sc.preds)
@@ -513,17 +514,14 @@ func (h *Handler) record(r *http.Request, rec obs.RequestRecord) {
 	h.reqlog.Record(rec)
 }
 
-// serveSearchBatch answers a POST /search: many queries, one round trip,
-// one snapshot/epoch pin, one budget charge per query. Any malformed
-// query rejects the WHOLE batch with 400 before any budget is charged;
-// after that, queries are charged in order and the ones the per-key
-// budget cannot cover come back as per-item budget_exhausted errors while
-// the covered ones are answered together via Backend.SearchBatchAnswer.
+// budgetExhaustedMsg is the message of every budget_exhausted envelope.
+const budgetExhaustedMsg = "per-round query budget exhausted"
+
 // batchBudgetErrJSON is the pre-rendered wireBatchItem for a query the
 // per-key budget could not cover — byte-identical to encoding/json over
 // the equivalent envelope payload.
 const batchBudgetErrJSON = `{"error":{"code":"` + httpapi.CodeBudgetExhausted +
-	`","message":"per-round query budget exhausted"}}`
+	`","message":"` + budgetExhaustedMsg + `"}}`
 
 // decodeBatch unmarshals a batch body into the pooled scratch's request
 // struct. encoding/json decodes into the existing backing array when
@@ -537,11 +535,18 @@ func decodeBatch(body []byte, sc *reqScratch) error {
 	return json.Unmarshal(body, &sc.req)
 }
 
+// serveSearchBatch answers a POST /search: many queries, one round trip,
+// one snapshot/epoch pin, one budget charge per query. Any malformed
+// query rejects the WHOLE batch with 400 before any budget is charged;
+// after that, queries are charged in order and the ones the per-key
+// budget cannot cover come back as per-item budget_exhausted errors while
+// the covered ones are answered together via Backend.SearchBatchAnswer.
 func (h *Handler) serveSearchBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sc := getReqScratch()
 	defer putReqScratch(sc)
-	body, err := readBody(r.Body, sc)
+	body, err := readBody(r.Body, sc.body)
+	sc.body = body
 	if err != nil {
 		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, "batch decode: "+err.Error())
 		h.recordSearchFailure(r, start, routeSearchBatch, http.StatusBadRequest, "batch decode: "+err.Error())
@@ -635,8 +640,9 @@ func parsePred(raw string) (int, uint16, error) {
 // default encodes the /search?where=attr:value convention.
 type RequestFunc func(ctx context.Context, base string, q hiddendb.Query) (*http.Request, error)
 
-// ParseFunc decodes an HTTP response into a search result. The default
-// decodes wireResult.
+// ParseFunc decodes an HTTP response into a search result for a
+// site-specific wire format. The native format needs none: without one,
+// a Client walks each answer with its own decoder (see ClientOptions).
 type ParseFunc func(resp *http.Response) (hiddendb.Result, error)
 
 // ClientOptions tunes a Client.
@@ -659,7 +665,10 @@ type ClientOptions struct {
 	APIKey string
 	// Request and Parse override the wire format for site-specific APIs.
 	Request RequestFunc
-	// Parse decodes responses.
+	// Parse decodes responses. When nil, the client decodes the native
+	// wire itself: a walk over the exact layout the Handler writes, with
+	// encoding/json for any other body, refusing (without retry) an answer
+	// whose k differs from the k the client dialed.
 	Parse ParseFunc
 	// ObserveResponse, when set, is called with every HTTP response the
 	// native wire receives, after transport success and before status
@@ -727,9 +736,6 @@ func Dial(base string, opts ClientOptions) (*Client, error) {
 	custom := opts.Request != nil || opts.Parse != nil
 	if opts.Request == nil {
 		opts.Request = defaultRequest
-	}
-	if opts.Parse == nil {
-		opts.Parse = defaultParse
 	}
 	c := &Client{base: strings.TrimRight(base, "/"), http: opts.HTTPClient, opts: opts, customWire: custom}
 
@@ -904,26 +910,12 @@ func (c *Client) batchAttempt(ctx context.Context, qs []hiddendb.Query) (items [
 	case resp.StatusCode != http.StatusOK:
 		return nil, resp.StatusCode >= 500, statusError("batch search", resp)
 	}
-	var wr wireBatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil {
-		return nil, true, fmt.Errorf("webiface: batch decode: %w", err)
+	items, err = c.readBatch(resp.Body)
+	if err != nil {
+		return nil, !errors.Is(err, errAnswerK), err
 	}
-	if len(wr.Results) != len(qs) {
-		return nil, false, fmt.Errorf("webiface: batch answered %d of %d queries", len(wr.Results), len(qs))
-	}
-	items = make([]hiddendb.BatchItem, len(qs))
-	for i, it := range wr.Results {
-		switch {
-		case it.Error != nil && it.Error.Code == httpapi.CodeBudgetExhausted:
-			items[i].Err = &BudgetExhaustedError{Status: it.Error.Message}
-		case it.Error != nil:
-			e := *it.Error
-			items[i].Err = fmt.Errorf("webiface: batch item %d: %w", i, &e)
-		case it.Result != nil:
-			items[i].Result = resultFromWire(*it.Result)
-		default:
-			items[i].Err = fmt.Errorf("webiface: batch item %d: empty", i)
-		}
+	if len(items) != len(qs) {
+		return nil, false, fmt.Errorf("webiface: batch answered %d of %d queries", len(items), len(qs))
 	}
 	return items, false, nil
 }
@@ -967,9 +959,13 @@ func (c *Client) attempt(ctx context.Context, q hiddendb.Query) (res hiddendb.Re
 	case resp.StatusCode != http.StatusOK:
 		return hiddendb.Result{}, resp.StatusCode >= 500, statusError("search", resp)
 	}
-	res, err = c.opts.Parse(resp)
+	if c.opts.Parse != nil {
+		res, err = c.opts.Parse(resp)
+	} else {
+		res, err = c.readAnswer(resp.Body)
+	}
 	if err != nil {
-		return hiddendb.Result{}, true, err
+		return hiddendb.Result{}, !errors.Is(err, errAnswerK), err
 	}
 	return res, false, nil
 }
@@ -1019,33 +1015,22 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 var _ hiddendb.Searcher = (*Client)(nil)
 
+// defaultRequest sends the predicates as where=attr:value in q.Preds()
+// order. Digits and ':' need no escaping in a query, and an unescaped
+// query string is the one the Handler walks without net/url.
 func defaultRequest(ctx context.Context, base string, q hiddendb.Query) (*http.Request, error) {
-	vals := url.Values{}
-	for _, p := range q.Preds() {
-		vals.Add("where", fmt.Sprintf("%d:%d", p.Attr, p.Val))
+	u := []byte(base + "/" + httpapi.Version + "/search")
+	for i, p := range q.Preds() {
+		if i == 0 {
+			u = append(u, "?where="...)
+		} else {
+			u = append(u, "&where="...)
+		}
+		u = strconv.AppendInt(u, int64(p.Attr), 10)
+		u = append(u, ':')
+		u = strconv.AppendUint(u, uint64(p.Val), 10)
 	}
-	u := base + "/" + httpapi.Version + "/search"
-	if enc := vals.Encode(); enc != "" {
-		u += "?" + enc
-	}
-	return http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-}
-
-func defaultParse(resp *http.Response) (hiddendb.Result, error) {
-	var wr wireResult
-	if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil {
-		return hiddendb.Result{}, fmt.Errorf("webiface: result decode: %w", err)
-	}
-	return resultFromWire(wr), nil
-}
-
-// resultFromWire converts a decoded wire result to the engine type.
-func resultFromWire(wr wireResult) hiddendb.Result {
-	out := hiddendb.Result{Overflow: wr.Overflow}
-	for _, t := range wr.Tuples {
-		out.Tuples = append(out.Tuples, &schema.Tuple{ID: t.ID, Vals: t.Vals, Aux: t.Aux})
-	}
-	return out
+	return http.NewRequestWithContext(ctx, http.MethodGet, string(u), nil)
 }
 
 // NewSession starts a budgeted round against the remote database: a
