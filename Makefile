@@ -56,16 +56,19 @@ race:
 		./internal/router/ ./webiface/ ./internal/obs/ \
 		./internal/metrics/promcheck/
 
-# fuzz runs each native fuzz target for a bounded time: the client's
-# wire-answer walk (GET and batch) differential against encoding/json,
-# and the handler's query-string walk differential against net/url. The
-# committed seed corpora under webiface/testdata/fuzz also run in every
-# plain go test; `go test -fuzz` takes one target per run.
+# fuzz runs each native fuzz target for a bounded time, in its own
+# package: the client's wire-answer walk (GET and batch) differential
+# against encoding/json, the handler's query-string walk differential
+# against net/url, and the estimator checkpoint loader, which must refuse
+# or survive any bytes. The committed seed corpora under each package's
+# testdata/fuzz also run in every plain go test; `go test -fuzz` takes
+# one target per run. Entries are package:target.
 FUZZTIME ?= 10s
-FUZZ_TARGETS := FuzzParseWireResult FuzzParseWireBatch FuzzParseSearchParams
+FUZZ_TARGETS := ./webiface/:FuzzParseWireResult ./webiface/:FuzzParseWireBatch \
+	./webiface/:FuzzParseSearchParams ./internal/estimator/:FuzzLoad
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
-		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./webiface/ || exit 1; \
+		$(GO) test -run '^$$' -fuzz "^$${t##*:}$$" -fuzztime $(FUZZTIME) "$${t%%:*}" || exit 1; \
 	done
 
 # promcheck scrapes the LIVE /v1/metrics of all four daemons' handlers

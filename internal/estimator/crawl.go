@@ -10,6 +10,8 @@ import (
 // enumerate the entire database through the restrictive interface by a
 // depth-first traversal of the query tree, descending only into
 // overflowing nodes (a non-overflowing node's result is already complete).
+// It reads tuples only from non-overflowing nodes, so every node query is
+// a probe (querytree.Tree.Probe).
 // Once two consecutive snapshots exist, every insertion/deletion is known
 // exactly — but as [28] (Sheng et al., VLDB 2012) shows and the paper
 // reiterates, the query cost is prohibitive for realistic budgets, which
@@ -59,7 +61,7 @@ func (c *Crawl) Run(s hiddendb.Searcher) (CrawlResult, error) {
 	}
 
 	// Query the root first.
-	root, err := s.Search(c.tree.Node(sig, 0))
+	root, err := s.Search(c.tree.Probe(sig, 0))
 	if err != nil {
 		return res, err
 	}
@@ -81,7 +83,7 @@ func (c *Crawl) Run(s hiddendb.Searcher) (CrawlResult, error) {
 		}
 		sig[f.depth] = uint16(f.next)
 		f.next++
-		r, err := s.Search(c.tree.Node(sig, f.depth+1))
+		r, err := s.Search(c.tree.Probe(sig, f.depth+1))
 		if err != nil {
 			return res, err
 		}

@@ -59,6 +59,48 @@ func TestCrawlCompleteSnapshotMatchesTruth(t *testing.T) {
 	}
 }
 
+// overflowCounter counts the overflowing answers a searcher returns.
+type overflowCounter struct {
+	hiddendb.Searcher
+	n uint64
+}
+
+func (c *overflowCounter) Search(q hiddendb.Query) (hiddendb.Result, error) {
+	r, err := c.Searcher.Search(q)
+	if r.Overflow {
+		c.n++
+	}
+	return r, err
+}
+
+// TestCrawlMarksProbes: the crawl marks every node query as a probe,
+// so on a local Iface a repeated crawl misses the answer cache at every
+// overflowing node, which its range length decides, and hits it at
+// every other node.
+func TestCrawlMarksProbes(t *testing.T) {
+	env, err := workload.NewEnv(workload.AutosLikeN(3, 3000, 8), 2500, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iface := hiddendb.NewIface(env.Store, 100, nil)
+	iface.Snapshot()
+	c := NewCrawl(env.Store.Schema())
+	if _, err := c.Run(iface); err != nil {
+		t.Fatal(err)
+	}
+	before := iface.CacheStats()
+	oc := &overflowCounter{Searcher: iface}
+	res, err := c.Run(oc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := iface.CacheStats()
+	hits, misses := got.Hits-before.Hits, got.Misses-before.Misses
+	if misses != oc.n || hits+misses != uint64(res.NodesVisited) {
+		t.Fatalf("repeated crawl of %d nodes, %d overflowing: %d hits, %d misses", res.NodesVisited, oc.n, hits, misses)
+	}
+}
+
 // The point of the strawman: under a realistic budget the crawl cannot
 // finish a round, while the estimators deliver usable estimates.
 func TestCrawlProhibitiveUnderBudget(t *testing.T) {

@@ -177,11 +177,110 @@ func (s *snapshot) restoreBase(b *base) {
 	b.deltas, b.deltaOK = snapToEstimates(s.Deltas)
 }
 
+// fit reports the first field of the decoded checkpoint that does not fit
+// e, the fresh estimator it is about to restore into: a drill outside e's
+// tree, or a per-aggregate slice of another length, would panic in the
+// next Step or Estimate, and a signature value outside its level's domain
+// would silently bias every estimate.
+func (s *snapshot) fit(e Estimator) error {
+	type sized struct {
+		field string
+		ests  []snapEstimate
+	}
+	lens := []sized{{"Estimates", s.Estimates}, {"Deltas", s.Deltas}}
+	var t *querytree.Tree
+	switch v := e.(type) {
+	case *Restart:
+		t = v.tree
+		lens = append(lens, sized{"PrevEst", s.PrevEst})
+	case *Reissue:
+		t = v.tree
+	case *RS:
+		t = v.tree
+		if len(s.Hist) == 0 {
+			return errors.New("Hist has no round-0 entry")
+		}
+		for i := 1; i < len(s.Hist); i++ {
+			lens = append(lens, sized{fmt.Sprintf("Hist[%d]", i), s.Hist[i]})
+		}
+	}
+	for _, l := range lens {
+		if len(l.ests) != s.NumAggs {
+			return fmt.Errorf("%s has %d entries, want %d", l.field, len(l.ests), s.NumAggs)
+		}
+	}
+	for _, set := range []struct {
+		field  string
+		drills []snapDrill
+	}{{"Pool", s.Pool}, {"LastRound", s.LastRound}} {
+		for i := range set.drills {
+			if err := set.drills[i].fit(t, s.Round, s.NumAggs); err != nil {
+				return fmt.Errorf("%s[%d].%w", set.field, i, err)
+			}
+		}
+	}
+	return nil
+}
+
+// fit checks one drill against tree t: a signature of one in-domain value
+// per level, and a current contribution made at some round 1..round.
+func (d *snapDrill) fit(t *querytree.Tree, round, numAggs int) error {
+	if len(d.Sig) != t.Depth() {
+		return fmt.Errorf("Sig has %d levels, tree has %d", len(d.Sig), t.Depth())
+	}
+	for lvl, v := range d.Sig {
+		if dom := t.Schema().DomainSize(t.LevelAttr(lvl)); int(v) >= dom {
+			return fmt.Errorf("Sig[%d] is %d, outside the domain [0,%d)", lvl, v, dom)
+		}
+	}
+	if d.Cur.Round < 1 {
+		return fmt.Errorf("Cur.Round is %d, want at least 1", d.Cur.Round)
+	}
+	if err := d.Cur.fit(t, round, numAggs); err != nil {
+		return fmt.Errorf("Cur.%w", err)
+	}
+	if err := d.Prev.fit(t, round, numAggs); err != nil {
+		return fmt.Errorf("Prev.%w", err)
+	}
+	for i := range d.Hist {
+		if err := d.Hist[i].fit(t, round, numAggs); err != nil {
+			return fmt.Errorf("Hist[%d].%w", i, err)
+		}
+	}
+	return nil
+}
+
+// fit checks one contribution against tree t. Its retained tuples, read
+// by ad hoc aggregates, must each hold the schema's M values. Round 0
+// means none; any other round must name a node of t with the probability
+// contributionOf gives it — bit for bit — and one pair per aggregate.
+func (c *snapContribution) fit(t *querytree.Tree, round, numAggs int) error {
+	for i, tu := range c.Tuples {
+		if tu == nil || len(tu.Vals) != t.Schema().M() {
+			return fmt.Errorf("Tuples[%d] does not hold the schema's %d values", i, t.Schema().M())
+		}
+	}
+	switch {
+	case c.Round < 0 || c.Round > round:
+		return fmt.Errorf("Round is %d, outside [0,%d]", c.Round, round)
+	case c.Round == 0:
+		return nil
+	case c.Depth < 0 || c.Depth > t.Depth():
+		return fmt.Errorf("Depth is %d, outside [0,%d]", c.Depth, t.Depth())
+	case c.Prob != t.P(c.Depth):
+		return fmt.Errorf("Prob is %g, want p(depth %d) = %g", c.Prob, c.Depth, t.P(c.Depth))
+	case len(c.Pairs) != numAggs:
+		return fmt.Errorf("Pairs has %d entries, want %d", len(c.Pairs), numAggs)
+	}
+	return nil
+}
+
 // Load reconstructs an estimator saved by Save. The schema, aggregate
 // list (same order and count as at save time) and config are re-supplied
 // by the caller because they contain functions; the snapshot's algorithm
 // and RS delta target override the config. A snapshot that names no
-// algorithm, or an unknown one, is refused.
+// algorithm, or an unknown one, is refused, and so is one that does not
+// fit the estimator's query tree or aggregate count (snapshot.fit).
 func Load(r io.Reader, sch *schema.Schema, aggs []*agg.Aggregate, cfg Config) (Estimator, error) {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -201,6 +300,9 @@ func Load(r io.Reader, sch *schema.Schema, aggs []*agg.Aggregate, cfg Config) (E
 	e, err := New(snap.Algo, sch, aggs, cfg)
 	if err != nil {
 		return nil, err
+	}
+	if err := snap.fit(e); err != nil {
+		return nil, fmt.Errorf("estimator: checkpoint does not fit: %w", err)
 	}
 	switch t := e.(type) {
 	case *Restart:

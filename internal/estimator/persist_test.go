@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/dynagg/dynagg/internal/agg"
+	"github.com/dynagg/dynagg/internal/schema"
 )
 
 // roundTrip saves and reloads an estimator.
@@ -159,11 +160,23 @@ func TestLoadValidation(t *testing.T) {
 		t.Error("garbage snapshot accepted")
 	}
 	// A snapshot naming no algorithm or an unknown one, or written in
-	// another format version.
+	// another format version, or one that does not fit the estimator's
+	// tree (depth 8) or aggregate count.
 	for _, bad := range []func(s *snapshot){
 		func(s *snapshot) { s.Algo = "" },
 		func(s *snapshot) { s.Algo = "BOGUS" },
 		func(s *snapshot) { s.Version = snapshotVersion + 1 },
+		func(s *snapshot) { s.Pool[0].Cur.Depth = 99 },
+		func(s *snapshot) { s.Pool[0].Cur.Depth = -1 },
+		func(s *snapshot) { s.Pool[0].Sig = s.Pool[0].Sig[:2] },
+		func(s *snapshot) { s.Pool[0].Sig[0] = 60000 },
+		func(s *snapshot) { s.Pool[0].Cur.Pairs = nil },
+		func(s *snapshot) { s.Pool[0].Cur.Prob *= 2 },
+		func(s *snapshot) { s.Pool[0].Cur.Round = 0 },
+		func(s *snapshot) { s.Pool[0].Cur.Round = s.Round + 1 },
+		func(s *snapshot) { s.Estimates = nil },
+		func(s *snapshot) { s.Deltas = append(s.Deltas, snapEstimate{}) },
+		func(s *snapshot) { s.Pool[0].Cur.Tuples = []*schema.Tuple{{ID: 1}} },
 	} {
 		var snap snapshot
 		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&snap); err != nil {
@@ -179,6 +192,40 @@ func TestLoadValidation(t *testing.T) {
 			t.Errorf("snapshot algorithm %q version %d accepted", snap.Algo, snap.Version)
 		}
 	}
+}
+
+// fuzzLoadAggs is the aggregate set every FuzzLoad corpus checkpoint was
+// saved with: two aggregates, so a one-pair contribution is a misfit.
+func fuzzLoadAggs() []*agg.Aggregate {
+	return []*agg.Aggregate{agg.CountAll(), agg.SumOf("aux0", agg.AuxField(0))}
+}
+
+// FuzzLoad: for any bytes, Load either refuses them — returning no
+// estimator — or returns one that survives Estimate and EstimateDelta
+// for every aggregate and one Step. The corpus under
+// testdata/fuzz/FuzzLoad holds a two-round checkpoint per algorithm
+// saved on this env with fuzzLoadAggs, a truncated one, and tampered
+// ones that each panicked or loaded silently wrong before Load checked
+// that a checkpoint fits its estimator.
+func FuzzLoad(f *testing.F) {
+	te := newTestEnv(f, 330, 1200, 1000, 20)
+	sch, aggs := te.env.Store.Schema(), fuzzLoadAggs()
+	f.Fuzz(func(t *testing.T, b []byte) {
+		e, err := Load(bytes.NewReader(b), sch, aggs, cfg(331))
+		if err != nil {
+			if e != nil {
+				t.Fatalf("Load returned an estimator with its error %v", err)
+			}
+			return
+		}
+		for i := range aggs {
+			e.Estimate(i)
+			e.EstimateDelta(i)
+		}
+		if err := e.Step(te.iface.NewSession(60)); err != nil {
+			t.Fatalf("Step after Load: %v", err)
+		}
+	})
 }
 
 // swapRand replaces the estimator's round RNG mid-run, simulating the

@@ -69,7 +69,8 @@ type CacheStats struct {
 	Hits uint64
 	// Misses counts engine executions: cache misses that ran the
 	// intersection machinery, plus uncached paths (ephemeral first-query
-	// answers, sessions pinned to a superseded epoch).
+	// answers, sessions pinned to a superseded epoch, and probes decided
+	// by their range length).
 	Misses uint64
 	// Collapsed counts queries that joined another goroutine's in-flight
 	// execution of the same key instead of running their own — the

@@ -83,8 +83,12 @@ type front struct {
 
 // frozen is an immutable state a front answers on — a store's Snapshot
 // or a sharded Epoch: the same value answers a query identically forever.
+// rangeCount returns |Sel(q)| when q plans as bare tuple ranges (no
+// postings, no residual predicates), where the count is the ranges'
+// length; ok=false for every other plan.
 type frozen interface {
 	Answer(q Query, k int, scorer Scorer) Result
+	rangeCount(q Query) (n int, ok bool)
 }
 
 // setup fixes the result cap and scorer (nil for the default hash
@@ -126,8 +130,12 @@ func (f *front) cacheFor(version uint64) *answerCache {
 
 // answer resolves q on fz, the frozen state of the given cache version,
 // through the per-version cache — collapsing concurrent identical queries
-// into one engine execution — or as an uncached miss when fz is stale.
+// into one engine execution — or as an uncached miss when fz is stale or
+// q is a probe its range length decides.
 func (f *front) answer(fz frozen, version uint64, q Query) *Answer {
+	if a := f.probe(fz, q); a != nil {
+		return a
+	}
 	if f.stale != nil && f.stale(version) {
 		return f.miss(fz, q)
 	}
@@ -142,6 +150,22 @@ func (f *front) answer(fz frozen, version uint64, q Query) *Answer {
 func (f *front) miss(fz frozen, q Query) *Answer {
 	f.stats.misses.Add(1)
 	return &Answer{res: fz.Answer(q, f.k, f.scorer)}
+}
+
+// probe answers a probe that plans as a bare tuple range holding more
+// than k tuples as an overflow with no tuples, from the range length
+// alone: it scores, ranks and caches nothing, and counts one uncached
+// engine execution. It returns nil for every other query, which takes
+// the full path.
+func (f *front) probe(fz frozen, q Query) *Answer {
+	if !q.probe {
+		return nil
+	}
+	if n, ok := fz.rangeCount(q); !ok || n <= f.k {
+		return nil
+	}
+	f.stats.misses.Add(1)
+	return &Answer{res: Result{Overflow: true}}
 }
 
 // batch counts and answers qs on the ONE frozen state pin returns, so
@@ -256,7 +280,8 @@ func (f *Iface) Snapshot() *Snapshot { return f.st.Snapshot() }
 func (f *Iface) Version() uint64 { return f.st.Version() }
 
 // Search answers one query. It never fails; budget enforcement lives in
-// Session.
+// Session. A probe (Query.Probe) that plans as a bare tuple range of more
+// than k tuples is answered as an overflow with no tuples.
 //
 // The first query of a store version is answered directly under the
 // store's lock from a reusable ephemeral snapshot; a version only gets a
@@ -296,7 +321,11 @@ func (f *Iface) searchAnswer(q Query) *Answer {
 		return f.answer(s, s.version, q)
 	}
 	f.st.lastQueried = v
-	a := f.miss(f.st.ephemeralLocked(), q)
+	eph := f.st.ephemeralLocked()
+	a := f.probe(eph, q)
+	if a == nil {
+		a = f.miss(eph, q)
+	}
 	f.st.snapMu.Unlock()
 	return a
 }

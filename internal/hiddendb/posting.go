@@ -1,9 +1,10 @@
 package hiddendb
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"github.com/dynagg/dynagg/internal/schema"
 )
@@ -420,7 +421,8 @@ func (pl *postingList) validate() error {
 }
 
 // sortTuplesByID ID-sorts a freshly built payload slice (index builds
-// group tuples in canonical store order first).
+// group tuples in canonical store order first). IDs are unique, so the
+// unstable typed sort is exact.
 func sortTuplesByID(ts []*schema.Tuple) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].ID < ts[j].ID })
+	slices.SortFunc(ts, func(a, b *schema.Tuple) int { return cmp.Compare(a.ID, b.ID) })
 }

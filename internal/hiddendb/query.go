@@ -48,8 +48,15 @@ type Pred struct {
 // The zero value is the unrestricted query SELECT * FROM D (the query tree
 // root). Predicates are kept sorted by attribute index; a Query is
 // immutable after construction.
+//
+// A query may be marked as a probe (Probe): its caller reads only the
+// overflow flag when the answer overflows, so a local interface may answer
+// an overflowing probe with no tuples. The mark is not part of the query's
+// identity — Key, AppendKey and Preds ignore it — and any Searcher may
+// ignore it; a remote one never sees it.
 type Query struct {
 	preds []Pred
+	probe bool
 }
 
 // NewQuery builds a query from predicates. It panics on duplicate
@@ -73,6 +80,14 @@ func (q Query) And(attr int, val uint16) Query {
 	preds = append(preds, q.preds...)
 	preds = append(preds, Pred{Attr: attr, Val: val})
 	return NewQuery(preds...)
+}
+
+// Probe returns a copy of q marked as a probe: when its answer overflows
+// the caller reads only Overflow, so the Result may carry no tuples.
+// NewQuery and And return unmarked queries.
+func (q Query) Probe() Query {
+	q.probe = true
+	return q
 }
 
 // Preds returns the query's predicates in attribute order. The caller must
@@ -181,7 +196,8 @@ func (q Query) prefixLen() int {
 // Result is what the restrictive interface returns: at most k tuples
 // (ranked by the proprietary scoring function) and an overflow flag.
 // Crucially there is no total count — the estimators must work without
-// COUNT metadata (paper §2.1 worst-case assumption).
+// COUNT metadata (paper §2.1 worst-case assumption). When a probe
+// (Query.Probe) overflows, its Result may carry no tuples.
 type Result struct {
 	Tuples   []*schema.Tuple
 	Overflow bool
@@ -201,6 +217,8 @@ var ErrBudgetExhausted = errors.New("hiddendb: per-round query budget exhausted"
 // Searcher is the only view of the database available to estimators.
 type Searcher interface {
 	// Search issues one conjunctive query and returns its top-k result.
+	// A Searcher may answer an overflowing probe (Query.Probe) with no
+	// tuples, or ignore the mark and answer it in full.
 	Search(q Query) (Result, error)
 	// K returns the interface's result cap.
 	K() int

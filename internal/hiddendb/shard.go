@@ -308,6 +308,19 @@ func (e *Epoch) CountMatching(q Query) int {
 	return n
 }
 
+// rangeCount sums the shards' range counts (Snapshot.rangeCount); ok
+// only when every shard's plan is a bare tuple range.
+func (e *Epoch) rangeCount(q Query) (n int, ok bool) {
+	for _, s := range e.snaps {
+		c, ok := s.rangeCount(q)
+		if !ok {
+			return 0, false
+		}
+		n += c
+	}
+	return n, true
+}
+
 // Answer computes the top-k result for q by scatter-gather: a drain of
 // the top-k fold (scratch.go) over the pinned shard snapshots, in shard
 // order, through one pooled scratch. Shards partition the tuple IDs, so

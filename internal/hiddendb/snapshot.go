@@ -124,6 +124,25 @@ func (s *Snapshot) CountMatching(q Query) int {
 	return n
 }
 
+// rangeCount returns |Sel(q)| as hi − lo for exactly the queries plan
+// answers as a bare tuple range, with no postings and no residual
+// predicates: the root, and a canonical prefix while broad-match NULL is
+// off (a covering posting list is never smaller than the prefix range).
+// Any other query reports ok=false, since counting it would cost a scan
+// the answer cache may already have paid for.
+func (s *Snapshot) rangeCount(q Query) (n int, ok bool) {
+	if len(q.preds) == 0 {
+		return len(s.tuples), true
+	}
+	if s.broadMatchNull || q.prefixLen() < len(q.preds) {
+		return 0, false
+	}
+	sc := getScratch()
+	defer putScratch(sc)
+	lo, hi := s.prefixRange(q, len(q.preds), sc)
+	return hi - lo, true
+}
+
 // strategy selects a query's access path. Tests force each strategy
 // explicitly to prove they answer identically.
 type strategy int

@@ -117,6 +117,13 @@ func (t *Tree) Node(sig Signature, depth int) hiddendb.Query {
 	return hiddendb.NewQuery(preds...)
 }
 
+// Probe returns Node(sig, depth) marked as a probe (hiddendb.Query.Probe):
+// the drill-down loops and the crawl read only the overflow flag of an
+// overflowing node, so the interface may answer it without tuples.
+func (t *Tree) Probe(sig Signature, depth int) hiddendb.Query {
+	return t.Node(sig, depth).Probe()
+}
+
 // P returns p(q) for a node at the given depth: the probability that a
 // uniformly random signature's path passes through it, ∏_{i<depth} 1/|Ui|.
 // This is exactly the ratio of leaves under the node.
@@ -146,14 +153,15 @@ func (o Outcome) P(t *Tree) float64 { return t.P(o.Depth) }
 
 // DrillFromRoot performs a fresh drill down for the signature: issue the
 // path's queries from the root downward until the first node that does not
-// overflow (the static algorithm of [13], one drill-down instance).
+// overflow (the static algorithm of [13], one drill-down instance). Every
+// node query is a probe: only the returned node's tuples are read.
 //
 // On budget exhaustion it returns hiddendb.ErrBudgetExhausted together
 // with the cost already spent.
 func DrillFromRoot(s hiddendb.Searcher, t *Tree, sig Signature) (Outcome, error) {
 	cost := 0
 	for d := 0; d <= t.Depth(); d++ {
-		r, err := s.Search(t.Node(sig, d))
+		r, err := s.Search(t.Probe(sig, d))
 		if err != nil {
 			return Outcome{Cost: cost}, err
 		}
@@ -177,15 +185,15 @@ func DrillFromRoot(s hiddendb.Searcher, t *Tree, sig Signature) (Outcome, error)
 //
 // When the database did not change, this costs exactly two queries (one to
 // reissue q, one to re-verify its parent), the constant the RS analysis
-// (§4.1) relies on. Like DrillFromRoot, it returns the cost already spent
-// with any query error.
+// (§4.1) relies on. Like DrillFromRoot, it marks every node query as a
+// probe and returns the cost already spent with any query error.
 func UpdateDrill(s hiddendb.Searcher, t *Tree, sig Signature, prevDepth int) (Outcome, error) {
 	if prevDepth < 0 || prevDepth > t.Depth() {
 		panic(fmt.Sprintf("querytree: previous depth %d out of range [0,%d]", prevDepth, t.Depth()))
 	}
 	cost := 0
 	d := prevDepth
-	r, err := s.Search(t.Node(sig, d))
+	r, err := s.Search(t.Probe(sig, d))
 	if err != nil {
 		return Outcome{Cost: cost}, err
 	}
@@ -194,7 +202,7 @@ func UpdateDrill(s hiddendb.Searcher, t *Tree, sig Signature, prevDepth int) (Ou
 		// Case 2: drill down below q.
 		for d < t.Depth() {
 			d++
-			r2, err := s.Search(t.Node(sig, d))
+			r2, err := s.Search(t.Probe(sig, d))
 			if err != nil {
 				return Outcome{Cost: cost}, err
 			}
@@ -207,7 +215,7 @@ func UpdateDrill(s hiddendb.Searcher, t *Tree, sig Signature, prevDepth int) (Ou
 	}
 	// Cases 1 and 3: q does not overflow; climb until the parent overflows.
 	for d > 0 {
-		pr, err := s.Search(t.Node(sig, d-1))
+		pr, err := s.Search(t.Probe(sig, d-1))
 		if err != nil {
 			return Outcome{Cost: cost}, err
 		}

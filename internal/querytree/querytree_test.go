@@ -160,6 +160,41 @@ func TestDrillFromRootFindsTopNonOverflowing(t *testing.T) {
 	}
 }
 
+// TestDrillsMarkProbes: both loops mark every node query as a probe.
+// On a local Iface an overflowing probe is decided by its range length
+// and never enters the answer cache, so a repeated walk hits the cache
+// only at the non-overflowing node it returns.
+func TestDrillsMarkProbes(t *testing.T) {
+	st := buildStore(t, 31, 2000, []int{8, 7, 6, 5, 4})
+	f := hiddendb.NewIface(st, 10, nil)
+	f.Snapshot()
+	tr := New(st.Schema())
+	rng := rand.New(rand.NewSource(32))
+	for i := 0; i < 20; i++ {
+		sig := tr.RandomSignature(rng)
+		if _, err := DrillFromRoot(f, tr, sig); err != nil {
+			t.Fatal(err)
+		}
+		before := f.CacheStats()
+		o, err := DrillFromRoot(f, tr, sig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := f.CacheStats()
+		if hits, misses := got.Hits-before.Hits, got.Misses-before.Misses; hits != 1 || misses != uint64(o.Depth) {
+			t.Fatalf("repeated drill to depth %d: %d hits, %d misses; want 1 hit and %d misses", o.Depth, hits, misses, o.Depth)
+		}
+		before = got
+		if _, err := UpdateDrill(f, tr, sig, o.Depth); err != nil {
+			t.Fatal(err)
+		}
+		got = f.CacheStats()
+		if hits, misses := got.Hits-before.Hits, got.Misses-before.Misses; hits != 1 || misses != 1 {
+			t.Fatalf("update at depth %d: %d hits, %d misses; want 1 hit and 1 miss", o.Depth, hits, misses)
+		}
+	}
+}
+
 // The fundamental estimator property: E[ |q(r)| / p(q(r)) ] = |D| exactly,
 // enumerated over all signatures (Theorem 3.1 specialised to COUNT(*)).
 func TestDrillDownEstimateExactlyUnbiased(t *testing.T) {

@@ -190,6 +190,56 @@ func TestClientSendsCanonicalQuery(t *testing.T) {
 	}
 }
 
+// TestClientIgnoresProbeMark: a hidden database has no probe, so a
+// marked query goes out as the same query string as the unmarked one and
+// comes back as the full answer, tuples included.
+func TestClientIgnoresProbeMark(t *testing.T) {
+	env, err := workload.NewEnv(workload.AutosLikeN(5, 500, 13), 450, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(hiddendb.NewIface(env.Store, 10, nil))
+	var mu sync.Mutex
+	var got []string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/search" {
+			mu.Lock()
+			got = append(got, r.URL.RawQuery)
+			mu.Unlock()
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	c, err := Dial(srv.URL, ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []hiddendb.Query{
+		hiddendb.NewQuery(),
+		hiddendb.NewQuery(hiddendb.Pred{Attr: 0, Val: 1}),
+	} {
+		full, err := c.Search(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe, err := c.Search(q.Probe())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !full.Overflow || len(full.Tuples) != 10 {
+			t.Fatalf("%v: want an overflowing answer of 10 tuples, got %d (overflow %v)", q, len(full.Tuples), full.Overflow)
+		}
+		if !reflect.DeepEqual(probe, full) {
+			t.Fatalf("%v: the marked query's answer differs from the unmarked one's", q)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{"", "", "where=0:1", "where=0:1"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("raw queries %q, want %q", got, want)
+	}
+}
+
 // FuzzParseWireResult: for any body, k and schema width, the walk with
 // its fallback and encoding/json alone both fail or decode equal Results.
 func FuzzParseWireResult(f *testing.F) {
