@@ -41,9 +41,9 @@ fmt-check:
 
 # race exercises the parallel trial engine, the estimator execution
 # engine (concurrent drill-down walks sharing one session, local and
-# remote), the tracking service (32 HTTP readers while Run
-# advances rounds), the fleet scheduler + control plane (readers and
-# task-table writers racing the tick loop), the snapshot engine's
+# remote), the fleet scheduler + control plane (32 readers of the task
+# views and task-table writers racing the tick loop that steps each
+# task's tracking service), the snapshot engine's
 # concurrent-reader contract (32 sessions on one Iface), the sharded
 # store's scatter-gather path (32 epoch-pinned sessions racing per-shard
 # mutator goroutines and epoch publication), the HTTP serving layer
@@ -59,20 +59,22 @@ race:
 # fuzz runs each native fuzz target for a bounded time, in its own
 # package: the client's wire-answer walk (GET and batch) differential
 # against encoding/json, the handler's query-string walk differential
-# against net/url, and the estimator checkpoint loader, which must refuse
-# or survive any bytes. The committed seed corpora under each package's
-# testdata/fuzz also run in every plain go test; `go test -fuzz` takes
-# one target per run. Entries are package:target.
+# against net/url, and the estimator checkpoint loader and the fleet
+# state file loader, which must refuse or survive any bytes. The
+# committed seed corpora under each package's testdata/fuzz also run in
+# every plain go test; `go test -fuzz` takes one target per run.
+# Entries are package:target.
 FUZZTIME ?= 10s
 FUZZ_TARGETS := ./webiface/:FuzzParseWireResult ./webiface/:FuzzParseWireBatch \
-	./webiface/:FuzzParseSearchParams ./internal/estimator/:FuzzLoad
+	./webiface/:FuzzParseSearchParams ./internal/estimator/:FuzzLoad \
+	./internal/fleet/:FuzzFleetState
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run '^$$' -fuzz "^$${t##*:}$$" -fuzztime $(FUZZTIME) "$${t%%:*}" || exit 1; \
 	done
 
-# promcheck scrapes the LIVE /v1/metrics of all four daemons' handlers
-# (serve, track, fleet, router) and holds each document to the strict
+# promcheck scrapes the LIVE /v1/metrics of all three daemons' handlers
+# (serve, fleet, router) and holds each document to the strict
 # Prometheus text-format validator: HELP/TYPE pairing, label syntax,
 # monotone cumulative buckets, le="+Inf" closure. Run uncached so the
 # scrape re-executes on every CI invocation.

@@ -14,6 +14,9 @@
 //	dynagg-fleet -manifest tasks.json -dir /var/lib/dynagg/fleet \
 //	    -tick 1m -tick-budget 2000
 //	dynagg-fleet -tick 10s                # empty fleet; add tasks over HTTP
+//	dynagg-fleet -manifest one.json -tick-budget 500 -local-seed 1
+//	    # one tracked aggregate: a manifest holding one spec
+//	    # (docs/api.md, "Tracking one aggregate")
 //
 // A manifest entry looks like:
 //
@@ -24,13 +27,13 @@
 // Local entries use "target": "local" (the built-in churned simulation)
 // instead of "remote". While running:
 //
-//	curl localhost:8095/status                    # fleet + per-task rows
-//	curl localhost:8095/tasks                     # task list
-//	curl -X POST localhost:8095/tasks -d @spec.json
-//	curl -X POST localhost:8095/tasks/amazon-count/pause
-//	curl -X DELETE localhost:8095/tasks/amazon-count
-//	curl localhost:8095/tasks/amazon-count/estimates
-//	curl localhost:8095/metrics                   # Prometheus plaintext
+//	curl localhost:8095/v1/status                 # fleet + per-task rows
+//	curl localhost:8095/v1/tasks                  # task list
+//	curl -X POST localhost:8095/v1/tasks -d @spec.json
+//	curl -X POST localhost:8095/v1/tasks/amazon-count/pause
+//	curl -X DELETE localhost:8095/v1/tasks/amazon-count
+//	curl localhost:8095/v1/tasks/amazon-count/estimates
+//	curl localhost:8095/v1/metrics                # Prometheus plaintext
 //
 // Interrupting the process (SIGINT/SIGTERM) finishes the in-flight tick,
 // drains the control plane and exits; restarting with the same -dir

@@ -130,13 +130,14 @@
 //
 // # Continuous tracking
 //
-// internal/tracking + cmd/dynagg-track run an estimator as a long-lived
-// service over a live database (local store with churn or a remote
-// dynagg-serve URL): one budgeted round per tick, crash/resume via the
-// estimator persistence snapshots, and current estimates served over
-// HTTP (/v1/status, /v1/estimates, /v1/healthz, Prometheus-style
-// /v1/metrics; see docs/api.md for the versioned API and its JSON error
-// envelope).
+// internal/tracking runs an estimator as a long-lived workload over a
+// live database (local store with churn or a remote dynagg-serve URL):
+// one budgeted round per StepBudget call, an atomic checkpoint after
+// every round for crash/resume via the estimator persistence
+// snapshots, and an immutable View of the current estimates. It has no
+// clock or HTTP surface of its own: cmd/dynagg-fleet ticks it and
+// serves it, and tracking one aggregate is a fleet of one task
+// (docs/api.md, "Tracking one aggregate").
 //
 // # Multi-tenant fleets
 //

@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 )
 
 func claims(ws ...int) []claim {
@@ -91,6 +94,47 @@ func TestAllocateDeterministic(t *testing.T) {
 	}
 	if sum(first) != 777 {
 		t.Fatalf("allocated %d of 777: %v", sum(first), first)
+	}
+}
+
+// TestAllocateLargestWeights: validate accepts weights up to MaxWeight
+// and no further, and allocate splits the largest tick budget it is
+// documented for over the largest accepted weights without overflow.
+// The call runs under a deadline: an overflowing product can make the
+// pass loop spin forever.
+func TestAllocateLargestWeights(t *testing.T) {
+	if err := (&TaskSpec{ID: "x", Weight: MaxWeight + 1}).validate(); err == nil || !strings.Contains(err.Error(), "1000000") {
+		t.Errorf("weight MaxWeight+1: validate = %v, want a refusal naming the bound", err)
+	}
+	if err := (&TaskSpec{ID: "x", Weight: MaxWeight}).validate(); err != nil {
+		t.Fatalf("weight MaxWeight refused: %v", err)
+	}
+	const total = math.MaxInt32
+	many := make([]int, 1000)
+	for i := range many {
+		many[i] = MaxWeight
+	}
+	for _, ws := range [][]int{{MaxWeight, 1}, {1, MaxWeight, MaxWeight}, many} {
+		cs := claims(ws...)
+		done := make(chan []int, 1)
+		go func() { done <- allocate(total, cs) }()
+		var got []int
+		select {
+		case got = <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("allocate(%d) over %d claims did not return", total, len(cs))
+		}
+		if sum(got) != total {
+			t.Fatalf("allocated %d of %d", sum(got), total)
+		}
+		weightSum := float64(sum(ws))
+		for i, w := range ws {
+			// Floors and the unit-at-a-time leftover move each grant by
+			// at most one unit per claim from the exact weighted share.
+			if want := float64(total) * float64(w) / weightSum; math.Abs(float64(got[i])-want) > float64(len(ws)) {
+				t.Fatalf("claim %d (weight %d) granted %d, want %.0f", i, w, got[i], want)
+			}
+		}
 	}
 }
 

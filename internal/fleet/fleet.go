@@ -45,6 +45,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -202,6 +203,16 @@ func New(cfg Config) (*Manager, error) {
 	if err := json.Unmarshal(raw, &st); err != nil {
 		return nil, fmt.Errorf("fleet: state decode: %w", err)
 	}
+	// saveState writes each ID once, so a repeat means a damaged or
+	// hand-edited file. Restoring it would run one spec and persist the
+	// other in its place.
+	seen := make(map[string]bool, len(st.Tasks))
+	for _, spec := range st.Tasks {
+		if seen[spec.ID] {
+			return nil, fmt.Errorf("fleet: state lists task %q twice", spec.ID)
+		}
+		seen[spec.ID] = true
+	}
 	m.ticks = st.Ticks
 	for _, spec := range st.Tasks {
 		if err := m.add(spec, false); err != nil {
@@ -234,6 +245,14 @@ func (m *Manager) add(spec TaskSpec, persist bool) error {
 	sch, source, label, err := m.resolveTarget(spec)
 	if err != nil {
 		return err
+	}
+	for i, as := range spec.Aggregates {
+		for _, p := range as.Where {
+			if p.Attr >= sch.M() {
+				return fmt.Errorf("fleet: task %s aggregate %d: no attribute %d (the target has %d)",
+					spec.ID, i, p.Attr, sch.M())
+			}
+		}
 	}
 	aggs, err := spec.buildAggregates()
 	if err != nil {
@@ -384,7 +403,8 @@ func (m *Manager) SetPaused(id string, paused bool) error {
 	return nil
 }
 
-// saveState persists the fleet state file atomically (tmp + rename).
+// saveState persists the fleet state file atomically
+// (tracking.WriteFileAtomic).
 // The snapshot and the rename happen under saveMu, so concurrent savers
 // (control-plane mutations vs the scheduler) cannot let an older
 // snapshot win the rename. Failures are recorded for Status rather than
@@ -411,30 +431,16 @@ func (m *Manager) saveState() {
 		st.Tasks = append(st.Tasks, specs[id])
 	}
 	m.mu.Unlock()
-	err := writeFileAtomic(filepath.Join(m.cfg.Dir, stateFileName), st)
+	raw, err := json.MarshalIndent(st, "", "  ")
+	if err == nil {
+		err = tracking.WriteFileAtomic(filepath.Join(m.cfg.Dir, stateFileName), func(w io.Writer) error {
+			_, err := w.Write(raw)
+			return err
+		})
+	}
 	m.mu.Lock()
 	m.persistErr = err
 	m.mu.Unlock()
-}
-
-func writeFileAtomic(path string, v any) error {
-	raw, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".fleet-state-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 // idsLocked returns all task IDs in ascending order; callers hold m.mu.

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -26,7 +27,7 @@ type fixture struct {
 }
 
 // newEnv builds the deterministic simulated database one task tracks.
-func newEnv(t *testing.T, seed int64) *workload.Env {
+func newEnv(t testing.TB, seed int64) *workload.Env {
 	t.Helper()
 	data := workload.AutosLikeN(seed, 6000, 8)
 	env, err := workload.NewEnv(data, 5400, seed+1)
@@ -448,9 +449,11 @@ func TestFleetValidation(t *testing.T) {
 		{ID: "x", Target: "nope"},
 		{ID: "x", Target: "db", Algorithm: "MAGIC"},
 		{ID: "x", Target: "db", Weight: -1},
+		{ID: "x", Target: "db", Weight: 1 << 62},
 		{ID: "x", Target: "db", MaxBudget: -1},
 		{ID: "x", Target: "db", Aggregates: []AggregateSpec{{Kind: "MEDIAN"}}},
 		{ID: "x", Target: "db", Aggregates: []AggregateSpec{{Where: []PredSpec{{Attr: 0}, {Attr: 0}}}}},
+		{ID: "x", Target: "db", Aggregates: []AggregateSpec{{Where: []PredSpec{{Attr: 99}}}}},
 	}
 	for i, spec := range bad {
 		if err := mgr.Add(spec); err == nil {
@@ -464,4 +467,110 @@ func TestFleetValidation(t *testing.T) {
 	if err := mgr.Add(TaskSpec{ID: "ok", Target: "db"}); err == nil {
 		t.Error("duplicate task id accepted")
 	}
+}
+
+// TestFleetStateRepeatedID: a state file that lists one ID twice is
+// refused by name. Restoring it would run the first spec and persist the
+// second in its place.
+func TestFleetStateRepeatedID(t *testing.T) {
+	dir := t.TempDir()
+	state := `{"ticks": 1, "tasks": [
+		{"id": "a", "target": "db", "algorithm": "RS", "weight": 1, "seed": 1},
+		{"id": "a", "target": "db", "algorithm": "REISSUE", "weight": 5, "seed": 1}]}`
+	if err := os.WriteFile(filepath.Join(dir, "fleet.json"), []byte(state), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := New(Config{TickBudget: 100, Dir: dir, Targets: map[string]Target{"db": target(newEnv(t, 61), false)}})
+	if err == nil {
+		t.Fatal("state file with a repeated task ID accepted")
+	}
+	if !strings.Contains(err.Error(), `"a"`) {
+		t.Errorf("error %q does not name the repeated ID", err)
+	}
+}
+
+// TestFleetRunMaxTicks: Run stops by itself after MaxTicks ticks and
+// refuses to start without an Interval.
+func TestFleetRunMaxTicks(t *testing.T) {
+	targets := map[string]Target{"db": target(newEnv(t, 71), true)}
+	mgr, err := New(Config{TickBudget: 100, Interval: time.Millisecond, MaxTicks: 3, Targets: targets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Add(TaskSpec{ID: "a", Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- mgr.Run(context.Background()) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Run did not stop after MaxTicks")
+	}
+	if mgr.Ticks() != 3 || mgr.ProcessTicks() != 3 {
+		t.Fatalf("ticks = %d, process ticks = %d, want 3 and 3", mgr.Ticks(), mgr.ProcessTicks())
+	}
+	if ts, _ := mgr.TaskView("a"); ts.View.Round != 3 {
+		t.Fatalf("task at round %d after 3 ticks", ts.View.Round)
+	}
+
+	idle, err := New(Config{Targets: targets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idle.Run(context.Background()); err == nil {
+		t.Error("Run without Interval accepted")
+	}
+}
+
+// FuzzFleetState feeds arbitrary bytes to New as a fleet directory's
+// fleet.json. Either New refuses them, or the restored fleet survives a
+// tick and a Status, lists each task ID once across its tasks and
+// failed tasks, and writes a state file that a second New accepts.
+// Inputs naming a remote are skipped so that no input dials out.
+func FuzzFleetState(f *testing.F) {
+	targets := map[string]Target{"db": target(newEnv(f, 81), false)}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var st stateFile
+		if json.Unmarshal(raw, &st) == nil {
+			if len(st.Tasks) > 8 {
+				t.Skip("more tasks than one input should step")
+			}
+			for _, spec := range st.Tasks {
+				if spec.Remote != "" {
+					t.Skip("remote task")
+				}
+			}
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "fleet.json"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{TickBudget: 60, Dir: dir, Targets: targets}
+		mgr, err := New(cfg)
+		if err != nil {
+			return
+		}
+		mgr.TickOnce()
+		status := mgr.Status()
+		seen := make(map[string]bool)
+		for _, ts := range status.Tasks {
+			if seen[ts.ID] {
+				t.Fatalf("task %q listed twice: %+v", ts.ID, status)
+			}
+			seen[ts.ID] = true
+		}
+		for _, ft := range status.FailedTasks {
+			if seen[ft.ID] {
+				t.Fatalf("task %q listed twice: %+v", ft.ID, status)
+			}
+			seen[ft.ID] = true
+		}
+		if _, err := New(cfg); err != nil {
+			t.Fatalf("state file written by the restored fleet refused: %v", err)
+		}
+	})
 }

@@ -30,7 +30,8 @@ type TaskSpec struct {
 	Algorithm string `json:"algorithm,omitempty"`
 	// Aggregates declares the tracked aggregates (default: COUNT(*)).
 	Aggregates []AggregateSpec `json:"aggregates,omitempty"`
-	// Weight is the task's share of the tick budget (default 1).
+	// Weight is the task's share of the tick budget: 1 (the default) to
+	// MaxWeight.
 	Weight int `json:"weight,omitempty"`
 	// MaxBudget caps the task's per-round grant (0 = no cap); budget the
 	// cap rejects is redistributed to the other tasks.
@@ -52,6 +53,11 @@ type TaskSpec struct {
 
 var idPattern = regexp.MustCompile(`^[A-Za-z0-9._-]+$`)
 
+// MaxWeight bounds TaskSpec.Weight. allocate multiplies a tick budget by
+// a weight and sums weights in int; under this bound neither can
+// overflow for any tick budget below 2^31.
+const MaxWeight = 1_000_000
+
 // validate normalises defaults and rejects malformed specs.
 func (s *TaskSpec) validate() error {
 	if !idPattern.MatchString(s.ID) {
@@ -63,8 +69,8 @@ func (s *TaskSpec) validate() error {
 	if s.Weight == 0 {
 		s.Weight = 1
 	}
-	if s.Weight < 1 {
-		return fmt.Errorf("fleet: task %s weight %d < 1", s.ID, s.Weight)
+	if s.Weight < 1 || s.Weight > MaxWeight {
+		return fmt.Errorf("fleet: task %s weight %d outside [1, %d]", s.ID, s.Weight, MaxWeight)
 	}
 	if s.MaxBudget < 0 {
 		// A negative cap would starve the task forever on a budgeted

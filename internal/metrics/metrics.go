@@ -1,5 +1,5 @@
 // Package metrics renders Prometheus-style plaintext exposition for the
-// serving binaries' /metrics endpoints (dynagg-serve, dynagg-track,
+// serving binaries' /metrics endpoints (dynagg-serve, dynagg-router,
 // dynagg-fleet). It is deliberately tiny — a text builder, not a metrics
 // registry: every endpoint snapshots the state it already publishes
 // (immutable views, atomic counters) and renders it on demand, so there

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/dynagg/dynagg/internal/agg"
 	"github.com/dynagg/dynagg/internal/fleet"
 	"github.com/dynagg/dynagg/internal/hiddendb"
 	"github.com/dynagg/dynagg/internal/metrics"
@@ -22,10 +21,10 @@ import (
 	"github.com/dynagg/dynagg/webiface"
 )
 
-// These tests scrape the LIVE /v1/metrics of each of the four daemons'
-// handlers and hold the output to the strict exposition validator —
-// the CI guard that no instrumentation change ships an unparseable or
-// structurally broken document.
+// These tests scrape the LIVE /v1/metrics of each of the three daemons'
+// handlers (serve, router, fleet) and hold the output to the strict
+// exposition validator — the CI guard that no instrumentation change
+// ships an unparseable or structurally broken document.
 
 // scrape GETs path from srv, requiring a 200 and the exposition
 // content type, and returns the body.
@@ -100,46 +99,6 @@ func TestServeExposition(t *testing.T) {
 	checkDoc(t, doc, "dynagg_serve_request_seconds")
 	if !strings.Contains(doc, `dynagg_serve_request_seconds_count{route="search",outcome="hit"}`) {
 		t.Error("no hit-labeled search latency series after a warm repeat")
-	}
-}
-
-func TestTrackExposition(t *testing.T) {
-	data := workload.AutosLikeN(43, 2000, 8)
-	env, err := workload.NewEnv(data, 1800, 44)
-	if err != nil {
-		t.Fatal(err)
-	}
-	iface := hiddendb.NewIface(env.Store, 100, nil)
-	svc, err := tracking.New(iface.Schema(),
-		func(g int) tracking.Session { return iface.NewSession(g) },
-		tracking.Config{
-			Aggregates: []*agg.Aggregate{agg.CountAll()},
-			Budget:     200,
-			Seed:       7,
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.StepOnce(); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-
-	doc := scrape(t, srv, "/v1/metrics")
-	if err := promcheck.Validate(doc); err != nil {
-		t.Fatalf("exposition invalid: %v\n%s", err, doc)
-	}
-	// The round histogram has no labels, so requireHistogram's bucket
-	// probe needs the bare-name form.
-	if !strings.Contains(doc, "# TYPE dynagg_track_round_seconds histogram") {
-		t.Error("no round-latency histogram family")
-	}
-	if !strings.Contains(doc, `dynagg_track_round_seconds_bucket{le=`) {
-		t.Error("no round-latency bucket samples")
-	}
-	if !strings.Contains(doc, "dynagg_track_round_seconds_count 1") {
-		t.Error("round histogram does not count the single step")
 	}
 }
 

@@ -2,7 +2,7 @@
 // latency histogram every daemon can record into on its hot path, the
 // cross-process trace header the router stamps on fan-out requests, a
 // fixed-size ring of recent slow/failed requests served at
-// /v1/debug/requests, and the slog/pprof plumbing the four daemons
+// /v1/debug/requests, and the slog/pprof plumbing the three daemons
 // share.
 //
 // The histogram is deliberately NOT a metrics registry: it is a fixed

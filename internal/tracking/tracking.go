@@ -1,30 +1,32 @@
-// Package tracking turns the estimators into a long-running production
-// service: a Service attaches one estimator to a live hidden database —
-// a local store churned by its owner, or a remote dynagg-serve URL
-// reached through webiface — advances it one budgeted round per tick,
+// Package tracking turns the estimators into a long-running workload: a
+// Service attaches one estimator to a live hidden database — a local
+// store churned by its owner, or a remote dynagg-serve URL reached
+// through webiface — advances it one budgeted round per StepBudget call,
 // checkpoints its state through the estimator/persist snapshots so a
 // crash (or a deliberate restart) resumes the drill-down pool instead of
-// rebuilding it, and publishes current estimates and round statistics
-// over HTTP (see http.go).
+// rebuilding it, and publishes each round's estimates and statistics as
+// an immutable View.
 //
-// This is the paper's §6 online-experiment setting run as a first-class
-// workload instead of a simulation artifact: the tracker that followed
-// Amazon and eBay for weeks is exactly a Service with a daily Interval.
+// A Service has no clock, HTTP surface or metrics of its own. The fleet
+// (internal/fleet, cmd/dynagg-fleet) ticks it, serves its View and
+// exports its round latency; tracking one aggregate is a fleet of one
+// task. This is the paper's §6 online-experiment setting run as a
+// first-class workload: the tracker that followed Amazon and eBay for
+// weeks is one fleet task ticked daily.
 //
 // Concurrency: the estimator inside a Service stays single-goroutine —
-// only one stepping goroutine at a time advances it: the service's own
-// Run loop, a StepOnce/StepBudget caller, or a fleet scheduler
-// (internal/fleet) that owns the service as one of its tasks — never two
-// of these at once. The estimator's own execution engine fans the
-// round's drill-down walks out over Config.Parallelism goroutines
-// internally. HTTP readers never touch the estimator: each round
-// publishes an immutable view under the service mutex.
+// one stepping goroutine at a time advances it: a StepOnce/StepBudget
+// caller, such as the fleet scheduler that owns the service as one of
+// its tasks. The estimator's own execution engine fans the round's
+// drill-down walks out over Config.Parallelism goroutines internally.
+// Readers never touch the estimator: each round publishes an immutable
+// view under the service mutex.
 package tracking
 
 import (
-	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -55,12 +57,9 @@ type Config struct {
 	// Aggregates are the tracked aggregate specs (required). On resume
 	// they must match the checkpoint (same count and order).
 	Aggregates []*agg.Aggregate
-	// Budget is the per-round query limit G (0 = unlimited; only
-	// sensible against a local simulation).
+	// Budget is the per-round query limit G of StepOnce (0 = unlimited;
+	// only sensible against a local simulation).
 	Budget int
-	// Interval is the round cadence of Run (required for Run; StepOnce
-	// ignores it).
-	Interval time.Duration
 	// Seed drives the estimator's randomness. A resumed service should
 	// use a fresh seed: signatures already drawn live in the checkpoint.
 	Seed int64
@@ -77,18 +76,16 @@ type Config struct {
 	// CheckpointPath, when set, is written atomically after every round
 	// and loaded on New, so a restarted service resumes mid-stream.
 	CheckpointPath string
-	// MaxRounds stops Run after this many rounds (0 = run until the
-	// context is cancelled).
-	MaxRounds int
 	// PreRound, when set, runs before each round's Step — the hook a
 	// local simulation uses to apply churn (round is the upcoming
 	// estimator round, numbered from 1). A remote service leaves it nil:
 	// the real database changes on its own.
 	PreRound func(round int) error
-	// AnswerCacheStats, when set, reports the backing interface's
-	// answer-cache counters for /v1/metrics (a local simulation passes
-	// the Iface's CacheStats method; remote trackers leave it nil — the
-	// cache lives server-side and is scraped there).
+	// AnswerCacheStats is no longer read: the fleet exports a local
+	// target's answer-cache counters from fleet.Target.AnswerCacheStats.
+	//
+	// Deprecated: nothing reads it. Its only setter is the perfbench
+	// module's track workload; the field goes once that stops setting it.
 	AnswerCacheStats func() hiddendb.CacheStats
 }
 
@@ -96,23 +93,21 @@ type Config struct {
 type Service struct {
 	cfg    Config
 	source SessionSource
-	start  time.Time
 
 	// totalQueries accumulates session usage across this process's steps.
 	// Owned by the stepping goroutine; readers see the copy in the view.
 	totalQueries int
 
 	// roundHist distributes per-round wall time (churn + estimator step +
-	// checkpoint); /v1/metrics exports it as dynagg_track_round_seconds.
+	// checkpoint); the fleet exports it as dynagg_fleet_task_round_seconds.
 	roundHist obs.Histogram
 
-	mu      sync.RWMutex
-	est     estimator.Estimator // guarded: Step on the run goroutine, reads via view
-	view    View
-	stepErr error
+	mu   sync.RWMutex
+	est  estimator.Estimator // guarded: Step on the stepping goroutine, reads via view
+	view View
 }
 
-// View is the immutable per-round publication HTTP readers consume.
+// View is the immutable per-round publication readers consume.
 type View struct {
 	Algorithm string `json:"algorithm"`
 	Round     int    `json:"round"`
@@ -205,18 +200,14 @@ func New(sch *schema.Schema, source SessionSource, cfg Config) (*Service, error)
 			return nil, err
 		}
 	}
-	s := &Service{cfg: cfg, source: source, est: est, start: time.Now()}
+	s := &Service{cfg: cfg, source: source, est: est}
 	s.view = s.buildView(cfg.Budget, resumed, 0, nil)
 	return s, nil
 }
 
 // RoundLatency snapshots the per-round wall-time histogram — the data
-// behind the dynagg_track_round_seconds family (and the fleet daemon's
-// per-task equivalent).
+// behind the fleet's dynagg_fleet_task_round_seconds family.
 func (s *Service) RoundLatency() obs.HistogramSnapshot { return s.roundHist.Snapshot() }
-
-// Resumed reports whether New loaded estimator state from a checkpoint.
-func (s *Service) Resumed() bool { return s.CurrentView().Resumed }
 
 // CurrentView returns the latest published round view.
 func (s *Service) CurrentView() View {
@@ -261,8 +252,8 @@ func (s *Service) buildView(budget int, resumed bool, steps int, stepErr error) 
 
 // StepOnce advances the tracker by one round budgeted at Config.Budget:
 // PreRound churn (if any), one estimator Step, a checkpoint write, and
-// the view publication. It must not be called concurrently with itself,
-// StepBudget or Run. A Step error is recorded in the view and returned;
+// the view publication. It must not be called concurrently with itself
+// or StepBudget. A Step error is recorded in the view and returned;
 // the service remains usable — the next round may succeed (e.g. a
 // transient network failure against a remote database).
 func (s *Service) StepOnce() error { return s.StepBudget(s.cfg.Budget) }
@@ -293,7 +284,6 @@ func (s *Service) StepBudget(g int) error {
 	v.LastRoundMs = obs.DurationMs(roundDur)
 	s.mu.Lock()
 	s.view = v
-	s.stepErr = err
 	s.mu.Unlock()
 	return err
 }
@@ -310,58 +300,39 @@ func (s *Service) stepEstimator(g int) error {
 	return err
 }
 
-// checkpoint writes the estimator snapshot atomically (temp file +
-// rename), so a crash mid-write never corrupts the resumable state.
+// checkpoint streams the estimator snapshot into the checkpoint file
+// atomically, so a crash mid-write never corrupts the resumable state.
 func (s *Service) checkpoint() error {
 	if s.cfg.CheckpointPath == "" {
 		return nil
 	}
-	dir := filepath.Dir(s.cfg.CheckpointPath)
-	tmp, err := os.CreateTemp(dir, ".dynagg-ckpt-*")
+	err := WriteFileAtomic(s.cfg.CheckpointPath, func(w io.Writer) error {
+		return estimator.Save(s.est, w)
+	})
 	if err != nil {
-		return fmt.Errorf("tracking: checkpoint: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := estimator.Save(s.est, tmp); err != nil {
-		tmp.Close()
-		return fmt.Errorf("tracking: checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("tracking: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.cfg.CheckpointPath); err != nil {
 		return fmt.Errorf("tracking: checkpoint: %w", err)
 	}
 	return nil
 }
 
-// Run advances the tracker on the configured Interval until ctx is
-// cancelled or MaxRounds is reached. The first round runs immediately.
-// Step errors are recorded in the view and do not stop the loop; only
-// cancellation (returns nil) or a MaxRounds completion ends it.
-func (s *Service) Run(ctx context.Context) error {
-	if s.cfg.Interval <= 0 {
-		return errors.New("tracking: Config.Interval required for Run")
+// WriteFileAtomic replaces path with what write streams into a temp
+// file beside it: the temp file is closed and renamed over path only
+// when write and the close succeed, and removed otherwise. Readers of
+// path see the old contents or the new, never a torn write. Nothing is
+// fsynced, so a power loss may still lose the newest write. The task
+// checkpoints and the fleet state file are both written through it.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
 	}
-	rounds := 0
-	step := func() bool {
-		_ = s.StepOnce()
-		rounds++
-		return s.cfg.MaxRounds > 0 && rounds >= s.cfg.MaxRounds
+	defer os.Remove(tmp.Name())
+	if err := write(tmp); err != nil {
+		tmp.Close()
+		return err
 	}
-	if step() {
-		return nil
+	if err := tmp.Close(); err != nil {
+		return err
 	}
-	t := time.NewTicker(s.cfg.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-t.C:
-			if step() {
-				return nil
-			}
-		}
-	}
+	return os.Rename(tmp.Name(), path)
 }

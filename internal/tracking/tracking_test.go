@@ -1,14 +1,13 @@
 package tracking
 
 import (
-	"context"
-	"encoding/json"
+	"errors"
+	"io"
 	"math"
-	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/dynagg/dynagg/internal/agg"
 	"github.com/dynagg/dynagg/internal/hiddendb"
@@ -31,7 +30,6 @@ func newLocalService(t *testing.T, seed int64, ckpt string) (*Service, *workload
 			Algorithm:      "REISSUE",
 			Aggregates:     []*agg.Aggregate{agg.CountAll()},
 			Budget:         300,
-			Interval:       time.Millisecond,
 			Seed:           seed + 7,
 			Parallelism:    4,
 			CheckpointPath: ckpt,
@@ -90,7 +88,7 @@ func TestServiceCheckpointResume(t *testing.T) {
 	// "Crash" and restart: a second service over the same checkpoint
 	// resumes at the same round with the same drill-down pool.
 	svc2, _ := newLocalService(t, 200, ckpt)
-	if !svc2.Resumed() {
+	if !svc2.CurrentView().Resumed {
 		t.Fatal("service did not resume from checkpoint")
 	}
 	v := svc2.CurrentView()
@@ -139,94 +137,6 @@ func TestServiceRefusesCheckpointOfAnotherAlgorithm(t *testing.T) {
 	}
 }
 
-func TestServiceHTTPEndpoints(t *testing.T) {
-	svc, _ := newLocalService(t, 300, "")
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-
-	// Before any round: not ready.
-	resp, err := srv.Client().Get(srv.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 503 {
-		t.Fatalf("healthz before first round: %d", resp.StatusCode)
-	}
-
-	if err := svc.StepOnce(); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err = srv.Client().Get(srv.URL + "/v1/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var status struct {
-		View
-		UptimeSeconds float64 `json:"uptime_seconds"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if status.Algorithm != "REISSUE" || status.Round != 1 || len(status.Estimates) != 1 {
-		t.Fatalf("status: %+v", status)
-	}
-
-	resp, err = srv.Client().Get(srv.URL + "/v1/estimates")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ests []EstimateStatus
-	if err := json.NewDecoder(resp.Body).Decode(&ests); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(ests) != 1 || !ests[0].OK {
-		t.Fatalf("estimates: %+v", ests)
-	}
-
-	resp, err = srv.Client().Get(srv.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("healthz after a round: %d", resp.StatusCode)
-	}
-}
-
-func TestServiceRunMaxRoundsAndCancel(t *testing.T) {
-	svc, _ := newLocalService(t, 400, "")
-	svc.cfg.MaxRounds = 3
-	if err := svc.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := svc.CurrentView().Round; got != 3 {
-		t.Fatalf("rounds after MaxRounds run: %d", got)
-	}
-
-	// Unbounded run ends promptly on cancellation.
-	svc2, _ := newLocalService(t, 401, "")
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- svc2.Run(ctx) }()
-	time.Sleep(20 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not return after cancellation")
-	}
-	if svc2.CurrentView().Round < 1 {
-		t.Fatal("no rounds completed before cancellation")
-	}
-}
-
 func TestServiceValidation(t *testing.T) {
 	data := workload.AutosLikeN(1, 2000, 8)
 	env, err := workload.NewEnv(data, 1800, 2)
@@ -247,11 +157,49 @@ func TestServiceValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	svc, err := New(iface.Schema(), source, Config{Aggregates: []*agg.Aggregate{agg.CountAll()}})
-	if err != nil {
+	if _, err := New(iface.Schema(), source, Config{Aggregates: []*agg.Aggregate{agg.CountAll()}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Run(context.Background()); err == nil {
-		t.Error("Run without Interval accepted")
+}
+
+// TestWriteFileAtomic: a failed write leaves the old contents and no
+// temp file behind; a successful one replaces the contents whole.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state")
+	write := func(s string) func(io.Writer) error {
+		return func(w io.Writer) error {
+			_, err := io.WriteString(w, s)
+			return err
+		}
 	}
+	if err := WriteFileAtomic(path, write("old")); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	err := WriteFileAtomic(path, func(w io.Writer) error {
+		if err := write("torn")(w); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("failed write returned %v, want %v", err, boom)
+	}
+	check := func(want string) {
+		t.Helper()
+		got, err := os.ReadFile(path)
+		if err != nil || string(got) != want {
+			t.Fatalf("contents %q (%v), want %q", got, err, want)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil || len(entries) != 1 {
+			t.Fatalf("dir holds %d entries (%v), want only the file", len(entries), err)
+		}
+	}
+	check("old")
+	if err := WriteFileAtomic(path, write("new")); err != nil {
+		t.Fatal(err)
+	}
+	check("new")
 }
