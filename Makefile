@@ -39,19 +39,20 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# race exercises the parallel trial engine, the estimator execution
-# engine (concurrent drill-down walks sharing one session, local and
-# remote), the fleet scheduler + control plane (32 readers of the task
-# views and task-table writers racing the tick loop that steps each
-# task's tracking service), the snapshot engine's
-# concurrent-reader contract (32 sessions on one Iface), the sharded
+# race exercises the parallel trial engine, the workload pools
+# (environments on two goroutines drawing fresh tuples from one shared
+# dataset), the estimator execution engine (concurrent drill-down walks
+# sharing one session, local and remote), the fleet scheduler + control
+# plane (32 readers of the task views and task-table writers racing the
+# tick loop that steps each task's tracking service), the snapshot
+# engine's concurrent-reader contract (32 sessions on one Iface), the sharded
 # store's scatter-gather path (32 epoch-pinned sessions racing per-shard
 # mutator goroutines and epoch publication), the HTTP serving layer
 # (32 concurrent clients on one handler) and the multi-process router
 # (concurrent scatter-gather serving racing fleet epoch handshakes and
 # shard churn) under the race detector.
 race:
-	$(GO) test -race ./internal/experiments/ ./internal/estimator/ \
+	$(GO) test -race ./internal/experiments/ ./internal/workload/ ./internal/estimator/ \
 		./internal/tracking/ ./internal/fleet/ ./internal/hiddendb/ \
 		./internal/router/ ./webiface/ ./internal/obs/ \
 		./internal/metrics/promcheck/

@@ -5,7 +5,6 @@
 //	go test -bench=. -benchmem
 //
 // regenerates the full evaluation and records the headline numbers.
-// EXPERIMENTS.md holds the paper-vs-measured discussion.
 package dynagg_test
 
 import (
@@ -97,7 +96,7 @@ func BenchmarkFig20AmazonLive(b *testing.B)       { benchFigure(b, "fig20") }
 func BenchmarkFig21EBayLive(b *testing.B)         { benchFigure(b, "fig21") }
 
 // ---------------------------------------------------------------------
-// Ablation benches (DESIGN.md "Design decisions & ablations")
+// Ablation benches
 // ---------------------------------------------------------------------
 
 // BenchmarkAblationClientCache compares RESTART's drill-down throughput

@@ -80,9 +80,9 @@
 //     the client-cache ablation is on — report so and are served
 //     sequentially.
 //   - Still single-goroutine: a Tracker, every estimator (only its
-//     internal engine fans out), Env, Dataset and every rand.Rand belong
-//     to one goroutine. Do not share one session across estimators or
-//     across rounds.
+//     internal engine fans out), Env and every rand.Rand belong to one
+//     goroutine. Do not share one session across estimators or across
+//     rounds.
 //
 // # Sharded stores and epochs
 //
@@ -93,16 +93,17 @@
 //
 //   - Shard ownership: every mutation is routed to the tuple's owning
 //     shard; AT MOST ONE mutator goroutine per shard at a time.
-//     ApplyBatchParallel partitions a round's batch and applies it with
-//     exactly one goroutine per shard — the sharded write path at full
-//     width. Cross-shard batches are not atomic; the round driver owns
-//     recovery on a mid-batch error.
+//     ShardedStore.ApplyBatch partitions a round's batch and applies it
+//     with exactly one goroutine per shard — the sharded write path at
+//     full width. Cross-shard batches are not atomic: a failing shard
+//     is left unchanged while the others keep their part, and the round
+//     driver owns recovery.
 //   - Epoch publication: an Epoch pins one immutable snapshot per shard
 //     under a single fleet-wide sequence number. AdvanceEpoch must be
 //     called from the round driver with all mutators quiescent (after
-//     ApplyBatchParallel returns); it snapshots every shard and
-//     publishes the set atomically. Readers never assemble their own
-//     cross-shard view — they read the published Epoch pointer.
+//     ApplyBatch returns); it snapshots every shard and publishes the
+//     set atomically. Readers never assemble their own cross-shard view
+//     — they read the published Epoch pointer.
 //   - Scatter-gather answering: ShardedIface answers Search and
 //     CountMatching by querying every pinned shard snapshot in shard
 //     order, folding each into one running top-k. Answers are
@@ -123,10 +124,11 @@
 // Options.Parallelism adds the intra-trial axis on top: each trial's
 // estimator fans its drill-down issuance out without changing a digit
 // of any figure. Immutable-after-construction values — schema.Schema,
-// querytree.Tree, every published Snapshot — may be shared freely. The
-// contract is enforced by a race-detector CI job (make race) covering
-// the engine, the estimator executor, the tracking service, the
-// experiment harness and the HTTP serving layer.
+// querytree.Tree, a generated Dataset, every published Snapshot — may
+// be shared freely. The contract is enforced by a race-detector CI job
+// (make race) covering the engine, the estimator executor, the tracking
+// service, the experiment harness, the workload pools and the HTTP
+// serving layer.
 //
 // # Continuous tracking
 //
@@ -155,15 +157,12 @@
 //   - The scheduler goroutine owns all task stepping: one task at a
 //     time, in ascending task-ID order; only each task's estimator
 //     fans out internally. Per-task estimates are byte-identical to an
-//     equally budgeted standalone tracking.Service (the experiments
-//     "fleet" scenario re-proves this on every run).
+//     equally budgeted standalone tracking.Service
+//     (TestFleetMatchesStandalone in internal/fleet proves this).
 //   - The control plane owns only the task table (manager mutex);
 //     mutations take effect at tick boundaries and never touch a
 //     service beyond reading its immutable View.
 //   - Target churn hooks run once per tick on the scheduler goroutine,
 //     no matter how many tasks share the target; pooled clients are
 //     concurrent-safe by construction.
-//
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-vs-measured record of every reproduced figure.
 package dynagg

@@ -36,7 +36,7 @@ func Fig20(opt Options) (*Figure, error) {
 		XLabel: "day", YLabel: "estimate",
 		X:       roundsAxis(am.Rounds()),
 		XLabels: livesim.AmazonDays,
-		Notes:   []string{"substitution: scripted promotion simulator (see DESIGN.md); estimator: RS, k=100, G=1000/day"},
+		Notes:   []string{"substitution: scripted promotion simulator (see internal/livesim); estimator: RS, k=100, G=1000/day"},
 	}
 	series := make([][]float64, len(aggs)*2)
 	for round := 1; round <= am.Rounds(); round++ {
@@ -89,7 +89,7 @@ func Fig21(opt Options) (*Figure, error) {
 		XLabel: "hour", YLabel: "AVG price ($)",
 		X:       roundsAxis(eb.Rounds()),
 		XLabels: livesim.EBayHours,
-		Notes:   []string{"substitution: scripted auction simulator (see DESIGN.md); k=100, G=250/hour per algorithm"},
+		Notes:   []string{"substitution: scripted auction simulator (see internal/livesim); k=100, G=250/hour per algorithm"},
 	}
 	type key struct {
 		algo Algo

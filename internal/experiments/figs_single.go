@@ -10,7 +10,7 @@ import (
 )
 
 // autosParams are the Yahoo! Autos experiment parameters, scaled down by
-// default (DESIGN.md "Scale guard") and exact at full scale.
+// default and exact at full scale.
 type autosParams struct {
 	n, initial, insert int
 	deleteFrac         float64

@@ -6,8 +6,7 @@
 // of the 188,917-tuple Yahoo! Autos snapshot) and a couple of trials so the
 // whole suite completes on a single core in minutes while preserving each
 // figure's qualitative shape. Setting DYNAGG_FULL_SCALE=1 (or
-// Options.FullScale) switches to the paper's parameters. EXPERIMENTS.md
-// records paper-vs-measured for every figure.
+// Options.FullScale) switches to the paper's parameters.
 package experiments
 
 import (
@@ -394,9 +393,10 @@ func runTrackingTrial(spec TrackSpec, opt Options, trial int) (*trackTrial, erro
 }
 
 // RunTracking executes the spec for every algorithm and trial. Every
-// algorithm sees an identical database evolution (same dataset and
-// environment seeds per trial), mirroring the paper's setup where all
-// methods query the same live database.
+// algorithm sees an identical database evolution (one dataset per trial,
+// and one environment per algorithm built from it with the same seed),
+// mirroring the paper's setup where all methods query the same live
+// database.
 //
 // Trials run concurrently on opt.workers() goroutines, each with a fully
 // isolated environment. Per-trial outcomes are merged in trial-index

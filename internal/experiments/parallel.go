@@ -10,15 +10,16 @@ import (
 //
 // Concurrency contract (see also doc.go "Concurrency" and ROADMAP.md):
 // the unit of parallelism is one TRIAL. Every trial owns its entire
-// mutable world — its workload.Dataset (mutated by fresh-tuple
-// generation), its workload.Env and hiddendb.Store/Iface/Session, its
+// mutable world — its workload.Env and hiddendb.Store/Iface/Session, its
 // estimator instances and every rand.Rand — all derived deterministically
-// from trialSeed(opt.Seed, trial). Nothing mutable crosses a trial
-// boundary; the only shared inputs are immutable-after-construction
-// values (schema.Schema, querytree.Tree, TrackSpec closures over plain
-// parameters). Aggregation happens after the fact, in trial-index order,
-// so that the float accumulation order — and therefore every figure —
-// is byte-identical to a sequential run with the same seed.
+// from trialSeed(opt.Seed, trial), and builds its own workload.Dataset
+// (read-only once generated; every Env keeps its own fresh-tuple keys).
+// Nothing mutable crosses a trial boundary; the only shared inputs are
+// immutable-after-construction values (schema.Schema, querytree.Tree,
+// TrackSpec closures over plain parameters). Aggregation happens after
+// the fact, in trial-index order, so that the float accumulation order —
+// and therefore every figure — is byte-identical to a sequential run
+// with the same seed.
 
 // trialSeed derives the dataset seed of one trial. Trials are spaced
 // 1000 apart in seed space, and each trial's components draw from fixed

@@ -13,8 +13,7 @@
 // publication and checkpointing are exactly the standalone service's,
 // driven through Service.StepBudget — which is why a fleet task's
 // estimate stream is byte-identical to an equally budgeted standalone
-// tracker (proven in fleet_test.go and the experiments "fleet"
-// scenario).
+// tracker (proven by TestFleetMatchesStandalone).
 //
 // Ownership rules (the fleet extension of the repo's concurrency
 // contract):
@@ -203,9 +202,13 @@ func New(cfg Config) (*Manager, error) {
 	if err := json.Unmarshal(raw, &st); err != nil {
 		return nil, fmt.Errorf("fleet: state decode: %w", err)
 	}
-	// saveState writes each ID once, so a repeat means a damaged or
-	// hand-edited file. Restoring it would run one spec and persist the
-	// other in its place.
+	// saveState writes neither a negative tick count nor an ID twice, so
+	// either means a damaged or hand-edited file. A negative count would
+	// hand PreTick a negative tick and export a negative counter; a
+	// repeated ID would run one spec and persist the other in its place.
+	if st.Ticks < 0 {
+		return nil, fmt.Errorf("fleet: state holds a negative tick count %d", st.Ticks)
+	}
 	seen := make(map[string]bool, len(st.Tasks))
 	for _, spec := range st.Tasks {
 		if seen[spec.ID] {

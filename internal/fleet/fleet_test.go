@@ -528,8 +528,9 @@ func TestFleetRunMaxTicks(t *testing.T) {
 
 // FuzzFleetState feeds arbitrary bytes to New as a fleet directory's
 // fleet.json. Either New refuses them, or the restored fleet survives a
-// tick and a Status, lists each task ID once across its tasks and
-// failed tasks, and writes a state file that a second New accepts.
+// tick with a positive tick count and a Status, lists each task ID once
+// across its tasks and failed tasks, and writes a state file that a
+// second New accepts.
 // Inputs naming a remote are skipped so that no input dials out.
 func FuzzFleetState(f *testing.F) {
 	targets := map[string]Target{"db": target(newEnv(f, 81), false)}
@@ -555,6 +556,9 @@ func FuzzFleetState(f *testing.F) {
 			return
 		}
 		mgr.TickOnce()
+		if n := mgr.Ticks(); n < 1 {
+			t.Fatalf("Ticks() = %d after one tick", n)
+		}
 		status := mgr.Status()
 		seen := make(map[string]bool)
 		for _, ts := range status.Tasks {

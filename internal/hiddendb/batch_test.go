@@ -235,21 +235,15 @@ func TestApplyBatchRejectsRepeatedInsertID(t *testing.T) {
 		t.Error("Store.ApplyBatch changed the store before refusing the batch")
 	}
 
-	for _, parallel := range []bool{false, true} {
-		ss := NewShardedStore(st.Schema(), 4)
-		apply := ss.ApplyBatch
-		if parallel {
-			apply = ss.ApplyBatchParallel
-		}
-		if err := apply(batch(), nil); err == nil {
-			t.Errorf("ShardedStore (parallel=%v) accepted ID 500 twice", parallel)
-		}
-		ss.ForEach(func(tu *schema.Tuple) {
-			if tu.ID == 500 {
-				t.Fatalf("ShardedStore (parallel=%v) holds ID 500 after refusing the batch", parallel)
-			}
-		})
+	ss := NewShardedStore(st.Schema(), 4)
+	if err := ss.ApplyBatch(batch(), nil); err == nil {
+		t.Error("ShardedStore accepted ID 500 twice")
 	}
+	ss.ForEach(func(tu *schema.Tuple) {
+		if tu.ID == 500 {
+			t.Fatal("ShardedStore holds ID 500 after refusing the batch")
+		}
+	})
 }
 
 // TestGallopTuples checks the galloping search against sort.Search from

@@ -182,7 +182,7 @@ func probeShardedStore(t *testing.T, seed int64, n, shards int) *ShardedStore {
 	ss := NewShardedStore(flat.Schema(), shards)
 	var all []*schema.Tuple
 	flat.ForEach(func(tu *schema.Tuple) { all = append(all, tu) })
-	if err := ss.ApplyBatchParallel(all, nil); err != nil {
+	if err := ss.ApplyBatch(all, nil); err != nil {
 		t.Fatal(err)
 	}
 	return ss
@@ -221,7 +221,7 @@ func TestShardedProbeAnswersLikeSearch(t *testing.T) {
 						}
 						ins = append(ins, &schema.Tuple{ID: ss.NextID(), Vals: vals, Aux: []float64{rng.Float64()}})
 					}
-					if err := ss.ApplyBatchParallel(ins, ss.IDs()[:40]); err != nil {
+					if err := ss.ApplyBatch(ins, ss.IDs()[:40]); err != nil {
 						t.Fatal(err)
 					}
 					ss.AdvanceEpoch()

@@ -3,7 +3,6 @@ package hiddendb
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -21,8 +20,8 @@ import (
 //
 //   - Each shard has at most ONE mutator goroutine at a time. Because
 //     mutations are routed by ShardFor(id), a harness may run one mutator
-//     goroutine per shard in parallel (ApplyBatchParallel does exactly
-//     that), which is the point of sharding the write path.
+//     goroutine per shard in parallel (ApplyBatch does exactly that),
+//     which is the point of sharding the write path.
 //   - Epoch publication (AdvanceEpoch) happens at round boundaries, with
 //     all shard mutators quiescent: the publisher must observe every
 //     mutation it wants the new epoch to serve. Publication itself is
@@ -145,29 +144,14 @@ func (ss *ShardedStore) partitionBatch(inserts []*schema.Tuple, deleteIDs []uint
 	return ins, dels
 }
 
-// ApplyBatch partitions a round's updates by owning shard and applies each
-// shard's slice with one merge pass. Validation is per shard: on error the
-// failing shard is left unmodified, but earlier shards keep their applied
-// portion (cross-shard batches are not atomic — the round-boundary mutator
-// owns recovery).
+// ApplyBatch partitions a round's updates by owning shard and applies
+// each shard's slice with one merge pass on its own goroutine — the
+// sharded write path at full width — returning once every shard has
+// finished. Validation is per shard: a failing shard is left unmodified,
+// but every other shard keeps its applied portion (cross-shard batches
+// are not atomic — the round-boundary mutator owns recovery). The error
+// is the lowest-numbered failing shard's.
 func (ss *ShardedStore) ApplyBatch(inserts []*schema.Tuple, deleteIDs []uint64) error {
-	ins, dels := ss.partitionBatch(inserts, deleteIDs)
-	for i, st := range ss.shards {
-		if len(ins[i]) == 0 && len(dels[i]) == 0 {
-			continue
-		}
-		if err := st.ApplyBatch(ins[i], dels[i]); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// ApplyBatchParallel is ApplyBatch with one mutator goroutine per shard —
-// the sharded write path at full width. Each shard's slice is applied by
-// its own goroutine; the call returns after every shard finished, with the
-// first error encountered (same atomicity caveat as ApplyBatch).
-func (ss *ShardedStore) ApplyBatchParallel(inserts []*schema.Tuple, deleteIDs []uint64) error {
 	ins, dels := ss.partitionBatch(inserts, deleteIDs)
 	errs := make([]error, len(ss.shards))
 	var wg sync.WaitGroup
@@ -201,15 +185,24 @@ func (ss *ShardedStore) ForEach(fn func(*schema.Tuple)) {
 	}
 }
 
-// IDs returns the IDs of all live tuples in ascending order (per-shard ID
-// sets are disjoint but interleaved, so a global sort keeps harness-side
-// victim sampling deterministic).
+// IDs returns the IDs of all live tuples in canonical order, the order
+// Store.IDs lists them in: a merge of the shards' canonical orders, so a
+// harness that samples victims from the list picks the same tuples from
+// a sharded store as from an unsharded one holding the same tuples.
 func (ss *ShardedStore) IDs() []uint64 {
 	out := make([]uint64, 0, ss.Size())
-	for _, st := range ss.shards {
-		out = append(out, st.IDs()...)
+	next := make([]int, len(ss.shards)) // each shard's first unmerged position
+	for len(out) < cap(out) {
+		best := -1
+		for i, st := range ss.shards {
+			if next[i] < len(st.tuples) &&
+				(best < 0 || less(st.tuples[next[i]], ss.shards[best].tuples[next[best]])) {
+				best = i
+			}
+		}
+		out = append(out, ss.shards[best].tuples[next[best]].ID)
+		next[best]++
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -41,7 +41,7 @@ func mirroredStores(t testing.TB, seed int64, n, shards int, domains []int) (*St
 	if err := flat.ApplyBatch(seedBatch, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := ss.ApplyBatchParallel(seedBatch, nil); err != nil {
+	if err := ss.ApplyBatch(seedBatch, nil); err != nil {
 		t.Fatal(err)
 	}
 	churn := func(insertN, deleteN int) {
@@ -60,7 +60,7 @@ func mirroredStores(t testing.TB, seed int64, n, shards int, domains []int) (*St
 			t.Error(err)
 			return
 		}
-		if err := ss.ApplyBatchParallel(ins, dels); err != nil {
+		if err := ss.ApplyBatch(ins, dels); err != nil {
 			t.Error(err)
 			return
 		}
@@ -209,7 +209,7 @@ func TestShardedConcurrentSessions(t *testing.T) {
 	mutWG.Add(1)
 	go func() {
 		// The round driver: per-shard mutator goroutines (inside
-		// ApplyBatchParallel via churn) followed by epoch publication.
+		// ApplyBatch via churn) followed by epoch publication.
 		defer mutWG.Done()
 		for {
 			select {

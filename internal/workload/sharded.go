@@ -1,101 +1,42 @@
 package workload
 
-import (
-	"fmt"
-	"math/rand"
+import "github.com/dynagg/dynagg/internal/hiddendb"
 
-	"github.com/dynagg/dynagg/internal/hiddendb"
-	"github.com/dynagg/dynagg/internal/schema"
-)
-
-// ShardedEnv is Env over a hash-partitioned ShardedStore: the same pool
-// bookkeeping and churn operations, with each batch applied by one
-// mutator goroutine per shard (ApplyBatchParallel). Built with the same
-// (data, initial, seed) as an Env it loads the identical tuple set with
-// identical IDs — the shard-equivalence tests rely on this to mirror
-// churn across a sharded and an unsharded store.
+// ShardedEnv is Env over a hash-partitioned ShardedStore: the same pool,
+// with every batch applied by ShardedStore.ApplyBatch (one mutator
+// goroutine per shard). Built with the same (data, initial, seed) as an
+// Env it loads the identical tuple set with identical IDs and, under the
+// same batch churn, evolves identically — the shard-equivalence tests
+// rely on this to mirror churn across a sharded and an unsharded store.
 //
 // Ownership: single-goroutine, like Env. The per-shard parallelism lives
 // inside each batch application, not across callers.
 type ShardedEnv struct {
-	Data  *Dataset
+	pool
 	Store *hiddendb.ShardedStore
-	Rng   *rand.Rand
-
-	free     []int          // pool indexes currently outside the database
-	originOf map[uint64]int // store ID → pool index (fresh tuples: -1)
 }
 
 // NewShardedEnv creates a sharded store preloaded with `initial`
 // uniformly chosen pool tuples, drawing from the same seeded RNG stream
 // as NewEnv.
 func NewShardedEnv(data *Dataset, initial int, seed int64, shards int) (*ShardedEnv, error) {
-	if initial > len(data.Pool) {
-		return nil, fmt.Errorf("workload: initial size %d exceeds pool %d", initial, len(data.Pool))
-	}
-	e := &ShardedEnv{
-		Data:     data,
-		Store:    hiddendb.NewShardedStore(data.Schema, shards),
-		Rng:      rand.New(rand.NewSource(seed)),
-		originOf: make(map[uint64]int),
-	}
-	perm := e.Rng.Perm(len(data.Pool))
-	var batch []*schema.Tuple
-	for i, poolIdx := range perm {
-		if i < initial {
-			t := data.Pool[poolIdx].Clone(e.Store.NextID())
-			e.originOf[t.ID] = poolIdx
-			batch = append(batch, t)
-		} else {
-			e.free = append(e.free, poolIdx)
-		}
-	}
-	if err := e.Store.ApplyBatchParallel(batch, nil); err != nil {
+	e := &ShardedEnv{Store: hiddendb.NewShardedStore(data.Schema, shards)}
+	if err := e.load(data, initial, seed, e.Store); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
 // InsertFromPool inserts n uniformly chosen pool tuples not currently in
-// the database (falling back to fresh tuples when the pool runs dry),
-// applied with one mutator goroutine per shard.
+// the database, falling back to fresh tuples when the pool runs dry.
 func (e *ShardedEnv) InsertFromPool(n int) error {
-	var batch []*schema.Tuple
-	for i := 0; i < n; i++ {
-		if len(e.free) == 0 {
-			t := e.Data.fresh(e.Rng)
-			t = t.Clone(e.Store.NextID())
-			e.originOf[t.ID] = -1
-			batch = append(batch, t)
-			continue
-		}
-		j := e.Rng.Intn(len(e.free))
-		poolIdx := e.free[j]
-		e.free[j] = e.free[len(e.free)-1]
-		e.free = e.free[:len(e.free)-1]
-		t := e.Data.Pool[poolIdx].Clone(e.Store.NextID())
-		e.originOf[t.ID] = poolIdx
-		batch = append(batch, t)
-	}
-	return e.Store.ApplyBatchParallel(batch, nil)
+	return e.Store.ApplyBatch(e.draw(n), nil)
 }
 
 // DeleteRandom deletes n uniformly chosen tuples (or every tuple if
 // fewer remain), returning pool-origin tuples to the available pool.
 func (e *ShardedEnv) DeleteRandom(n int) error {
-	ids := e.Store.IDs()
-	if n >= len(ids) {
-		n = len(ids)
-	}
-	e.Rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-	victims := ids[:n]
-	for _, id := range victims {
-		if poolIdx, ok := e.originOf[id]; ok && poolIdx >= 0 {
-			e.free = append(e.free, poolIdx)
-		}
-		delete(e.originOf, id)
-	}
-	return e.Store.ApplyBatchParallel(nil, victims)
+	return e.Store.ApplyBatch(nil, e.victims(e.Store.IDs(), n))
 }
 
 // DeleteFraction deletes ⌊f·|D|⌋ uniformly chosen tuples.

@@ -8,7 +8,7 @@
 // same attribute count, domain sizes spanning 2–38, and skewed value
 // frequencies. Since the estimators interact with the data only through
 // drill downs, their behaviour is governed by n, m, the |Ui| and the
-// value skew — all matched here (see DESIGN.md, "Substitutions").
+// value skew — all matched here.
 //
 // Update schedules implement the paper's round-update model: the default
 // Yahoo! Autos schedule starts with 170,000 tuples and, per round, inserts
@@ -29,10 +29,11 @@ import (
 // fresh tuples beyond the pool (schedules that insert more tuples than the
 // pool holds synthesise new distinct ones on demand).
 //
-// Ownership: a Dataset is single-goroutine — fresh-tuple generation
-// mutates the internal key set — so every concurrently-running trial must
-// build its own (the harness derives one per trial from seed+trialIndex).
-// The Schema it references is immutable and safely shared.
+// Ownership: a Dataset is read-only once generated and safe to share
+// across goroutines: each environment records the keys of the fresh
+// tuples it draws in its own pool, so any number of environments built
+// from one Dataset evolve independently. The Schema it references is
+// immutable.
 type Dataset struct {
 	// Schema of every tuple.
 	Schema *schema.Schema
@@ -40,7 +41,7 @@ type Dataset struct {
 	// IDs; Env assigns store IDs at insertion time.
 	Pool []*schema.Tuple
 
-	keys    map[string]bool
+	keys    map[string]bool // keys of the Pool tuples
 	genVals func(rng *rand.Rand) []uint16
 	genAux  func(rng *rand.Rand, vals []uint16) []float64
 }
@@ -180,13 +181,14 @@ func generate(seed int64, n int, sch *schema.Schema, genVals func(*rand.Rand) []
 	}
 	d.Pool = make([]*schema.Tuple, 0, n)
 	for len(d.Pool) < n {
-		d.Pool = append(d.Pool, d.fresh(rng))
+		d.Pool = append(d.Pool, d.fresh(rng, d.keys))
 	}
 	return d
 }
 
-// fresh generates one new tuple distinct from everything generated so far.
-func (d *Dataset) fresh(rng *rand.Rand) *schema.Tuple {
+// fresh generates one new tuple whose key is in neither the pool nor own,
+// and records its key in own.
+func (d *Dataset) fresh(rng *rand.Rand, own map[string]bool) *schema.Tuple {
 	for attempt := 0; ; attempt++ {
 		vals := d.genVals(rng)
 		if attempt > 64 {
@@ -201,10 +203,11 @@ func (d *Dataset) fresh(rng *rand.Rand) *schema.Tuple {
 			vals[widest] = uint16(rng.Intn(d.Schema.DomainSize(widest)))
 		}
 		t := &schema.Tuple{Vals: vals}
-		if d.keys[t.Key()] {
+		k := t.Key()
+		if d.keys[k] || own[k] {
 			continue
 		}
-		d.keys[t.Key()] = true
+		own[k] = true
 		if d.genAux != nil {
 			t.Aux = d.genAux(rng, vals)
 		}
@@ -212,20 +215,117 @@ func (d *Dataset) fresh(rng *rand.Rand) *schema.Tuple {
 	}
 }
 
+// store is what a pool needs of the store it fills; Store and
+// ShardedStore both have it.
+type store interface {
+	NextID() uint64
+	ApplyBatch(inserts []*schema.Tuple, deleteIDs []uint64) error
+}
+
+// pool is the bookkeeping Env and ShardedEnv share: which dataset tuples
+// are outside the database and so free to insert, which dataset tuple
+// each stored one came from, and the keys of the fresh tuples drawn
+// beyond the dataset. Every draw goes through Rng in a fixed order, so
+// two pools loaded with the same (data, initial, seed) hand out the same
+// tuples under the same IDs, whatever store they fill.
+type pool struct {
+	Data *Dataset
+	Rng  *rand.Rand
+
+	nextID   func() uint64   // the store's ID allocator
+	free     []int           // pool indexes currently outside the database
+	originOf map[uint64]int  // store ID → pool index, for pool tuples only
+	fresh    map[string]bool // keys of the fresh tuples drawn so far
+}
+
+// load seeds the pool and fills st with `initial` uniformly chosen
+// dataset tuples.
+func (p *pool) load(data *Dataset, initial int, seed int64, st store) error {
+	if initial > len(data.Pool) {
+		return fmt.Errorf("workload: initial size %d exceeds pool %d", initial, len(data.Pool))
+	}
+	*p = pool{
+		Data:     data,
+		Rng:      rand.New(rand.NewSource(seed)),
+		nextID:   st.NextID,
+		originOf: make(map[uint64]int),
+		fresh:    make(map[string]bool),
+	}
+	perm := p.Rng.Perm(len(data.Pool))
+	p.free = perm[initial:]
+	batch := make([]*schema.Tuple, initial)
+	for i, poolIdx := range perm[:initial] {
+		batch[i] = p.take(poolIdx)
+	}
+	return st.ApplyBatch(batch, nil)
+}
+
+// take clones pool tuple poolIdx under a new store ID.
+func (p *pool) take(poolIdx int) *schema.Tuple {
+	t := p.Data.Pool[poolIdx].Clone(p.nextID())
+	p.originOf[t.ID] = poolIdx
+	return t
+}
+
+// freshTuple generates a tuple unlike every pool tuple and every fresh
+// tuple drawn before, under a new store ID.
+func (p *pool) freshTuple() *schema.Tuple {
+	return p.Data.fresh(p.Rng, p.fresh).Clone(p.nextID())
+}
+
+// draw picks n uniformly chosen pool tuples that are not currently in the
+// database; when the pool runs dry it falls back to fresh tuples so long
+// schedules never stall.
+func (p *pool) draw(n int) []*schema.Tuple {
+	batch := make([]*schema.Tuple, n)
+	for i := range batch {
+		if len(p.free) == 0 {
+			batch[i] = p.freshTuple()
+			continue
+		}
+		j := p.Rng.Intn(len(p.free))
+		poolIdx := p.free[j]
+		p.free[j] = p.free[len(p.free)-1]
+		p.free = p.free[:len(p.free)-1]
+		batch[i] = p.take(poolIdx)
+	}
+	return batch
+}
+
+// victims shuffles ids, releases the first n (all of them if fewer) and
+// returns them for deletion.
+func (p *pool) victims(ids []uint64, n int) []uint64 {
+	if n > len(ids) {
+		n = len(ids)
+	}
+	p.Rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	for _, id := range ids[:n] {
+		p.release(id)
+	}
+	return ids[:n]
+}
+
+// release records that the tuple with this store ID leaves the database:
+// a pool tuple becomes free to insert again.
+func (p *pool) release(id uint64) {
+	if poolIdx, ok := p.originOf[id]; ok {
+		p.free = append(p.free, poolIdx)
+		delete(p.originOf, id)
+	}
+}
+
 // Env binds a dataset to a live store and tracks which pool tuples are
 // currently inside the database, so schedules can insert "random tuples
 // not currently in the database" and return deleted tuples to the pool —
-// the paper's default Yahoo! Autos insertion/deletion model.
+// the paper's default Yahoo! Autos insertion/deletion model. The
+// embedded pool holds Data, the dataset, and Rng, the seeded source of
+// every draw.
 //
-// Ownership: single-goroutine, like the Store and Dataset it drives; one
-// Env belongs to one trial's worker goroutine.
+// Ownership: single-goroutine, like the Store it drives; one Env belongs
+// to one trial's worker goroutine.
 type Env struct {
-	Data  *Dataset
+	pool
 	Store *hiddendb.Store
-	Rng   *rand.Rand
-
-	free     []int          // pool indexes currently outside the database
-	originOf map[uint64]int // store ID → pool index (fresh tuples: -1)
 }
 
 // NewEnv creates a store preloaded with `initial` uniformly chosen pool
@@ -233,27 +333,8 @@ type Env struct {
 // with the same arguments evolve identically (the harness relies on this
 // to give every estimator an identical database history).
 func NewEnv(data *Dataset, initial int, seed int64) (*Env, error) {
-	if initial > len(data.Pool) {
-		return nil, fmt.Errorf("workload: initial size %d exceeds pool %d", initial, len(data.Pool))
-	}
-	e := &Env{
-		Data:     data,
-		Store:    hiddendb.NewStore(data.Schema),
-		Rng:      rand.New(rand.NewSource(seed)),
-		originOf: make(map[uint64]int),
-	}
-	perm := e.Rng.Perm(len(data.Pool))
-	var batch []*schema.Tuple
-	for i, poolIdx := range perm {
-		if i < initial {
-			t := data.Pool[poolIdx].Clone(e.Store.NextID())
-			e.originOf[t.ID] = poolIdx
-			batch = append(batch, t)
-		} else {
-			e.free = append(e.free, poolIdx)
-		}
-	}
-	if err := e.Store.ApplyBatch(batch, nil); err != nil {
+	e := &Env{Store: hiddendb.NewStore(data.Schema)}
+	if err := e.load(data, initial, seed, e.Store); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -265,23 +346,7 @@ func NewEnv(data *Dataset, initial int, seed int64) (*Env, error) {
 // (constant-update simulations insert one tuple at a time) take the
 // incremental path to avoid the full merge pass.
 func (e *Env) InsertFromPool(n int) error {
-	var batch []*schema.Tuple
-	for i := 0; i < n; i++ {
-		if len(e.free) == 0 {
-			t := e.Data.fresh(e.Rng)
-			t = t.Clone(e.Store.NextID())
-			e.originOf[t.ID] = -1
-			batch = append(batch, t)
-			continue
-		}
-		j := e.Rng.Intn(len(e.free))
-		poolIdx := e.free[j]
-		e.free[j] = e.free[len(e.free)-1]
-		e.free = e.free[:len(e.free)-1]
-		t := e.Data.Pool[poolIdx].Clone(e.Store.NextID())
-		e.originOf[t.ID] = poolIdx
-		batch = append(batch, t)
-	}
+	batch := e.draw(n)
 	if len(batch) <= 4 {
 		for _, t := range batch {
 			if err := e.Store.Insert(t); err != nil {
@@ -296,11 +361,9 @@ func (e *Env) InsertFromPool(n int) error {
 // InsertFresh inserts n brand-new distinct tuples (used by the big-change
 // schedules that outgrow the pool).
 func (e *Env) InsertFresh(n int) error {
-	var batch []*schema.Tuple
-	for i := 0; i < n; i++ {
-		t := e.Data.fresh(e.Rng).Clone(e.Store.NextID())
-		e.originOf[t.ID] = -1
-		batch = append(batch, t)
+	batch := make([]*schema.Tuple, n)
+	for i := range batch {
+		batch[i] = e.freshTuple()
 	}
 	return e.Store.ApplyBatch(batch, nil)
 }
@@ -312,29 +375,14 @@ func (e *Env) DeleteRandom(n int) error {
 	if n <= 2 && e.Store.Size() > 0 {
 		for i := 0; i < n && e.Store.Size() > 0; i++ {
 			id := e.Store.At(e.Rng.Intn(e.Store.Size())).ID
-			if poolIdx, ok := e.originOf[id]; ok && poolIdx >= 0 {
-				e.free = append(e.free, poolIdx)
-			}
-			delete(e.originOf, id)
+			e.release(id)
 			if _, err := e.Store.Delete(id); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	ids := e.Store.IDs()
-	if n >= len(ids) {
-		n = len(ids)
-	}
-	e.Rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-	victims := ids[:n]
-	for _, id := range victims {
-		if poolIdx, ok := e.originOf[id]; ok && poolIdx >= 0 {
-			e.free = append(e.free, poolIdx)
-		}
-		delete(e.originOf, id)
-	}
-	return e.Store.ApplyBatch(nil, victims)
+	return e.Store.ApplyBatch(nil, e.victims(e.Store.IDs(), n))
 }
 
 // DeleteFraction deletes ⌊f·|D|⌋ uniformly chosen tuples.
@@ -364,12 +412,7 @@ func (e *Env) MutateAux(frac float64, mutate func(aux []float64, rng *rand.Rand)
 func (e *Env) MutateAuxWhere(frac float64, pred func(*schema.Tuple) bool,
 	mutate func(aux []float64, rng *rand.Rand)) error {
 
-	var ids []uint64
-	e.Store.ForEach(func(t *schema.Tuple) {
-		if pred == nil || pred(t) {
-			ids = append(ids, t.ID)
-		}
-	})
+	ids := e.matching(pred)
 	n := int(frac * float64(len(ids)))
 	e.Rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 	for _, id := range ids[:n] {
@@ -389,22 +432,20 @@ func (e *Env) MutateAuxWhere(frac float64, pred func(*schema.Tuple) bool,
 // DeleteWhere deletes frac of the tuples matching pred, returning
 // pool-origin victims to the pool.
 func (e *Env) DeleteWhere(frac float64, pred func(*schema.Tuple) bool) error {
+	ids := e.matching(pred)
+	return e.Store.ApplyBatch(nil, e.victims(ids, int(frac*float64(len(ids)))))
+}
+
+// matching returns the IDs of the tuples matching pred (nil pred matches
+// everything) in canonical order.
+func (e *Env) matching(pred func(*schema.Tuple) bool) []uint64 {
 	var ids []uint64
 	e.Store.ForEach(func(t *schema.Tuple) {
 		if pred == nil || pred(t) {
 			ids = append(ids, t.ID)
 		}
 	})
-	n := int(frac * float64(len(ids)))
-	e.Rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-	victims := ids[:n]
-	for _, id := range victims {
-		if poolIdx, ok := e.originOf[id]; ok && poolIdx >= 0 {
-			e.free = append(e.free, poolIdx)
-		}
-		delete(e.originOf, id)
-	}
-	return e.Store.ApplyBatch(nil, victims)
+	return ids
 }
 
 // Schedule mutates the environment at the start of a round (round-update

@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/dynagg/dynagg/internal/schema"
@@ -322,5 +325,101 @@ func TestDeleteWhere(t *testing.T) {
 	}
 	if matchAfter != matchBefore-matchBefore/2 {
 		t.Errorf("matching deletions wrong: %d -> %d", matchBefore, matchAfter)
+	}
+}
+
+// contents maps every tuple a store holds from its ID to its values and
+// aux payload.
+func contents(forEach func(func(*schema.Tuple))) map[uint64]string {
+	out := make(map[uint64]string)
+	forEach(func(tu *schema.Tuple) { out[tu.ID] = fmt.Sprint(tu.Vals, tu.Aux) })
+	return out
+}
+
+// Environments built from one Dataset with the same seed must evolve
+// identically, also once the pool runs dry: one environment's fresh draws
+// must not change what the next one draws. The harness builds one
+// environment per algorithm from each trial's dataset.
+func TestEnvsFromOneDatasetEvolveIdentically(t *testing.T) {
+	d := AutosLikeN(1, 40000, 38)
+	a, err := NewEnv(d, 36000, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewEnv(d, 36000, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := PoolChurn(300, 0.001)
+	for round := 2; round <= 51; round++ {
+		for _, env := range []*Env{a, b} {
+			if err := sched(round, env); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !reflect.DeepEqual(contents(a.Store.ForEach), contents(b.Store.ForEach)) {
+		t.Fatal("two environments from one dataset hold different tuples after 50 rounds")
+	}
+}
+
+// An Env and a ShardedEnv built from the same (data, initial, seed) hold
+// the same tuples under the same IDs through churn past pool exhaustion.
+// Each round deletes more than two tuples, so Env samples its victims
+// from the ID list as ShardedEnv does rather than one by one.
+func TestShardedEnvMirrorsEnv(t *testing.T) {
+	d := AutosLikeN(80, 3000, 8)
+	env, err := NewEnv(d, 2500, 81)
+	if err != nil {
+		t.Fatal(err)
+	}
+	senv, err := NewShardedEnv(d, 2500, 81, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 30; round++ {
+		if err := env.DeleteRandom(25); err != nil {
+			t.Fatal(err)
+		}
+		if err := env.InsertFromPool(60); err != nil {
+			t.Fatal(err)
+		}
+		if err := senv.DeleteRandom(25); err != nil {
+			t.Fatal(err)
+		}
+		if err := senv.InsertFromPool(60); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(contents(env.Store.ForEach), contents(senv.Store.ForEach)) {
+			t.Fatalf("round %d: Env and ShardedEnv hold different tuples", round)
+		}
+	}
+	if len(senv.free) != 0 {
+		t.Fatalf("pool still holds %d free tuples: churn never drew a fresh one", len(senv.free))
+	}
+}
+
+// Environments on different goroutines may draw fresh tuples from one
+// Dataset at once; run under -race.
+func TestDatasetSharedAcrossGoroutines(t *testing.T) {
+	d := AutosLikeN(90, 2000, 8)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for g := range errs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			env, err := NewEnv(d, 1800, int64(91+g))
+			for round := 2; round <= 11 && err == nil; round++ {
+				err = PoolChurn(100, 0.01)(round, env)
+			}
+			errs[g] = err
+		}(g)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
