@@ -410,10 +410,8 @@ func BenchmarkStoreSearch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Touch the store version so the cache cannot serve the answer.
-		if err := env.Store.Replace(uint64(i%1000+1), func(*dynagg.Tuple) {}); err != nil {
-			b.Fatal(err)
-		}
+		// Bump the store version so the cache cannot serve the answer.
+		env.Store.SetBroadMatchNull(false)
 		if _, err := iface.Search(q); err != nil {
 			b.Fatal(err)
 		}

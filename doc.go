@@ -49,9 +49,11 @@
 //
 // The engine is built around versioned immutable snapshots. A Store
 // publishes a Snapshot of each version — the sorted tuple slice plus
-// per-(attribute, value) inverted posting lists — and copy-on-writes
-// everything a published snapshot references before mutating it, so a
-// snapshot is frozen forever once taken. Three things follow:
+// per-(attribute, value) inverted posting lists. It copies the slice and
+// the list maps a published snapshot references before changing them,
+// and never writes a posting list once built (a mutation installs a
+// rebuilt list for each value it touches), so a snapshot is frozen
+// forever once taken. Three things follow:
 //
 //   - Frozen per round: all query answering (Iface.Search, posting-list
 //     intersection, prefix binary search, full scan) runs against the

@@ -65,13 +65,9 @@ func TestStoreChurnFuzz(t *testing.T) {
 		case 3: // replace (aux mutation keeps position; value mutation moves)
 			ids := st.IDs()
 			if len(ids) > 0 {
-				id := ids[rng.Intn(len(ids))]
-				err := st.Replace(id, func(c *schema.Tuple) {
+				replaceTuple(t, st, ids[rng.Intn(len(ids))], func(c *schema.Tuple) {
 					c.Vals[rng.Intn(4)] = uint16(rng.Intn(4))
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
 			}
 		}
 

@@ -17,8 +17,8 @@ import (
 // are supported). Each container keeps its member IDs' low 16 bits either
 // as a sorted uint16 array (sparse) or as an 8KB bitmap with a per-word
 // rank index (dense); the form is a pure function of the container's
-// cardinality — more than arrayMaxEntries members ⇒ bitmap — so an
-// incrementally maintained list and a from-scratch rebuild agree container
+// cardinality — more than arrayMaxEntries members ⇒ bitmap — so a list
+// the store rebuilt after a batch and a from-scratch build agree container
 // by container, which the index-equivalence tests check directly.
 //
 // Alongside the compact ID set every container carries a parallel payload
@@ -28,11 +28,11 @@ import (
 // back to tuples through the payload slice (array form: position; bitmap
 // form: rank).
 //
-// Copy-on-write: once a postingList is referenced by a published Snapshot
-// it is immutable. The store clones the list before mutating it
-// (postingList.clone marks every container shared), and each container is
-// deep-copied at most once per clone, the first time a mutation touches it
-// (ensureOwned). Readers therefore never observe a container mid-update.
+// A posting list is a value: buildPostingList is the only code that
+// writes one, and nothing changes it afterwards. The store installs a
+// freshly built list for every value a batch touches (indexApplyBatch),
+// so snapshots and the store share lists, and readers never observe a
+// container mid-update.
 
 const (
 	// arrayMaxEntries is the density threshold: a container holding more
@@ -49,12 +49,10 @@ type idBitmap [bitmapWords]uint64
 
 func (b *idBitmap) has(low uint16) bool { return b[low>>6]&(1<<(low&63)) != 0 }
 func (b *idBitmap) set(low uint16)      { b[low>>6] |= 1 << (low & 63) }
-func (b *idBitmap) unset(low uint16)    { b[low>>6] &^= 1 << (low & 63) }
 
 // pcontainer is one 65536-ID chunk of a posting list.
 type pcontainer struct {
 	key    uint64          // id >> 16; the container covers [key<<16, key<<16 + 65535]
-	shared bool            // referenced by a published snapshot: deep-copy before mutating
 	ids    []uint16        // array form: sorted low 16 bits of the member IDs; nil in bitmap form
 	bits   *idBitmap       // bitmap form; nil in array form
 	ranks  []uint16        // bitmap form: ranks[w] = number of set bits in words [0, w)
@@ -69,22 +67,6 @@ func (c *pcontainer) count() int { return len(c.tuples) }
 func (c *pcontainer) rankOf(low uint16) int {
 	w := low >> 6
 	return int(c.ranks[w]) + bits.OnesCount64(c.bits[w]&(1<<(low&63)-1))
-}
-
-// findU16 returns the insertion position of x in the sorted slice a and
-// whether x is present. Hand-rolled (no sort.Search closure) — it sits on
-// the incremental-maintenance and gather hot paths.
-func findU16(a []uint16, x uint16) (int, bool) {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(a) && a[lo] == x
 }
 
 // buildRanks computes the per-word cumulative rank index of a bitmap.
@@ -118,44 +100,6 @@ func makeContainer(key uint64, ts []*schema.Tuple) pcontainer {
 	return c
 }
 
-// ensureOwned deep-copies the container's slices if a snapshot still
-// references them. Called by every mutating container op.
-func (c *pcontainer) ensureOwned() {
-	if !c.shared {
-		return
-	}
-	c.shared = false
-	if c.bits != nil {
-		nb := *c.bits
-		c.bits = &nb
-		c.ranks = append([]uint16(nil), c.ranks...)
-	} else {
-		c.ids = append([]uint16(nil), c.ids...)
-	}
-	c.tuples = append([]*schema.Tuple(nil), c.tuples...)
-}
-
-// toBitmap converts an array container that crossed the density threshold.
-func (c *pcontainer) toBitmap() {
-	c.bits = &idBitmap{}
-	for _, low := range c.ids {
-		c.bits.set(low)
-	}
-	c.ranks = buildRanks(c.bits)
-	c.ids = nil
-}
-
-// toArray converts a bitmap container that dropped back under the
-// threshold. The payload is already in ID order, so the array is a
-// projection of it.
-func (c *pcontainer) toArray() {
-	ids := make([]uint16, len(c.tuples))
-	for i, t := range c.tuples {
-		ids[i] = uint16(t.ID)
-	}
-	c.ids, c.bits, c.ranks = ids, nil, nil
-}
-
 // postingList is a sorted sequence of containers plus the total count.
 type postingList struct {
 	cs []pcontainer // ascending key
@@ -179,9 +123,11 @@ func buildPostingList(ts []*schema.Tuple) *postingList {
 	return pl
 }
 
-// findContainer returns the insertion position of key and whether a
-// container with that key exists.
-func (pl *postingList) findContainer(key uint64) (int, bool) {
+// container returns the container for key, or nil. Safe on a nil list.
+func (pl *postingList) container(key uint64) *pcontainer {
+	if pl == nil {
+		return nil
+	}
 	lo, hi := 0, len(pl.cs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -191,16 +137,8 @@ func (pl *postingList) findContainer(key uint64) (int, bool) {
 			hi = mid
 		}
 	}
-	return lo, lo < len(pl.cs) && pl.cs[lo].key == key
-}
-
-// container returns the container for key, or nil. Safe on a nil list.
-func (pl *postingList) container(key uint64) *pcontainer {
-	if pl == nil {
-		return nil
-	}
-	if i, ok := pl.findContainer(key); ok {
-		return &pl.cs[i]
+	if lo < len(pl.cs) && pl.cs[lo].key == key {
+		return &pl.cs[lo]
 	}
 	return nil
 }
@@ -236,123 +174,8 @@ func (pl *postingList) appendTuples(dst []*schema.Tuple) []*schema.Tuple {
 	return dst
 }
 
-// clone returns a mutable copy sharing every container with the original
-// (containers are marked shared and deep-copied lazily on first touch).
-func (pl *postingList) clone() *postingList {
-	cs := make([]pcontainer, len(pl.cs))
-	copy(cs, pl.cs)
-	for i := range cs {
-		cs[i].shared = true
-	}
-	return &postingList{cs: cs, n: pl.n}
-}
-
-// insert adds one tuple (its ID must not be present). The list must be
-// store-owned (see clone); container-level copy-on-write is handled here.
-func (pl *postingList) insert(t *schema.Tuple) {
-	key := t.ID >> 16
-	low := uint16(t.ID)
-	i, ok := pl.findContainer(key)
-	if !ok {
-		pl.cs = append(pl.cs, pcontainer{})
-		copy(pl.cs[i+1:], pl.cs[i:])
-		pl.cs[i] = makeContainer(key, []*schema.Tuple{t})
-		pl.n++
-		return
-	}
-	c := &pl.cs[i]
-	c.ensureOwned()
-	if c.bits != nil {
-		r := c.rankOf(low)
-		c.bits.set(low)
-		c.tuples = append(c.tuples, nil)
-		copy(c.tuples[r+1:], c.tuples[r:])
-		c.tuples[r] = t
-		for w := int(low>>6) + 1; w < bitmapWords; w++ {
-			c.ranks[w]++
-		}
-	} else {
-		pos, _ := findU16(c.ids, low)
-		c.ids = append(c.ids, 0)
-		copy(c.ids[pos+1:], c.ids[pos:])
-		c.ids[pos] = low
-		c.tuples = append(c.tuples, nil)
-		copy(c.tuples[pos+1:], c.tuples[pos:])
-		c.tuples[pos] = t
-		if len(c.tuples) > arrayMaxEntries {
-			c.toBitmap()
-		}
-	}
-	pl.n++
-}
-
-// remove deletes the tuple with the given ID (which must be present).
-func (pl *postingList) remove(id uint64) {
-	i, ok := pl.findContainer(id >> 16)
-	if !ok {
-		panic(fmt.Sprintf("hiddendb: posting list out of sync for tuple %d", id))
-	}
-	c := &pl.cs[i]
-	low := uint16(id)
-	if c.count() == 1 {
-		if c.bits != nil && !c.bits.has(low) || c.bits == nil && (len(c.ids) == 0 || c.ids[0] != low) {
-			panic(fmt.Sprintf("hiddendb: posting list out of sync for tuple %d", id))
-		}
-		pl.cs = append(pl.cs[:i], pl.cs[i+1:]...)
-		pl.n--
-		return
-	}
-	c.ensureOwned()
-	if c.bits != nil {
-		if !c.bits.has(low) {
-			panic(fmt.Sprintf("hiddendb: posting list out of sync for tuple %d", id))
-		}
-		r := c.rankOf(low)
-		c.bits.unset(low)
-		c.tuples = append(c.tuples[:r], c.tuples[r+1:]...)
-		for w := int(low>>6) + 1; w < bitmapWords; w++ {
-			c.ranks[w]--
-		}
-		if len(c.tuples) <= arrayMaxEntries {
-			c.toArray()
-		}
-	} else {
-		pos, ok := findU16(c.ids, low)
-		if !ok {
-			panic(fmt.Sprintf("hiddendb: posting list out of sync for tuple %d", id))
-		}
-		c.ids = append(c.ids[:pos], c.ids[pos+1:]...)
-		c.tuples = append(c.tuples[:pos], c.tuples[pos+1:]...)
-	}
-	pl.n--
-}
-
-// swapTuple replaces the payload pointer for id in place (same ID, same
-// value — a Replace that did not move the tuple between posting lists).
-func (pl *postingList) swapTuple(id uint64, repl *schema.Tuple) {
-	i, ok := pl.findContainer(id >> 16)
-	if !ok {
-		panic(fmt.Sprintf("hiddendb: posting list out of sync for tuple %d", id))
-	}
-	c := &pl.cs[i]
-	c.ensureOwned()
-	low := uint16(id)
-	if c.bits != nil {
-		if !c.bits.has(low) {
-			panic(fmt.Sprintf("hiddendb: posting list out of sync for tuple %d", id))
-		}
-		c.tuples[c.rankOf(low)] = repl
-		return
-	}
-	pos, ok := findU16(c.ids, low)
-	if !ok {
-		panic(fmt.Sprintf("hiddendb: posting list out of sync for tuple %d", id))
-	}
-	c.tuples[pos] = repl
-}
-
-// validate checks every structural invariant; tests run it after each
-// mutation step of the incremental-vs-rebuild fuzz.
+// validate checks every structural invariant; tests run it on every list
+// the store holds after each step of the incremental-vs-rebuild test.
 func (pl *postingList) validate() error {
 	if pl == nil {
 		return nil

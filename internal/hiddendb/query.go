@@ -17,12 +17,14 @@
 //
 // Published Snapshots (and their posting lists) are immutable; any number
 // of goroutines may answer queries against one concurrently. The store
-// clones index structures copy-on-write before mutating, so readers never
-// observe a partial update. Per-query working memory comes from a
-// process-wide sync.Pool of queryScratch values (scratch.go): a scratch
-// is owned by exactly one goroutine from getScratch to putScratch, never
-// escapes the query that borrowed it (results are freshly allocated), and
-// holds no snapshot references while pooled.
+// copies the tuple slice and list maps a snapshot shares before changing
+// them and never writes a posting list once built (it installs a rebuilt
+// one), so readers never observe a partial update. Per-query working
+// memory comes from a process-wide sync.Pool of queryScratch values
+// (scratch.go): a scratch is owned by exactly one goroutine from
+// getScratch to putScratch, never escapes the query that borrowed it
+// (results are freshly allocated), and holds no snapshot references while
+// pooled.
 // docs/perf.md describes the index layout and kernel selection rules.
 package hiddendb
 

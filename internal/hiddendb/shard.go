@@ -118,11 +118,6 @@ func (ss *ShardedStore) Delete(id uint64) (*schema.Tuple, error) {
 	return ss.shards[ss.ShardFor(id)].Delete(id)
 }
 
-// Replace substitutes the tuple with the given ID in its owning shard.
-func (ss *ShardedStore) Replace(id uint64, mutate func(copy *schema.Tuple)) error {
-	return ss.shards[ss.ShardFor(id)].Replace(id, mutate)
-}
-
 // Get returns the live tuple with the given ID, or nil.
 func (ss *ShardedStore) Get(id uint64) *schema.Tuple {
 	return ss.shards[ss.ShardFor(id)].Get(id)

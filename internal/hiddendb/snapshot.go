@@ -11,11 +11,12 @@ import (
 // Snapshot is one immutable, fully consistent version of a Store: the
 // sorted tuple slice plus per-(attribute, value) roaring-style posting
 // lists (see posting.go). A snapshot never changes after publication —
-// the Store copy-on-writes every slice, map and posting container a
-// snapshot references before mutating it — so any number of goroutines
-// may answer queries against one snapshot while the harness prepares the
-// next round's updates. Publishing costs O(attributes); the O(n) copy of
-// the sorted slice falls on the first mutation after it.
+// the Store copies the sorted slice and each attribute's list map a
+// snapshot references before changing them, and never writes a posting
+// list once built — so any number of goroutines may answer queries
+// against one snapshot while the harness prepares the next round's
+// updates. Publishing costs O(attributes); the O(n) copy of the sorted
+// slice falls on the first mutation after it.
 //
 // Query answering picks between three strategies by estimated cost:
 //
@@ -66,16 +67,7 @@ type lazyIndex struct {
 func (li *lazyIndex) build(attr int, tuples []*schema.Tuple) map[uint16]*postingList {
 	li.demanded.Store(true)
 	li.once.Do(func() {
-		byVal := make(map[uint16][]*schema.Tuple)
-		for _, t := range tuples {
-			v := t.Vals[attr]
-			byVal[v] = append(byVal[v], t)
-		}
-		m := make(map[uint16]*postingList, len(byVal))
-		for v, l := range byVal {
-			sortTuplesByID(l)
-			m[v] = buildPostingList(l)
-		}
+		m := buildAttrIndex(tuples, attr).lists
 		li.built.Store(&m)
 	})
 	return *li.built.Load()

@@ -3,6 +3,7 @@ package hiddendb
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/dynagg/dynagg/internal/schema"
@@ -225,13 +226,9 @@ func TestSnapshotIsolation(t *testing.T) {
 		case 3:
 			ids := st.IDs()
 			for i := 0; i < 15; i++ {
-				id := ids[rng.Intn(len(ids))]
-				err := st.Replace(id, func(c *schema.Tuple) {
+				replaceTuple(t, st, ids[rng.Intn(len(ids))], func(c *schema.Tuple) {
 					c.Vals[rng.Intn(3)] = uint16(rng.Intn(4))
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
 			}
 		}
 
@@ -260,10 +257,12 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestIncrementalIndexMatchesRebuild drives random churn through every
-// mutation path and, after each step, compares the incrementally
-// maintained posting lists against a from-scratch rebuild — list by list,
-// ID by ID.
+// TestIncrementalIndexMatchesRebuild drives two stores through every
+// mutation path and, after each step, compares the maintained posting
+// lists against a from-scratch rebuild — list by list, container by
+// container, ID by ID. The first takes random churn; the second walks one
+// list across the array/bitmap threshold and back, and checks that the
+// list each step replaced was left unchanged.
 func TestIncrementalIndexMatchesRebuild(t *testing.T) {
 	st := newTestStore(t, 60, 110, []int{5, 4, 6})
 	f := NewIface(st, 10, nil)
@@ -289,7 +288,7 @@ func TestIncrementalIndexMatchesRebuild(t *testing.T) {
 		}
 	}
 
-	checkIndex := func(step int) {
+	checkIndex := func(st *Store, step string) {
 		t.Helper()
 		for a, ai := range st.idx {
 			if ai == nil {
@@ -297,34 +296,34 @@ func TestIncrementalIndexMatchesRebuild(t *testing.T) {
 			}
 			want := buildAttrIndex(st.tuples, a)
 			if len(ai.lists) != len(want.lists) {
-				t.Fatalf("step %d attr %d: %d lists, want %d", step, a, len(ai.lists), len(want.lists))
+				t.Fatalf("step %s attr %d: %d lists, want %d", step, a, len(ai.lists), len(want.lists))
 			}
 			for v, wl := range want.lists {
 				gl := ai.lists[v]
 				if err := gl.validate(); err != nil {
-					t.Fatalf("step %d attr %d val %d: invalid posting list: %v", step, a, v, err)
+					t.Fatalf("step %s attr %d val %d: invalid posting list: %v", step, a, v, err)
 				}
 				// Container form must match the rebuild exactly (form is a
 				// pure function of container cardinality).
 				if len(gl.cs) != len(wl.cs) {
-					t.Fatalf("step %d attr %d val %d: %d containers, want %d",
+					t.Fatalf("step %s attr %d val %d: %d containers, want %d",
 						step, a, v, len(gl.cs), len(wl.cs))
 				}
 				for ci := range wl.cs {
 					gc, wc := &gl.cs[ci], &wl.cs[ci]
 					if gc.key != wc.key || gc.count() != wc.count() || (gc.bits != nil) != (wc.bits != nil) {
-						t.Fatalf("step %d attr %d val %d container %d: key=%d n=%d bitmap=%v, want key=%d n=%d bitmap=%v",
+						t.Fatalf("step %s attr %d val %d container %d: key=%d n=%d bitmap=%v, want key=%d n=%d bitmap=%v",
 							step, a, v, ci, gc.key, gc.count(), gc.bits != nil, wc.key, wc.count(), wc.bits != nil)
 					}
 				}
 				got := gl.appendTuples(nil)
 				exp := wl.appendTuples(nil)
 				if len(got) != len(exp) {
-					t.Fatalf("step %d attr %d val %d: len %d, want %d", step, a, v, len(got), len(exp))
+					t.Fatalf("step %s attr %d val %d: len %d, want %d", step, a, v, len(got), len(exp))
 				}
 				for i := range exp {
 					if got[i] != exp[i] {
-						t.Fatalf("step %d attr %d val %d pos %d: tuple %d, want %d",
+						t.Fatalf("step %s attr %d val %d pos %d: tuple %d, want %d",
 							step, a, v, i, got[i].ID, exp[i].ID)
 					}
 				}
@@ -347,12 +346,9 @@ func TestIncrementalIndexMatchesRebuild(t *testing.T) {
 			}
 		case 2:
 			ids := st.IDs()
-			err := st.Replace(ids[rng.Intn(len(ids))], func(c *schema.Tuple) {
+			replaceTuple(t, st, ids[rng.Intn(len(ids))], func(c *schema.Tuple) {
 				c.Vals[rng.Intn(3)] = uint16(rng.Intn(4))
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 		case 3:
 			var ins []*schema.Tuple
 			nIns := rng.Intn(12)
@@ -373,14 +369,76 @@ func TestIncrementalIndexMatchesRebuild(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Publish a snapshot every few steps so COW paths interleave
-		// with direct-ownership paths.
+		// Publish a snapshot every few steps, so lists are installed both
+		// into a map a snapshot shares and into one the store owns.
 		if step%3 == 0 {
 			st.Snapshot()
 		}
-		checkIndex(step)
+		checkIndex(st, fmt.Sprint(step))
 		sortedInvariant(t, st)
 	}
+
+	// Value 0 of attribute 1 starts six tuples short of arrayMaxEntries,
+	// all in container 0 (IDs below 65,536). Single Inserts push it into
+	// bitmap form, single Deletes bring it back, then one batch crosses
+	// up and one down.
+	st = NewStore(schema.Uniform(2, 4))
+	n := arrayMaxEntries - 6
+	var initial []*schema.Tuple
+	for id := uint64(1); id <= 2*arrayMaxEntries; id++ {
+		v := uint16(1 + id%3)
+		if id <= uint64(n) {
+			v = 0
+		}
+		initial = append(initial, &schema.Tuple{ID: id, Vals: []uint16{uint16(id % 4), v}})
+	}
+	if err := st.ApplyBatch(initial, nil); err != nil {
+		t.Fatal(err)
+	}
+	for a := range st.idx {
+		st.idx[a] = buildAttrIndex(st.tuples, a)
+	}
+	nextID = 2 * arrayMaxEntries
+	fresh := func(v uint16) *schema.Tuple {
+		nextID++
+		return &schema.Tuple{ID: nextID, Vals: []uint16{uint16(nextID % 4), v}}
+	}
+	steps := 0
+	step := func(name string, dn int, mutate func() error) {
+		t.Helper()
+		old := st.idx[1].lists[0]
+		was := old.appendTuples(nil)
+		if steps++; steps%2 == 0 {
+			st.Snapshot()
+		}
+		if err := mutate(); err != nil {
+			t.Fatal(err)
+		}
+		n += dn
+		checkIndex(st, name)
+		if pl := st.idx[1].lists[0]; pl.n != n || (pl.cs[0].bits != nil) != (n > arrayMaxEntries) {
+			t.Fatalf("%s: value 0 holds %d tuples, bitmap %v; want %d", name, pl.n, pl.cs[0].bits != nil, n)
+		}
+		if err := old.validate(); err != nil || !slices.Equal(old.appendTuples(nil), was) {
+			t.Fatalf("%s: the replaced list changed (%v)", name, err)
+		}
+	}
+	for i := 0; i < 12; i++ {
+		step(fmt.Sprintf("insert %d", i), 1, func() error { return st.Insert(fresh(0)) })
+	}
+	for id := uint64(1); id <= 12; id++ {
+		step(fmt.Sprintf("delete %d", id), -1, func() error { _, err := st.Delete(id); return err })
+	}
+	step("batch up", 10, func() error {
+		ins := []*schema.Tuple{fresh(2)}
+		for i := 0; i < 10; i++ {
+			ins = append(ins, fresh(0))
+		}
+		return st.ApplyBatch(ins, []uint64{arrayMaxEntries, arrayMaxEntries + 1})
+	})
+	step("batch down", -10, func() error {
+		return st.ApplyBatch([]*schema.Tuple{fresh(1)}, []uint64{13, 14, 15, 16, 17, 18, 19, 20, 21, 22})
+	})
 }
 
 // TestSnapshotLazyPromotion checks the demand cycle: a non-prefix query

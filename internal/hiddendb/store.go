@@ -3,6 +3,7 @@ package hiddendb
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math/bits"
 	"slices"
 	"sort"
@@ -17,21 +18,22 @@ import (
 // prefix-conjunctive queries issued by drill downs resolve to contiguous
 // ranges found by binary search. Alongside the sorted slice the store
 // maintains per-(attribute, value) inverted posting lists for every
-// attribute a reader has demanded one for (see Snapshot); posting lists
-// are updated incrementally on Insert/Delete/Replace/ApplyBatch.
+// attribute a reader has demanded one for (see Snapshot); every mutation
+// installs a rebuilt list for each value it touches (indexApplyBatch).
 //
 // Only the simulation harness holds a *Store; estimators see it through
 // Iface/Session.
 //
 // Concurrency: reads go through immutable Snapshots (see Snapshot()), so
 // any number of goroutines may query the store concurrently. Mutations
-// are serialised internally (snapMu) and copy-on-write everything a
-// published snapshot references, so a single mutator goroutine may apply
-// updates while readers keep answering on the previous version. Mutating
-// from more than one goroutine at a time, or mixing mutation with the
-// harness-side accessors (ForEach, At, IDs, Get, CountMatching) across
-// goroutines, remains the caller's responsibility — in the experiment
-// harness each Store belongs to exactly one trial.
+// are serialised internally (snapMu), copy the sorted slice and the
+// per-attribute list maps a published snapshot references before
+// changing them, and never write a posting list, so a single mutator
+// goroutine may apply updates while readers keep answering on the
+// previous version. Mutating from more than one goroutine at a time, or
+// mixing mutation with the harness-side accessors (ForEach, At, IDs, Get,
+// CountMatching) across goroutines, remains the caller's responsibility —
+// in the experiment harness each Store belongs to exactly one trial.
 type Store struct {
 	sch            *schema.Schema
 	tuples         []*schema.Tuple // sorted by (Vals, ID)
@@ -54,14 +56,14 @@ type Store struct {
 }
 
 // attrIndex is one attribute's posting lists — roaring-style container
-// sequences keyed by value (posting.go) — maintained incrementally in
-// tuple-ID order. After publication in a snapshot the map (and every
-// list) is shared and must be copied before the next mutation touches
-// it; list copies are lazy per container (pcontainer.ensureOwned).
+// sequences keyed by value (posting.go). A list is never written once
+// built: a mutation installs a rebuilt list for each value it touches
+// (setList). After publication in a snapshot the map is shared and is
+// copied before the next list is installed; the copy points at the
+// snapshot's lists, which never change.
 type attrIndex struct {
 	lists  map[uint16]*postingList
-	shared bool            // whole map referenced by a snapshot
-	owned  map[uint16]bool // per-list ownership after the map was re-cloned; nil ⇒ all owned
+	shared bool // map referenced by a snapshot
 }
 
 // NewStore creates an empty store over the given schema.
@@ -150,7 +152,6 @@ func (st *Store) publishLocked() *Snapshot {
 		if ai := st.idx[a]; ai != nil {
 			s.attrs[a].lists = ai.lists
 			ai.shared = true
-			ai.owned = nil
 		} else {
 			lazies = append(lazies, lazyIndex{})
 			s.attrs[a].lazy = &lazies[len(lazies)-1]
@@ -242,7 +243,7 @@ func (st *Store) Insert(t *schema.Tuple) error {
 		st.tuples[pos] = t
 	}
 	st.byID[t.ID] = t
-	st.indexInsert(t)
+	st.indexApplyBatch([]*schema.Tuple{t}, nil)
 	st.version.Add(1)
 	return nil
 }
@@ -271,60 +272,9 @@ func (st *Store) Delete(id uint64) (*schema.Tuple, error) {
 		st.tuples = st.tuples[:len(st.tuples)-1]
 	}
 	delete(st.byID, id)
-	st.indexDelete(t)
+	st.indexApplyBatch(nil, []*schema.Tuple{t})
 	st.version.Add(1)
 	return t, nil
-}
-
-// Replace atomically substitutes the tuple with the given ID by a modified
-// copy produced by mutate. This models in-place updates (e.g. a price
-// change on an eBay listing): the logical tuple keeps its ID, old pointers
-// held by estimators keep their historical snapshot values. The old and
-// new positions are each resolved by one binary search and the tuples in
-// between shift once — no delete-then-insert double pass.
-func (st *Store) Replace(id uint64, mutate func(copy *schema.Tuple)) error {
-	old, ok := st.byID[id]
-	if !ok {
-		return fmt.Errorf("hiddendb: no tuple with ID %d", id)
-	}
-	repl := old.Clone(id)
-	mutate(repl)
-	if err := st.sch.Validate(repl.Vals); err != nil {
-		return err
-	}
-	st.snapMu.Lock()
-	defer st.snapMu.Unlock()
-	oldPos := st.searchPos(old)
-	if oldPos >= len(st.tuples) || st.tuples[oldPos] != old {
-		panic(fmt.Sprintf("hiddendb: index out of sync for tuple %d", id))
-	}
-	newPos := st.searchPos(repl) // insertion point with old still present
-	if st.tuplesShared {
-		nt := make([]*schema.Tuple, len(st.tuples))
-		if newPos > oldPos {
-			copy(nt, st.tuples[:oldPos])
-			copy(nt[oldPos:], st.tuples[oldPos+1:newPos])
-			nt[newPos-1] = repl
-			copy(nt[newPos:], st.tuples[newPos:])
-		} else {
-			copy(nt, st.tuples[:newPos])
-			nt[newPos] = repl
-			copy(nt[newPos+1:], st.tuples[newPos:oldPos])
-			copy(nt[oldPos+1:], st.tuples[oldPos+1:])
-		}
-		st.tuples = nt
-		st.tuplesShared = false
-	} else if newPos > oldPos {
-		copy(st.tuples[oldPos:], st.tuples[oldPos+1:newPos])
-		st.tuples[newPos-1] = repl
-	} else {
-		copy(st.tuples[newPos+1:oldPos+1], st.tuples[newPos:oldPos])
-		st.tuples[newPos] = repl
-	}
-	st.byID[id] = repl
-	st.indexReplace(old, repl)
-	st.version.Add(1)
-	return nil
 }
 
 // Get returns the live tuple with the given ID, or nil.
@@ -339,7 +289,10 @@ func (st *Store) Get(id uint64) *schema.Tuple { return st.byID[id] }
 // costs its change rather than |D|. (Past a few percent of the store,
 // one pass over it finds the deletions faster than sorting them; see
 // positionsOf.) The batch is validated in full before anything is
-// mutated; on error the store is unchanged.
+// mutated; on error the store is unchanged. An insert may carry the ID of
+// a tuple the same batch deletes: that replaces the tuple in place (an
+// in-place update such as a price change), and pointers to the old tuple
+// keep its old values.
 func (st *Store) ApplyBatch(inserts []*schema.Tuple, deleteIDs []uint64) error {
 	del := make(map[uint64]bool, len(deleteIDs))
 	dels := make([]*schema.Tuple, 0, len(deleteIDs))
@@ -483,11 +436,12 @@ func gallopTuples(ts []*schema.Tuple, lo int, t *schema.Tuple) int {
 }
 
 // ---------------------------------------------------------------------
-// Incremental posting-list maintenance
+// Posting-list maintenance
 // ---------------------------------------------------------------------
 
 // buildAttrIndex materialises one attribute's posting lists (ID-sorted
-// container sequences) from the sorted tuple slice.
+// container sequences) from tuples in any order: lazy snapshot builds,
+// promotions and full rebuilds all build here.
 func buildAttrIndex(tuples []*schema.Tuple, attr int) *attrIndex {
 	byVal := make(map[uint16][]*schema.Tuple)
 	for _, t := range tuples {
@@ -505,105 +459,27 @@ func buildAttrIndex(tuples []*schema.Tuple, attr int) *attrIndex {
 // ensureMapOwned re-clones the map headers if a snapshot holds the map.
 func (ai *attrIndex) ensureMapOwned() {
 	if ai.shared {
-		m := make(map[uint16]*postingList, len(ai.lists))
-		for v, l := range ai.lists {
-			m[v] = l
-		}
-		ai.lists = m
+		ai.lists = maps.Clone(ai.lists)
 		ai.shared = false
-		ai.owned = make(map[uint16]bool)
 	}
 }
 
-// mutable returns the list for val, cloned first if a snapshot shares it
-// (the clone marks every container copy-on-write; containers deep-copy
-// individually on first touch). A missing value gets a fresh empty list.
-func (ai *attrIndex) mutable(val uint16) *postingList {
-	ai.ensureMapOwned()
-	pl := ai.lists[val]
-	if pl == nil {
-		pl = &postingList{}
-		ai.lists[val] = pl
-		if ai.owned != nil {
-			ai.owned[val] = true
-		}
-		return pl
-	}
-	if ai.owned != nil && !ai.owned[val] {
-		pl = pl.clone()
-		ai.lists[val] = pl
-		ai.owned[val] = true
-	}
-	return pl
-}
-
-// removeID deletes one posting, dropping the value's entry when it was
-// the last (no empty lists survive in the map).
-func (ai *attrIndex) removeID(val uint16, id uint64) {
-	pl := ai.mutable(val)
-	pl.remove(id)
-	if pl.n == 0 {
-		delete(ai.lists, val)
-		if ai.owned != nil {
-			delete(ai.owned, val)
-		}
-	}
-}
-
-// setList installs a freshly built list for val (owned by construction).
-// nil or empty deletes the entry.
+// setList installs a freshly built list for val; nil or empty deletes the
+// entry, so no empty list survives in the map.
 func (ai *attrIndex) setList(val uint16, pl *postingList) {
 	ai.ensureMapOwned()
 	if pl.size() == 0 {
 		delete(ai.lists, val)
-		if ai.owned != nil {
-			delete(ai.owned, val)
-		}
 		return
 	}
 	ai.lists[val] = pl
-	if ai.owned != nil {
-		ai.owned[val] = true
-	}
-}
-
-func (st *Store) indexInsert(t *schema.Tuple) {
-	for a, ai := range st.idx {
-		if ai == nil {
-			continue
-		}
-		ai.mutable(t.Vals[a]).insert(t)
-	}
-}
-
-func (st *Store) indexDelete(t *schema.Tuple) {
-	for a, ai := range st.idx {
-		if ai == nil {
-			continue
-		}
-		ai.removeID(t.Vals[a], t.ID)
-	}
-}
-
-func (st *Store) indexReplace(old, repl *schema.Tuple) {
-	for a, ai := range st.idx {
-		if ai == nil {
-			continue
-		}
-		ov, nv := old.Vals[a], repl.Vals[a]
-		if ov == nv {
-			// Same list, same ID: swap the payload pointer in place.
-			ai.mutable(ov).swapTuple(old.ID, repl)
-			continue
-		}
-		ai.removeID(ov, old.ID)
-		ai.mutable(nv).insert(repl)
-	}
 }
 
 // indexApplyBatch folds one batch into every active attribute's posting
-// lists: per affected value a single ID-order merge, or a full rebuild of
-// the attribute when the churn rivals the database size.
+// lists: per affected value a single ID-order merge into a new list, or a
+// full rebuild of the attribute when the churn rivals the database size.
+// It is the only code that installs a list; Insert and Delete pass their
+// one tuple.
 func (st *Store) indexApplyBatch(ins, delTuples []*schema.Tuple) {
 	churn := len(ins) + len(delTuples)
 	if churn == 0 {
@@ -630,17 +506,14 @@ func (st *Store) indexApplyBatch(ins, delTuples []*schema.Tuple) {
 			}
 			rems[v][t.ID] = true
 		}
-		touched := make(map[uint16]bool, len(adds)+len(rems))
-		for v := range adds {
-			touched[v] = true
-		}
-		for v := range rems {
-			touched[v] = true
-		}
-		for v := range touched {
-			add := adds[v]
-			sort.Slice(add, func(i, j int) bool { return add[i].ID < add[j].ID })
+		for v, add := range adds {
+			sortTuplesByID(add)
 			ai.setList(v, rebuildList(ai.lists[v], add, rems[v]))
+		}
+		for v, rem := range rems {
+			if adds[v] == nil {
+				ai.setList(v, rebuildList(ai.lists[v], nil, rem))
+			}
 		}
 	}
 }

@@ -63,11 +63,17 @@ func applyBenchRounds(rounds, ins int, delFrac float64) ([]*schema.Tuple, []appl
 }
 
 // loadApplyBench builds the store a run of batches starts from, with a
-// published snapshot.
-func loadApplyBench(b *testing.B, sch *schema.Schema, initial []*schema.Tuple) *Store {
+// published snapshot; indexed also builds every attribute's posting
+// lists first, so each batch pays their maintenance.
+func loadApplyBench(b *testing.B, sch *schema.Schema, initial []*schema.Tuple, indexed bool) *Store {
 	st := NewStore(sch)
 	if err := st.ApplyBatch(initial, nil); err != nil {
 		b.Fatal(err)
+	}
+	if indexed {
+		for a := range st.idx {
+			st.idx[a] = buildAttrIndex(st.tuples, a)
+		}
 	}
 	st.Snapshot()
 	return st
@@ -79,6 +85,8 @@ func loadApplyBench(b *testing.B, sch *schema.Schema, initial []*schema.Tuple) *
 //
 //   - small: +300 / −0.1%, one round of the paper's default tracking
 //     experiment (perfbench's track-autos);
+//   - small-indexed: the same batches with every attribute's posting
+//     lists maintained, the one path that writes them;
 //   - large: +50% / −25%, the regime no tracking round reaches, where
 //     the galloping merge must still not lose to a linear one.
 //
@@ -90,9 +98,11 @@ func BenchmarkStoreApplyBatch(b *testing.B) {
 		rounds  int
 		ins     int
 		delFrac float64
+		indexed bool
 	}{
-		{"small", 64, 300, 0.001},
-		{"large", 1, applyBenchN / 2, 0.25},
+		{"small", 64, 300, 0.001, false},
+		{"small-indexed", 64, 300, 0.001, true},
+		{"large", 1, applyBenchN / 2, 0.25, false},
 	}
 	sch := schema.Uniform(applyBenchM, applyBenchDomain)
 	for _, c := range cases {
@@ -105,7 +115,7 @@ func BenchmarkStoreApplyBatch(b *testing.B) {
 				r := i % len(rounds)
 				if r == 0 {
 					b.StopTimer()
-					st = loadApplyBench(b, sch, initial)
+					st = loadApplyBench(b, sch, initial, c.indexed)
 					b.StartTimer()
 				}
 				if err := st.ApplyBatch(rounds[r].ins, rounds[r].dels); err != nil {

@@ -47,6 +47,18 @@ func newTestStore(t testing.TB, seed int64, n int, domains []int) *Store {
 	return st
 }
 
+// replaceTuple updates tuple id in place the way the store's callers do:
+// clone it, mutate the clone, then apply one batch that deletes the old
+// tuple and inserts the clone under the same ID.
+func replaceTuple(t testing.TB, st *Store, id uint64, mutate func(*schema.Tuple)) {
+	t.Helper()
+	c := st.Get(id).Clone(id)
+	mutate(c)
+	if err := st.ApplyBatch([]*schema.Tuple{c}, []uint64{id}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestStoreInsertDeleteBasics(t *testing.T) {
 	st := newTestStore(t, 1, 50, []int{4, 4, 5})
 	if st.Size() != 50 {
@@ -204,22 +216,19 @@ func TestReplaceKeepsIDAndSnapshots(t *testing.T) {
 	st := newTestStore(t, 8, 20, []int{4, 8})
 	old := st.Get(3)
 	oldAux := old.Aux[0]
-	err := st.Replace(3, func(c *schema.Tuple) { c.Aux[0] = 42.5 })
-	if err != nil {
-		t.Fatal(err)
-	}
+	replaceTuple(t, st, 3, func(c *schema.Tuple) { c.Aux[0] = 42.5 })
 	neu := st.Get(3)
 	if neu.Aux[0] != 42.5 {
 		t.Errorf("replacement Aux = %v", neu.Aux[0])
 	}
 	if old.Aux[0] != oldAux {
-		t.Error("old snapshot mutated by Replace")
+		t.Error("old snapshot mutated by the replacement")
 	}
 	if st.Size() != 20 {
 		t.Errorf("Size changed: %d", st.Size())
 	}
-	if err := st.Replace(9999, func(*schema.Tuple) {}); err == nil {
-		t.Error("Replace of unknown ID accepted")
+	if err := st.ApplyBatch([]*schema.Tuple{old.Clone(9999)}, []uint64{9999}); err == nil {
+		t.Error("batch deleting an unknown ID accepted")
 	}
 	sortedInvariant(t, st)
 }

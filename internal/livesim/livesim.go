@@ -125,33 +125,36 @@ func (a *Amazon) StepDay(round int) error {
 // applyPromo discounts ~70% of items by 25% — enough to move the average
 // price by roughly the $50 drop the paper observed.
 func (a *Amazon) applyPromo() error {
+	var repl []*schema.Tuple
 	var ids []uint64
-	a.Env.Store.ForEach(func(t *schema.Tuple) { ids = append(ids, t.ID) })
-	for _, id := range ids {
+	a.Env.Store.ForEach(func(t *schema.Tuple) {
 		if a.Env.Rng.Float64() > 0.7 {
-			continue
+			return
 		}
-		err := a.Env.Store.Replace(id, func(c *schema.Tuple) {
-			a.basePrice[id] = c.Aux[0]
-			c.Aux[0] *= 0.75
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+		c := t.Clone(t.ID)
+		a.basePrice[t.ID] = c.Aux[0]
+		c.Aux[0] *= 0.75
+		repl, ids = append(repl, c), append(ids, t.ID)
+	})
+	return a.Env.Store.ApplyBatch(repl, ids)
 }
 
-// revertPromo restores pre-promo prices for items still listed.
+// revertPromo restores pre-promo prices for items still listed. It sets
+// absolute prices, so the map's iteration order does not matter.
 func (a *Amazon) revertPromo() error {
+	var repl []*schema.Tuple
+	var ids []uint64
 	for id, price := range a.basePrice {
-		if a.Env.Store.Get(id) == nil {
+		t := a.Env.Store.Get(id)
+		if t == nil {
 			continue // listing ended during the promo
 		}
-		p := price
-		if err := a.Env.Store.Replace(id, func(c *schema.Tuple) { c.Aux[0] = p }); err != nil {
-			return err
-		}
+		c := t.Clone(id)
+		c.Aux[0] = price
+		repl, ids = append(repl, c), append(ids, id)
+	}
+	if err := a.Env.Store.ApplyBatch(repl, ids); err != nil {
+		return err
 	}
 	a.basePrice = make(map[uint64]float64)
 	return nil

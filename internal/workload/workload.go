@@ -415,18 +415,17 @@ func (e *Env) MutateAuxWhere(frac float64, pred func(*schema.Tuple) bool,
 	ids := e.matching(pred)
 	n := int(frac * float64(len(ids)))
 	e.Rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-	for _, id := range ids[:n] {
-		err := e.Store.Replace(id, func(c *schema.Tuple) {
-			if c.Aux == nil {
-				c.Aux = []float64{0}
-			}
-			mutate(c.Aux, e.Rng)
-		})
-		if err != nil {
-			return err
+	ids = ids[:n]
+	repl := make([]*schema.Tuple, n)
+	for i, id := range ids {
+		c := e.Store.Get(id).Clone(id)
+		if c.Aux == nil {
+			c.Aux = []float64{0}
 		}
+		mutate(c.Aux, e.Rng)
+		repl[i] = c
 	}
-	return nil
+	return e.Store.ApplyBatch(repl, ids)
 }
 
 // DeleteWhere deletes frac of the tuples matching pred, returning
