@@ -50,7 +50,9 @@ fmt-check:
 # mutator goroutines and epoch publication), the HTTP serving layer
 # (32 concurrent clients on one handler) and the multi-process router
 # (concurrent scatter-gather serving racing fleet epoch handshakes and
-# shard churn) under the race detector.
+# shard churn) under the race detector. TestFiguresGolden skips itself
+# under -race: the plain test run already pins the eighteen figures, and
+# instrumented they would take minutes.
 race:
 	$(GO) test -race ./internal/experiments/ ./internal/workload/ ./internal/estimator/ \
 		./internal/tracking/ ./internal/fleet/ ./internal/hiddendb/ \
@@ -60,14 +62,15 @@ race:
 # fuzz runs each native fuzz target for a bounded time, in its own
 # package: the client's wire-answer walk (GET and batch) differential
 # against encoding/json, the handler's query-string walk differential
-# against net/url, and the estimator checkpoint loader and the fleet
+# against net/url, the handler's pooled batch decode differential against
+# a fresh scratch, and the estimator checkpoint loader and the fleet
 # state file loader, which must refuse or survive any bytes. The
 # committed seed corpora under each package's testdata/fuzz also run in
 # every plain go test; `go test -fuzz` takes one target per run.
 # Entries are package:target.
 FUZZTIME ?= 10s
 FUZZ_TARGETS := ./webiface/:FuzzParseWireResult ./webiface/:FuzzParseWireBatch \
-	./webiface/:FuzzParseSearchParams ./internal/estimator/:FuzzLoad \
+	./webiface/:FuzzParseSearchParams ./webiface/:FuzzDecodeBatch ./internal/estimator/:FuzzLoad \
 	./internal/fleet/:FuzzFleetState
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

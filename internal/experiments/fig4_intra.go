@@ -9,8 +9,6 @@ import (
 	"github.com/dynagg/dynagg/internal/workload"
 )
 
-func init() { register("fig4", Fig4) }
-
 // Fig4 — intra-round updates (the constant-update model of §5.2): the
 // paper's worst case where the algorithm takes the whole hour to execute
 // while tuples are inserted every 12s and deleted every 21s. REISSUE and

@@ -6,25 +6,15 @@ import (
 	"github.com/dynagg/dynagg/internal/workload"
 )
 
-func init() {
-	register("fig18", Fig18)
-	register("fig19", Fig19)
-}
-
 // Fig18 — query budget needed to reach a target relative error: the
 // cumulative number of queries after which each algorithm's error stays
-// at or below 0.15 / 0.2 / 0.3 under the default schedule.
+// at or below 0.15 / 0.10 / 0.05 under the default schedule, over 60
+// rounds.
 func Fig18(opt Options) (*Figure, error) {
 	p := autosDefaults(opt)
 	p.g = 100
-	rounds := 60
-	spec := TrackSpec{
-		Dataset: p.dataset(), Initial: p.initial,
-		Schedule: workload.PoolChurn(p.insert, p.deleteFrac),
-		K:        p.k, G: p.g, Rounds: rounds,
-		Aggs: countAggs,
-	}
-	res, err := RunTracking(spec, opt, p.trials)
+	p.rounds = 60
+	res, err := RunTracking(p.spec(workload.PoolChurn(p.insert, p.deleteFrac)), opt, p.trials)
 	if err != nil {
 		return nil, err
 	}
@@ -73,13 +63,7 @@ func queriesToReach(res *TrackResult, a Algo, target float64) float64 {
 func Fig19(opt Options) (*Figure, error) {
 	p := autosDefaults(opt)
 	p.g = 100
-	spec := TrackSpec{
-		Dataset: p.dataset(), Initial: p.initial,
-		Schedule: workload.PoolChurn(p.insert, p.deleteFrac),
-		K:        p.k, G: p.g, Rounds: p.rounds,
-		Aggs: countAggs,
-	}
-	res, err := RunTracking(spec, opt, p.trials)
+	res, err := RunTracking(p.spec(workload.PoolChurn(p.insert, p.deleteFrac)), opt, p.trials)
 	if err != nil {
 		return nil, err
 	}

@@ -8,11 +8,6 @@ import (
 	"github.com/dynagg/dynagg/internal/livesim"
 )
 
-func init() {
-	register("fig20", Fig20)
-	register("fig21", Fig21)
-}
-
 // Fig20 — the Amazon.com live experiment (Thanksgiving week 2013),
 // reproduced against the scripted simulator: track AVG(price), %men and
 // %wrist over watches with k=100 and G=1000 queries per day. Unlike the

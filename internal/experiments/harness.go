@@ -1,6 +1,12 @@
 // Package experiments regenerates every figure of the paper's evaluation
 // (§6, Figs 2–21). Each figure has a runner returning a Figure value —
-// the same series the paper plots — printable as an aligned text table.
+// the same series the paper plots — printable as an aligned text table,
+// and the figures table lists the runners in the paper's order. Most
+// runners are a spec plus a plot shape: autosParams.spec builds the
+// COUNT(*) tracking experiment (a TrackSpec) the Autos figures share,
+// and errorPerRound or finalErrorSweep runs it and plots each
+// algorithm's relative error per round or its final error against a
+// swept parameter.
 //
 // Scale: by default the runners use a reduced dataset (≈40k tuples instead
 // of the 188,917-tuple Yahoo! Autos snapshot) and a couple of trials so the
@@ -17,7 +23,6 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -122,23 +127,7 @@ func (f *Figure) AddSeries(label string, y []float64) {
 // Write renders the figure as an aligned text table.
 func (f *Figure) Write(w io.Writer) {
 	fmt.Fprintf(w, "== %s: %s ==\n", f.ID, f.Title)
-	header := []string{f.XLabel}
-	for _, s := range f.Series {
-		header = append(header, s.Label)
-	}
-	rows := [][]string{header}
-	for i := range f.X {
-		row := []string{f.xLabel(i)}
-		for _, s := range f.Series {
-			if i < len(s.Y) {
-				row = append(row, formatVal(s.Y[i]))
-			} else {
-				row = append(row, "-")
-			}
-		}
-		rows = append(rows, row)
-	}
-	writeAligned(w, rows)
+	writeAligned(w, f.rows(formatVal, "-"))
 	for _, n := range f.Notes {
 		fmt.Fprintf(w, "  note: %s\n", n)
 	}
@@ -148,36 +137,34 @@ func (f *Figure) Write(w io.Writer) {
 // WriteCSV renders the figure as a CSV table (x column then one column
 // per series) for external plotting tools.
 func (f *Figure) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
+	exact := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	return csv.NewWriter(w).WriteAll(f.rows(exact, ""))
+}
+
+// rows lays the figure out as a header row (x label, then each series'
+// label) and one row per x value, each y value rendered by cell; a
+// series shorter than X renders missing for the points it lacks.
+func (f *Figure) rows(cell func(float64) string, missing string) [][]string {
 	header := []string{f.XLabel}
 	for _, s := range f.Series {
 		header = append(header, s.Label)
 	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for i := range f.X {
-		row := []string{f.xLabel(i)}
+	rows := [][]string{header}
+	for i, x := range f.X {
+		row := []string{formatVal(x)}
+		if i < len(f.XLabels) {
+			row[0] = f.XLabels[i]
+		}
 		for _, s := range f.Series {
 			if i < len(s.Y) {
-				row = append(row, strconv.FormatFloat(s.Y[i], 'g', -1, 64))
+				row = append(row, cell(s.Y[i]))
 			} else {
-				row = append(row, "")
+				row = append(row, missing)
 			}
 		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
+		rows = append(rows, row)
 	}
-	cw.Flush()
-	return cw.Error()
-}
-
-func (f *Figure) xLabel(i int) string {
-	if i < len(f.XLabels) {
-		return f.XLabels[i]
-	}
-	return formatVal(f.X[i])
+	return rows
 }
 
 func formatVal(v float64) string {
@@ -219,8 +206,8 @@ func writeAligned(w io.Writer, rows [][]string) {
 }
 
 // TrackSpec describes one tracking experiment: a dynamic database, an
-// update schedule, an interface, a set of aggregates, and the algorithms
-// to compare.
+// update schedule, an interface and a set of aggregates, tracked by every
+// algorithm of AllAlgos.
 type TrackSpec struct {
 	// Dataset builds the tuple universe for a trial seed.
 	Dataset func(seed int64) *workload.Dataset
@@ -242,17 +229,6 @@ type TrackSpec struct {
 	// the last Window rounds (the Fig 14 trans-round aggregate). Mutually
 	// exclusive with Delta.
 	Window int
-	// Algos lists the algorithms to run (nil = all three).
-	Algos []Algo
-	// Pilot overrides RS's bootstrap parameter ϖ (0 = default 10).
-	Pilot int
-}
-
-func (s TrackSpec) algos() []Algo {
-	if len(s.Algos) == 0 {
-		return AllAlgos
-	}
-	return s.Algos
 }
 
 // TrackResult carries everything the figures plot.
@@ -311,11 +287,11 @@ func runTrackingTrial(spec TrackSpec, opt Options, trial int) (*trackTrial, erro
 	out := &trackTrial{
 		truth:   make([]float64, spec.Rounds),
 		truthOK: make([]bool, spec.Rounds),
-		cells:   make(map[Algo][]trackCell, len(spec.algos())),
+		cells:   make(map[Algo][]trackCell, len(AllAlgos)),
 	}
 	dataSeed := trialSeed(opt.Seed, trial)
 	data := spec.Dataset(dataSeed)
-	for _, a := range spec.algos() {
+	for _, a := range AllAlgos {
 		cells := make([]trackCell, spec.Rounds)
 		env, err := workload.NewEnv(data, spec.Initial, dataSeed+envSeedOffset)
 		if err != nil {
@@ -324,7 +300,6 @@ func runTrackingTrial(spec TrackSpec, opt Options, trial int) (*trackTrial, erro
 		iface := hiddendb.NewIface(env.Store, spec.K, nil)
 		cfg := estimator.Config{
 			Rand:        rand.New(rand.NewSource(dataSeed + rngSeedOffset)),
-			Pilot:       spec.Pilot,
 			Parallelism: opt.Parallelism,
 			DeltaTarget: spec.Delta,
 		}
@@ -360,7 +335,7 @@ func runTrackingTrial(spec TrackSpec, opt Options, trial int) (*trackTrial, erro
 			c.queries = cumQ
 			c.drills = cumD
 			ready := (!spec.Delta || round > 1) && (spec.Window == 0 || round >= spec.Window)
-			if a == spec.algos()[0] && ready {
+			if a == AllAlgos[0] && ready {
 				out.truth[round-1] = target
 				out.truthOK[round-1] = true
 			}
@@ -413,7 +388,7 @@ func RunTracking(spec TrackSpec, opt Options, trials int) (*TrackResult, error) 
 
 	type cell struct{ rel, est, queries, drills stats.Running }
 	table := make(map[Algo][]cell)
-	for _, a := range spec.algos() {
+	for _, a := range AllAlgos {
 		table[a] = make([]cell, spec.Rounds)
 	}
 	truthAcc := make([]stats.Running, spec.Rounds)
@@ -423,7 +398,7 @@ func RunTracking(spec TrackSpec, opt Options, trials int) (*TrackResult, error) 
 				truthAcc[round].Add(tr.truth[round])
 			}
 		}
-		for _, a := range spec.algos() {
+		for _, a := range AllAlgos {
 			for round := 0; round < spec.Rounds; round++ {
 				c := &table[a][round]
 				tc := tr.cells[a][round]
@@ -448,7 +423,7 @@ func RunTracking(spec TrackSpec, opt Options, trials int) (*TrackResult, error) 
 	for round := 0; round < spec.Rounds; round++ {
 		res.Truth = append(res.Truth, truthAcc[round].Mean())
 	}
-	for _, a := range spec.algos() {
+	for _, a := range AllAlgos {
 		for round := 0; round < spec.Rounds; round++ {
 			c := &table[a][round]
 			res.RelErr[a] = append(res.RelErr[a], c.rel.Mean())
@@ -461,44 +436,39 @@ func RunTracking(spec TrackSpec, opt Options, trials int) (*TrackResult, error) 
 	return res, nil
 }
 
-// Runner regenerates one figure.
+// Runner regenerates one figure. Most of Figs 2–19 are a TrackSpec from
+// autosParams.spec plotted by errorPerRound or finalErrorSweep.
 type Runner func(opt Options) (*Figure, error)
 
-// registry maps figure IDs to runners; populated by init() in the
-// per-figure files.
-var registry = map[string]Runner{}
-
-func register(id string, r Runner) { registry[id] = r }
-
-// IDs returns all registered figure IDs in order.
-func IDs() []string {
-	ids := make([]string, 0, len(registry))
-	for id := range registry {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		return figNum(ids[i]) < figNum(ids[j])
-	})
-	return ids
+// figures lists every figure of the paper's evaluation, in its order.
+var figures = []struct {
+	id  string
+	run Runner
+}{
+	{"fig2", Fig2}, {"fig3", Fig3}, {"fig4", Fig4}, {"fig5", Fig5},
+	{"fig6", Fig6}, {"fig7", Fig7}, {"fig8", Fig8}, {"fig9", Fig9},
+	{"fig10", Fig10}, {"fig11", Fig11}, {"fig12", Fig12}, {"fig13", Fig13},
+	{"fig14", Fig14}, {"fig15", Fig15}, {"fig16", Fig16}, {"fig17", Fig17},
+	{"fig18", Fig18}, {"fig19", Fig19}, {"fig20", Fig20}, {"fig21", Fig21},
 }
 
-func figNum(id string) int {
-	n := 0
-	for _, c := range id {
-		if c >= '0' && c <= '9' {
-			n = n*10 + int(c-'0')
-		}
+// IDs returns every figure ID in the paper's order.
+func IDs() []string {
+	ids := make([]string, len(figures))
+	for i, fig := range figures {
+		ids[i] = fig.id
 	}
-	return n
+	return ids
 }
 
 // Run regenerates the figure with the given ID.
 func Run(id string, opt Options) (*Figure, error) {
-	r, ok := registry[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown figure %q (have %v)", id, IDs())
+	for _, fig := range figures {
+		if fig.id == id {
+			return fig.run(opt)
+		}
 	}
-	return r(opt)
+	return nil, fmt.Errorf("experiments: unknown figure %q (have %v)", id, IDs())
 }
 
 // tailMean averages the last w entries of xs (all of xs if shorter).

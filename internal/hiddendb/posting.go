@@ -163,17 +163,6 @@ func (pl *postingList) forEachTuple(fn func(*schema.Tuple)) {
 	}
 }
 
-// appendTuples appends every payload tuple in ascending ID order to dst.
-func (pl *postingList) appendTuples(dst []*schema.Tuple) []*schema.Tuple {
-	if pl == nil {
-		return dst
-	}
-	for i := range pl.cs {
-		dst = append(dst, pl.cs[i].tuples...)
-	}
-	return dst
-}
-
 // validate checks every structural invariant; tests run it on every list
 // the store holds after each step of the incremental-vs-rebuild test.
 func (pl *postingList) validate() error {

@@ -9,6 +9,17 @@ import (
 	"github.com/dynagg/dynagg/internal/schema"
 )
 
+// appendTuples appends every payload tuple in ascending ID order to dst.
+func (pl *postingList) appendTuples(dst []*schema.Tuple) []*schema.Tuple {
+	if pl == nil {
+		return dst
+	}
+	for i := range pl.cs {
+		dst = append(dst, pl.cs[i].tuples...)
+	}
+	return dst
+}
+
 // ---------------------------------------------------------------------
 // Kernel fuzz: every intersection kernel against a naive reference
 // ---------------------------------------------------------------------

@@ -519,38 +519,29 @@ func (st *Store) indexApplyBatch(ins, delTuples []*schema.Tuple) {
 }
 
 // rebuildList re-derives one value's posting list from its current
-// contents plus a batch's ID-sorted additions and removals. The merged
-// payload slice is freshly built, so the new containers alias it safely.
+// contents plus a batch's ID-sorted additions and removals, in one pass
+// over the old containers in ID order. An added tuple whose ID the batch
+// also removes (a replacement) lands at its place in ID order; only the
+// old tuple is skipped. The merged payload slice is freshly built, so
+// the new containers alias it safely.
 func rebuildList(old *postingList, add []*schema.Tuple, rem map[uint64]bool) *postingList {
-	base := old.appendTuples(make([]*schema.Tuple, 0, old.size()))
-	merged := mergeByID(base, add, rem)
+	merged := make([]*schema.Tuple, 0, old.size()+len(add)-len(rem))
+	j := 0
+	old.forEachTuple(func(t *schema.Tuple) {
+		if rem[t.ID] {
+			return
+		}
+		for j < len(add) && add[j].ID < t.ID {
+			merged = append(merged, add[j])
+			j++
+		}
+		merged = append(merged, t)
+	})
+	merged = append(merged, add[j:]...)
 	if len(merged) == 0 {
 		return nil
 	}
 	return buildPostingList(merged)
-}
-
-// mergeByID merges an ID-sorted list with ID-sorted additions, dropping
-// the removed IDs, in one pass.
-func mergeByID(old, add []*schema.Tuple, rem map[uint64]bool) []*schema.Tuple {
-	out := make([]*schema.Tuple, 0, len(old)+len(add)-len(rem))
-	i, j := 0, 0
-	for i < len(old) || j < len(add) {
-		switch {
-		case i == len(old):
-			out = append(out, add[j])
-			j++
-		case rem[old[i].ID]:
-			i++
-		case j == len(add) || old[i].ID < add[j].ID:
-			out = append(out, old[i])
-			i++
-		default:
-			out = append(out, add[j])
-			j++
-		}
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------

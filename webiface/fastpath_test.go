@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -431,6 +432,36 @@ func TestDecodeBatchScratchReuseNoLeak(t *testing.T) {
 			t.Fatalf("query %d inherited stale predicates from the pooled scratch: %q", i, q.Where)
 		}
 	}
+}
+
+// FuzzDecodeBatch: a batch body decoded into a scratch that already
+// decoded another body holds what a fresh scratch holds, so no pooled
+// request inherits an earlier one's queries or predicates. A reused
+// empty Queries slice and a fresh nil one both mean "no queries", so
+// the two are compared by length and elements.
+func FuzzDecodeBatch(f *testing.F) {
+	f.Fuzz(func(t *testing.T, first, second []byte) {
+		reused := new(reqScratch)
+		_ = decodeBatch(first, reused)
+		err := decodeBatch(second, reused)
+		fresh := new(reqScratch)
+		refErr := decodeBatch(second, fresh)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("reused scratch error %v, fresh scratch error %v", err, refErr)
+		}
+		if err != nil {
+			return
+		}
+		got, want := reused.req.Queries, fresh.req.Queries
+		if len(got) != len(want) {
+			t.Fatalf("reused scratch decoded %d queries, fresh %d", len(got), len(want))
+		}
+		for i := range want {
+			if !slices.Equal(got[i].Where, want[i].Where) {
+				t.Fatalf("query %d: reused scratch where %q, fresh %q", i, got[i].Where, want[i].Where)
+			}
+		}
+	})
 }
 
 // TestFastPathBatchMatchAllAfterPredicates is the end-to-end form of the
