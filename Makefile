@@ -93,7 +93,8 @@ bench:
 
 # bench-serving runs the serving-path benchmarks (prefix vs non-prefix
 # snapshot answering, a ~20k-tuple prefix range, ApplyBatch at one
-# tracking round's churn and at +50%/-25%, query-key encoding,
+# tracking round's churn and at +50%/-25%, one tuple's Insert+Delete
+# with and without a snapshot published between pairs, query-key encoding,
 # concurrent sessions, the estimator executor's sequential-vs-concurrent
 # drill-down issuance,
 # sharded scatter-gather serving at shards=1/4/16 under mutation load,
@@ -102,7 +103,7 @@ bench:
 # legacy-vs-fastpath pair) and emits machine-readable results to
 # BENCH_serving.json; CI archives the file as an artifact, seeding the
 # repo's perf trajectory.
-SERVING_BENCH := BenchmarkSnapshotPrefixQuery|BenchmarkSnapshotPrefixWide|BenchmarkStoreApplyBatch|BenchmarkSnapshotNonPrefix|BenchmarkQueryKey|BenchmarkServingConcurrent|BenchmarkConcurrentSessions|BenchmarkEstimatorExec|BenchmarkFleetScheduler|BenchmarkBitmapAND|BenchmarkHandlerSearch
+SERVING_BENCH := BenchmarkSnapshotPrefixQuery|BenchmarkSnapshotPrefixWide|BenchmarkStoreApplyBatch|BenchmarkStoreInsertDelete|BenchmarkSnapshotNonPrefix|BenchmarkQueryKey|BenchmarkServingConcurrent|BenchmarkConcurrentSessions|BenchmarkEstimatorExec|BenchmarkFleetScheduler|BenchmarkBitmapAND|BenchmarkHandlerSearch
 BENCHTIME ?= 1s
 # BenchmarkServingConcurrent races a free-running mutator goroutine, so
 # its per-op cost depends on wall-clock interleaving: time-based

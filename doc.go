@@ -48,12 +48,14 @@
 // # Concurrency
 //
 // The engine is built around versioned immutable snapshots. A Store
-// publishes a Snapshot of each version — the sorted tuple slice plus
-// per-(attribute, value) inverted posting lists. It copies the slice and
-// the list maps a published snapshot references before changing them,
-// and never writes a posting list once built (a mutation installs a
-// rebuilt list for each value it touches), so a snapshot is frozen
-// forever once taken. Three things follow:
+// publishes a Snapshot of each version — the sorted tuple sequence, cut
+// into leaves of about 512 tuples, plus per-(attribute, value) inverted
+// posting lists. Before changing them it copies the leaf arrays, each
+// leaf and each list map a published snapshot references (the snapshot
+// keeps sharing every leaf the store leaves alone), and it never writes a
+// posting list once built (a mutation installs a rebuilt list for each
+// value it touches), so a snapshot is frozen forever once taken. Three
+// things follow:
 //
 //   - Frozen per round: all query answering (Iface.Search, posting-list
 //     intersection, prefix binary search, full scan) runs against the

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -165,13 +167,26 @@ func TestQueriesToReach(t *testing.T) {
 	}
 }
 
-// Smoke-test the cheapest figure runners end to end at reduced trials.
+// Smoke-test the cheapest figure runners end to end at reduced trials,
+// under the race detector only. Elsewhere TestFiguresGolden regenerates
+// these very runs and pins them byte for byte (and TestLiveFiguresGolden
+// always runs fig20 and fig21), so the test only checks that each of
+// these figures has its golden.
 func TestFigureRunnersSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure smoke tests take seconds each")
 	}
+	ids := []string{"fig4", "fig5", "fig15", "fig16", "fig17", "fig18", "fig19"}
+	if !raceEnabled {
+		for _, id := range ids {
+			if _, err := os.Stat(filepath.Join("testdata", id+".golden")); err != nil {
+				t.Errorf("%s has no golden: %v", id, err)
+			}
+		}
+		return
+	}
 	opt := Options{Seed: 1, Trials: 1}
-	for _, id := range []string{"fig4", "fig5", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21"} {
+	for _, id := range ids {
 		f, err := Run(id, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)

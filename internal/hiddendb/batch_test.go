@@ -3,7 +3,6 @@ package hiddendb
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"github.com/dynagg/dynagg/internal/schema"
@@ -246,28 +245,6 @@ func TestApplyBatchRejectsRepeatedInsertID(t *testing.T) {
 	})
 }
 
-// TestGallopTuples checks the galloping search against sort.Search from
-// every valid start position, for keys present, absent and past the end.
-func TestGallopTuples(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for n := 0; n < 70; n += 3 {
-		ts := make([]*schema.Tuple, n)
-		for i := range ts {
-			ts[i] = &schema.Tuple{ID: uint64(i + 1), Vals: []uint16{uint16(rng.Intn(20))}}
-		}
-		sort.Slice(ts, func(i, j int) bool { return less(ts[i], ts[j]) })
-		for v := uint16(0); v <= 20; v++ {
-			probe := &schema.Tuple{ID: uint64(rng.Intn(n + 2)), Vals: []uint16{v}}
-			want := sort.Search(n, func(i int) bool { return !less(ts[i], probe) })
-			for lo := 0; lo <= want; lo++ {
-				if got := gallopTuples(ts, lo, probe); got != want {
-					t.Fatalf("n=%d lo=%d probe=%v: gallopTuples = %d, want %d", n, lo, probe, got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestRankRangeMatchesTuplePath ranks every window of a small store,
 // of lengths around multiples of the gather width, through the
 // ID-domain range path and through the generic per-tuple path (a
@@ -288,7 +265,8 @@ func TestRankRangeMatchesTuplePath(t *testing.T) {
 				// as the scatter-gather path does across shards.
 				for _, sc := range []*queryScratch{fast, slow} {
 					sc.topk.reset()
-					for _, tu := range s.tuples[:lo/2] {
+					for i := 0; i < lo/2; i++ {
+						tu := s.seq.at(i)
 						sc.topk.offer(tu, DefaultScorer(tu), k)
 					}
 				}

@@ -64,21 +64,24 @@ const idGather = 32
 // bar are admitted. Valid only when pln.postings is unset and rest is
 // empty.
 func (s *Snapshot) rankRange(pln *queryPlan, sc *queryScratch, k int) {
-	ts := s.tuples[pln.lo:pln.hi]
-	sc.matches += len(ts)
+	sc.matches += pln.hi - pln.lo
 	h := &sc.topk
 	var ids [idGather]uint64
-	for len(ts) > 0 {
-		blk := ts[:min(len(ts), idGather)]
-		for j, t := range blk {
-			ids[j] = t.ID
-		}
-		for j, t := range blk {
-			if s := defaultScoreID(ids[j]); !h.drop(ids[j], s) {
-				h.push(t, s, k)
+	for lo := pln.lo; lo < pln.hi; {
+		ts := s.seq.run(lo, pln.hi)
+		lo += len(ts)
+		for len(ts) > 0 {
+			blk := ts[:min(len(ts), idGather)]
+			for j, t := range blk {
+				ids[j] = t.ID
 			}
+			for j, t := range blk {
+				if s := defaultScoreID(ids[j]); !h.drop(ids[j], s) {
+					h.push(t, s, k)
+				}
+			}
+			ts = ts[len(blk):]
 		}
-		ts = ts[len(blk):]
 	}
 }
 

@@ -119,7 +119,8 @@ func probeBitmap(a []uint16, b *idBitmap, dst []uint16) []uint16 {
 // 512 bits instead of one per word): intersections are sparse in
 // practice, so most 8-word blocks are all-zero and skip straight past
 // the extraction loop. Extraction order is unchanged — output is the
-// same sorted sequence the scalar loop (andBitmapsScalar) produces.
+// same sorted sequence a word-at-a-time loop produces, which
+// TestBitmapANDUnrollEquivalence checks.
 func andBitmaps(a, b *idBitmap, dst []uint16) []uint16 {
 	for w := 0; w < bitmapWords; w += 8 {
 		m0 := a[w] & b[w]
@@ -167,21 +168,6 @@ func andBitmaps(a, b *idBitmap, dst []uint16) []uint16 {
 		for m7 != 0 {
 			dst = append(dst, (base+448)|uint16(bits.TrailingZeros64(m7)))
 			m7 &= m7 - 1
-		}
-	}
-	return dst
-}
-
-// andBitmapsScalar is the pre-unroll word-at-a-time kernel, kept as the
-// equivalence reference for the fuzz test and the "before" half of
-// BenchmarkBitmapAND in BENCH_serving.json.
-func andBitmapsScalar(a, b *idBitmap, dst []uint16) []uint16 {
-	for w := 0; w < bitmapWords; w++ {
-		m := a[w] & b[w]
-		base := uint16(w << 6)
-		for m != 0 {
-			dst = append(dst, base|uint16(bits.TrailingZeros64(m)))
-			m &= m - 1
 		}
 	}
 	return dst

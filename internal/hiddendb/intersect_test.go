@@ -1,9 +1,25 @@
 package hiddendb
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
+
+// andBitmapsScalar is the pre-unroll word-at-a-time kernel, kept as the
+// equivalence reference for TestBitmapANDUnrollEquivalence and the
+// "before" half of BenchmarkBitmapAND in BENCH_serving.json.
+func andBitmapsScalar(a, b *idBitmap, dst []uint16) []uint16 {
+	for w := 0; w < bitmapWords; w++ {
+		m := a[w] & b[w]
+		base := uint16(w << 6)
+		for m != 0 {
+			dst = append(dst, base|uint16(bits.TrailingZeros64(m)))
+			m &= m - 1
+		}
+	}
+	return dst
+}
 
 // TestBitmapANDUnrollEquivalence pins the 8-way unrolled word-AND kernel
 // against the scalar reference across densities from empty to near-full,

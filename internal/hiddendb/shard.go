@@ -10,7 +10,7 @@ import (
 )
 
 // ShardedStore partitions a database across N independent Stores by a hash
-// of the tuple ID, so that each shard owns its own sorted tuple slice,
+// of the tuple ID, so that each shard owns its own sorted tuple sequence,
 // version counter and inverted posting lists, and mutations to different
 // shards never contend. Reads are served from an Epoch — one immutable
 // snapshot per shard, published together — so that a round's answers stay
@@ -186,17 +186,21 @@ func (ss *ShardedStore) ForEach(fn func(*schema.Tuple)) {
 // a sharded store as from an unsharded one holding the same tuples.
 func (ss *ShardedStore) IDs() []uint64 {
 	out := make([]uint64, 0, ss.Size())
-	next := make([]int, len(ss.shards)) // each shard's first unmerged position
+	heads := make([][]*schema.Tuple, len(ss.shards)) // each shard's unmerged rest of a leaf
+	next := make([]int, len(ss.shards))              // each shard's next leaf
 	for len(out) < cap(out) {
 		best := -1
 		for i, st := range ss.shards {
-			if next[i] < len(st.tuples) &&
-				(best < 0 || less(st.tuples[next[i]], ss.shards[best].tuples[next[best]])) {
+			if len(heads[i]) == 0 && next[i] < len(st.seq.leaves) {
+				heads[i] = st.seq.leaves[next[i]].ts
+				next[i]++
+			}
+			if len(heads[i]) > 0 && (best < 0 || less(heads[i][0], heads[best][0])) {
 				best = i
 			}
 		}
-		out = append(out, ss.shards[best].tuples[next[best]].ID)
-		next[best]++
+		out = append(out, heads[best][0].ID)
+		heads[best] = heads[best][1:]
 	}
 	return out
 }

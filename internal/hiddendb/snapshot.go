@@ -1,7 +1,6 @@
 package hiddendb
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -9,14 +8,15 @@ import (
 )
 
 // Snapshot is one immutable, fully consistent version of a Store: the
-// sorted tuple slice plus per-(attribute, value) roaring-style posting
-// lists (see posting.go). A snapshot never changes after publication —
-// the Store copies the sorted slice and each attribute's list map a
-// snapshot references before changing them, and never writes a posting
-// list once built — so any number of goroutines may answer queries
-// against one snapshot while the harness prepares the next round's
-// updates. Publishing costs O(attributes); the O(n) copy of the sorted
-// slice falls on the first mutation after it.
+// sorted tuple sequence (seq.go) plus per-(attribute, value)
+// roaring-style posting lists (see posting.go). A snapshot never changes
+// after publication — the Store copies the leaf arrays, each leaf and
+// each attribute's list map a snapshot references before changing them,
+// and never writes a posting list once built — so any number of
+// goroutines may answer queries against one snapshot while the harness
+// prepares the next round's updates. Publishing costs O(attributes); the
+// first mutation after it copies the leaf arrays (O(n/leaf)) and the
+// leaves it writes, and the snapshot keeps sharing every other leaf.
 //
 // Query answering picks between three strategies by estimated cost:
 //
@@ -38,8 +38,8 @@ import (
 // intermediate state lives in pooled per-query scratch (scratch.go).
 type Snapshot struct {
 	sch            *schema.Schema
-	tuples         []*schema.Tuple // canonical (Vals, ID) order
-	attrs          []snapAttr      // one per schema attribute
+	seq            tupleSeq   // canonical (Vals, ID) order
+	attrs          []snapAttr // one per schema attribute
 	broadMatchNull bool
 	version        uint64
 }
@@ -64,10 +64,10 @@ type lazyIndex struct {
 
 // build scans the snapshot's tuples once and materialises every value's
 // posting list for the attribute.
-func (li *lazyIndex) build(attr int, tuples []*schema.Tuple) map[uint16]*postingList {
+func (li *lazyIndex) build(attr int, seq *tupleSeq) map[uint16]*postingList {
 	li.demanded.Store(true)
 	li.once.Do(func() {
-		m := buildAttrIndex(tuples, attr).lists
+		m := buildAttrIndex(seq, attr).lists
 		li.built.Store(&m)
 	})
 	return *li.built.Load()
@@ -85,7 +85,7 @@ func (li *lazyIndex) loaded() map[uint16]*postingList {
 func (s *Snapshot) Version() uint64 { return s.version }
 
 // Size returns the number of tuples frozen in the snapshot, |D|.
-func (s *Snapshot) Size() int { return len(s.tuples) }
+func (s *Snapshot) Size() int { return s.seq.len() }
 
 // Schema returns the snapshot's schema.
 func (s *Snapshot) Schema() *schema.Schema { return s.sch }
@@ -95,8 +95,10 @@ func (s *Snapshot) BroadMatchNull() bool { return s.broadMatchNull }
 
 // ForEach visits every tuple in canonical order.
 func (s *Snapshot) ForEach(fn func(*schema.Tuple)) {
-	for _, t := range s.tuples {
-		fn(t)
+	for _, l := range s.seq.leaves {
+		for _, t := range l.ts {
+			fn(t)
+		}
 	}
 }
 
@@ -124,7 +126,7 @@ func (s *Snapshot) CountMatching(q Query) int {
 // the answer cache may already have paid for.
 func (s *Snapshot) rangeCount(q Query) (n int, ok bool) {
 	if len(q.preds) == 0 {
-		return len(s.tuples), true
+		return s.seq.len(), true
 	}
 	if s.broadMatchNull || q.prefixLen() < len(q.preds) {
 		return 0, false
@@ -159,21 +161,19 @@ type queryPlan struct {
 	rest     []Pred         // uncovered predicates, filtered at emit
 }
 
-// prefixRange locates the contiguous slice of tuples matching the query's
-// canonical-order prefix of length pl (pl ≥ 1, no broad-match NULLs).
+// prefixRange locates the contiguous range of tuples matching the query's
+// canonical-order prefix of length pl (pl ≥ 1, no broad-match NULLs): it
+// starts at the prefix and ends where the prefix with its last value
+// raised by one starts (a prefix value is never NullCode, the largest).
 func (s *Snapshot) prefixRange(q Query, pl int, sc *queryScratch) (lo, hi int) {
 	prefix := sc.prefix[:0]
 	for i := 0; i < pl; i++ {
 		prefix = append(prefix, q.preds[i].Val)
 	}
 	sc.prefix = prefix
-	lo = sort.Search(len(s.tuples), func(i int) bool {
-		return schema.CompareVals(s.tuples[i].Vals[:pl], prefix) >= 0
-	})
-	hi = sort.Search(len(s.tuples), func(i int) bool {
-		return schema.CompareVals(s.tuples[i].Vals[:pl], prefix) > 0
-	})
-	return lo, hi
+	lo = s.seq.search(prefix, 0)
+	prefix[pl-1]++
+	return lo, s.seq.search(prefix, 0)
 }
 
 // candidatePP returns the candidate posting lists covering predicate p,
@@ -208,7 +208,7 @@ func (s *Snapshot) materialisePP(p Pred) (predPostings, bool) {
 		if sa.lazy == nil {
 			return predPostings{}, false
 		}
-		sa.lazy.build(p.Attr, s.tuples)
+		sa.lazy.build(p.Attr, &s.seq)
 	}
 	return s.candidatePP(p)
 }
@@ -221,7 +221,7 @@ func (s *Snapshot) materialisePP(p Pred) (predPostings, bool) {
 // a full scan invests that same O(n) in materialising its first
 // predicate's index instead.
 func (s *Snapshot) plan(q Query, strat strategy, sc *queryScratch) queryPlan {
-	n := len(s.tuples)
+	n := s.seq.len()
 	pln := queryPlan{hi: n}
 	if len(q.preds) == 0 {
 		return pln
@@ -323,16 +323,14 @@ func (s *Snapshot) execPlan(pln *queryPlan, sc *queryScratch, fn func(*schema.Tu
 		s.execPostings(pln, sc, fn)
 		return
 	}
-	if len(pln.rest) == 0 {
-		for _, t := range s.tuples[pln.lo:pln.hi] {
-			fn(t)
-		}
-		return
-	}
 	broad := s.broadMatchNull
-	for _, t := range s.tuples[pln.lo:pln.hi] {
-		if matchesPreds(t, pln.rest, broad) {
-			fn(t)
+	for lo := pln.lo; lo < pln.hi; {
+		ts := s.seq.run(lo, pln.hi)
+		lo += len(ts)
+		for _, t := range ts {
+			if len(pln.rest) == 0 || matchesPreds(t, pln.rest, broad) {
+				fn(t)
+			}
 		}
 	}
 }

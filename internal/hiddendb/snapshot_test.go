@@ -294,7 +294,7 @@ func TestIncrementalIndexMatchesRebuild(t *testing.T) {
 			if ai == nil {
 				continue
 			}
-			want := buildAttrIndex(st.tuples, a)
+			want := buildAttrIndex(&st.seq, a)
 			if len(ai.lists) != len(want.lists) {
 				t.Fatalf("step %s attr %d: %d lists, want %d", step, a, len(ai.lists), len(want.lists))
 			}
@@ -396,7 +396,7 @@ func TestIncrementalIndexMatchesRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	for a := range st.idx {
-		st.idx[a] = buildAttrIndex(st.tuples, a)
+		st.idx[a] = buildAttrIndex(&st.seq, a)
 	}
 	nextID = 2 * arrayMaxEntries
 	fresh := func(v uint16) *schema.Tuple {

@@ -4,9 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"maps"
-	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -16,18 +14,19 @@ import (
 // Store owns the database contents. Tuples are kept sorted in canonical
 // attribute order (lexicographic on value codes, ID tiebreak) so that the
 // prefix-conjunctive queries issued by drill downs resolve to contiguous
-// ranges found by binary search. Alongside the sorted slice the store
-// maintains per-(attribute, value) inverted posting lists for every
-// attribute a reader has demanded one for (see Snapshot); every mutation
-// installs a rebuilt list for each value it touches (indexApplyBatch).
+// ranges found by binary search; the order is held as ~512-tuple leaves
+// (seq.go). Alongside it the store maintains per-(attribute, value)
+// inverted posting lists for every attribute a reader has demanded one
+// for (see Snapshot); every mutation installs a rebuilt list for each
+// value it touches (indexApplyBatch).
 //
 // Only the simulation harness holds a *Store; estimators see it through
 // Iface/Session.
 //
 // Concurrency: reads go through immutable Snapshots (see Snapshot()), so
 // any number of goroutines may query the store concurrently. Mutations
-// are serialised internally (snapMu), copy the sorted slice and the
-// per-attribute list maps a published snapshot references before
+// are serialised internally (snapMu), copy the leaf arrays, each leaf
+// and each per-attribute list map a published snapshot references before
 // changing them, and never write a posting list, so a single mutator
 // goroutine may apply updates while readers keep answering on the
 // previous version. Mutating from more than one goroutine at a time, or
@@ -36,10 +35,9 @@ import (
 // in the experiment harness each Store belongs to exactly one trial.
 type Store struct {
 	sch            *schema.Schema
-	tuples         []*schema.Tuple // sorted by (Vals, ID)
+	seq            tupleSeq // sorted by (Vals, ID)
 	byID           map[uint64]*schema.Tuple
 	idx            []*attrIndex // per attribute; nil until demanded
-	tuplesShared   bool         // tuples slice referenced by a snapshot
 	nextID         uint64
 	broadMatchNull bool
 
@@ -95,7 +93,7 @@ func (st *Store) BroadMatchNull() bool { return st.broadMatchNull }
 func (st *Store) Schema() *schema.Schema { return st.sch }
 
 // Size returns the current number of tuples, |D|.
-func (st *Store) Size() int { return len(st.tuples) }
+func (st *Store) Size() int { return st.seq.len() }
 
 // Version increases on every modification; snapshots and answer caches
 // are tagged with it.
@@ -134,13 +132,14 @@ func (st *Store) publishLocked() *Snapshot {
 	if prev := st.snap.Load(); prev != nil {
 		for a := range st.idx {
 			if st.idx[a] == nil && prev.attrs[a].lazy != nil && prev.attrs[a].lazy.demanded.Load() {
-				st.idx[a] = buildAttrIndex(st.tuples, a)
+				st.idx[a] = buildAttrIndex(&st.seq, a)
 			}
 		}
 	}
+	st.seq.shared = true // the next write copies what it changes
 	s := &Snapshot{
 		sch:            st.sch,
-		tuples:         st.tuples,
+		seq:            st.seq,
 		attrs:          make([]snapAttr, st.sch.M()),
 		broadMatchNull: st.broadMatchNull,
 		version:        v,
@@ -157,27 +156,27 @@ func (st *Store) publishLocked() *Snapshot {
 			s.attrs[a].lazy = &lazies[len(lazies)-1]
 		}
 	}
-	st.tuplesShared = true
 	st.snap.Store(s)
 	return s
 }
 
 // ephemeralLocked returns a throwaway snapshot of the current version for
-// answering a single query under snapMu. It shares the store's slices
-// WITHOUT marking them copy-on-write, so it must never be published,
-// retained past the locked region, or handed to another goroutine. It
-// exists for the constant-update model, where the database mutates before
-// every query: publishing a real snapshot there would pay an O(n)
-// copy-on-write per query for a snapshot that answers exactly one.
-// The one snapshot object is reused across calls (alloc-free steady
-// state); it carries no lazy index builders.
+// answering a single query under snapMu. It shares the store's leaves and
+// list maps WITHOUT marking them copy-on-write, so it must never be
+// published, retained past the locked region, or handed to another
+// goroutine. It exists for the constant-update model, where the database
+// mutates before every query: publishing a real snapshot there would
+// allocate the snapshot and make the next write copy the leaf arrays and
+// a leaf, about 20 KB at 170k tuples, for a snapshot that answers exactly
+// one query. The one snapshot object is reused across calls (alloc-free
+// steady state); it carries no lazy index builders.
 func (st *Store) ephemeralLocked() *Snapshot {
 	s := st.eph
 	if s == nil {
 		s = &Snapshot{sch: st.sch, attrs: make([]snapAttr, st.sch.M())}
 		st.eph = s
 	}
-	s.tuples = st.tuples
+	s.seq = st.seq
 	s.broadMatchNull = st.broadMatchNull
 	s.version = st.version.Load()
 	for a := range s.attrs {
@@ -192,7 +191,7 @@ func (st *Store) ephemeralLocked() *Snapshot {
 }
 
 // compareTuples orders tuples by value vector then ID: the canonical
-// (Vals, ID) order of the sorted slice.
+// (Vals, ID) order of the tuple sequence.
 func compareTuples(a, b *schema.Tuple) int {
 	if c := schema.CompareVals(a.Vals, b.Vals); c != 0 {
 		return c
@@ -203,16 +202,11 @@ func compareTuples(a, b *schema.Tuple) int {
 // less reports whether a sorts strictly before b in canonical order.
 func less(a, b *schema.Tuple) bool { return compareTuples(a, b) < 0 }
 
-// searchPos returns the position of t in the sorted slice: its exact
-// index when t is present ((Vals, ID) is unique), else its insertion
-// point.
-func (st *Store) searchPos(t *schema.Tuple) int {
-	return sort.Search(len(st.tuples), func(i int) bool { return !less(st.tuples[i], t) })
-}
-
 // Insert adds one tuple. The tuple must validate against the schema and
-// carry an ID not already present. Inserting is O(n) (memmove); bulk
-// changes should use ApplyBatch.
+// carry an ID not already present. It shifts one leaf of the sequence in
+// place, O(log n + leaf + n/leaf), copying the leaf (and the leaf arrays)
+// first if a published snapshot holds it; bulk changes should use
+// ApplyBatch.
 func (st *Store) Insert(t *schema.Tuple) error {
 	if err := st.sch.Validate(t.Vals); err != nil {
 		return err
@@ -228,20 +222,7 @@ func (st *Store) Insert(t *schema.Tuple) error {
 	if t.ID >= st.nextID {
 		st.nextID = t.ID + 1
 	}
-	pos := st.searchPos(t)
-	if st.tuplesShared {
-		// Copy-on-write fused with the insert: one pass, not copy+shift.
-		nt := make([]*schema.Tuple, len(st.tuples)+1)
-		copy(nt, st.tuples[:pos])
-		nt[pos] = t
-		copy(nt[pos+1:], st.tuples[pos:])
-		st.tuples = nt
-		st.tuplesShared = false
-	} else {
-		st.tuples = append(st.tuples, nil)
-		copy(st.tuples[pos+1:], st.tuples[pos:])
-		st.tuples[pos] = t
-	}
+	st.seq.insert(t)
 	st.byID[t.ID] = t
 	st.indexApplyBatch([]*schema.Tuple{t}, nil)
 	st.version.Add(1)
@@ -249,7 +230,8 @@ func (st *Store) Insert(t *schema.Tuple) error {
 }
 
 // Delete removes the tuple with the given ID, returning it. The exact
-// position is resolved by one (Vals, ID) binary search.
+// position is resolved by one (Vals, ID) binary search; the removal
+// costs what an Insert does.
 func (st *Store) Delete(id uint64) (*schema.Tuple, error) {
 	t, ok := st.byID[id]
 	if !ok {
@@ -257,20 +239,7 @@ func (st *Store) Delete(id uint64) (*schema.Tuple, error) {
 	}
 	st.snapMu.Lock()
 	defer st.snapMu.Unlock()
-	pos := st.searchPos(t)
-	if pos >= len(st.tuples) || st.tuples[pos] != t {
-		panic(fmt.Sprintf("hiddendb: index out of sync for tuple %d", id))
-	}
-	if st.tuplesShared {
-		nt := make([]*schema.Tuple, len(st.tuples)-1)
-		copy(nt, st.tuples[:pos])
-		copy(nt[pos:], st.tuples[pos+1:])
-		st.tuples = nt
-		st.tuplesShared = false
-	} else {
-		copy(st.tuples[pos:], st.tuples[pos+1:])
-		st.tuples = st.tuples[:len(st.tuples)-1]
-	}
+	st.seq.delete(t)
 	delete(st.byID, id)
 	st.indexApplyBatch(nil, []*schema.Tuple{t})
 	st.version.Add(1)
@@ -281,18 +250,17 @@ func (st *Store) Delete(id uint64) (*schema.Tuple, error) {
 func (st *Store) Get(id uint64) *schema.Tuple { return st.byID[id] }
 
 // ApplyBatch applies a round's worth of updates — deletions by ID, then
-// insertions — as one new sorted slice. The changes are sorted in
-// (Vals, ID) order and located by galloping from each one's position to
-// the next; the untouched runs between them move with bulk copies. For
-// i inserts and d deletes that is the batch's own sort plus
-// O((i+d)·log(n/(i+d))) comparisons and one O(n) memmove, so a round
-// costs its change rather than |D|. (Past a few percent of the store,
-// one pass over it finds the deletions faster than sorting them; see
-// positionsOf.) The batch is validated in full before anything is
-// mutated; on error the store is unchanged. An insert may carry the ID of
-// a tuple the same batch deletes: that replaces the tuple in place (an
-// in-place update such as a price change), and pointers to the old tuple
-// keep its old values.
+// insertions — in one pass over the tuple sequence's leaves. The changes
+// are sorted in (Vals, ID) order, and only the leaves they fall in are
+// rebuilt (tupleSeq.applyBatch): for c changes that is the batch's own
+// sort plus O(c·log leaf + n/leaf) comparisons and a copy of each
+// touched leaf, so a round costs its change rather than |D|, and a
+// published snapshot keeps sharing every leaf the batch leaves alone.
+// The batch is validated in full before anything is mutated; on error
+// the store is unchanged. An insert may carry the ID of a tuple the same
+// batch deletes: that replaces the tuple in place (an in-place update
+// such as a price change), and pointers to the old tuple keep its old
+// values.
 func (st *Store) ApplyBatch(inserts []*schema.Tuple, deleteIDs []uint64) error {
 	del := make(map[uint64]bool, len(deleteIDs))
 	dels := make([]*schema.Tuple, 0, len(deleteIDs))
@@ -331,7 +299,7 @@ func (st *Store) ApplyBatch(inserts []*schema.Tuple, deleteIDs []uint64) error {
 		}
 	}
 	slices.SortFunc(ins, compareTuples)
-	delPos := st.positionsOf(dels, del)
+	slices.SortFunc(dels, compareTuples)
 
 	st.snapMu.Lock()
 	defer st.snapMu.Unlock()
@@ -340,8 +308,7 @@ func (st *Store) ApplyBatch(inserts []*schema.Tuple, deleteIDs []uint64) error {
 			st.nextID = t.ID + 1
 		}
 	}
-	st.tuples = mergeBatch(st.tuples, ins, delPos)
-	st.tuplesShared = false
+	st.seq.applyBatch(ins, dels)
 	for _, id := range deleteIDs {
 		delete(st.byID, id)
 	}
@@ -353,100 +320,20 @@ func (st *Store) ApplyBatch(inserts []*schema.Tuple, deleteIDs []uint64) error {
 	return nil
 }
 
-// positionsOf returns the ascending positions of the live tuples dels
-// (whose IDs are the keys of del) in the sorted slice. A few are sorted
-// and galloped to. Sorting d of them costs about d·log2(d) comparisons,
-// each a handful of cache misses, while one pass over the slice costs a
-// load and a map probe per tuple, about a quarter of a comparison; past
-// that break-even (near 2% of a 170k-tuple store) the pass finds them.
-func (st *Store) positionsOf(dels []*schema.Tuple, del map[uint64]bool) []int {
-	pos := make([]int, 0, len(dels))
-	if 4*len(dels)*bits.Len(uint(len(dels))) > len(st.tuples) {
-		for p, t := range st.tuples {
-			if del[t.ID] {
-				pos = append(pos, p)
-			}
-		}
-		return pos
-	}
-	slices.SortFunc(dels, compareTuples)
-	p := 0
-	for _, t := range dels {
-		p = gallopTuples(st.tuples, p, t)
-		if p == len(st.tuples) || st.tuples[p] != t {
-			panic(fmt.Sprintf("hiddendb: index out of sync for tuple %d", t.ID))
-		}
-		pos = append(pos, p)
-		p++
-	}
-	return pos
-}
-
-// mergeBatch returns a fresh sorted slice holding old minus the tuples
-// at the ascending positions delPos, plus ins, which is sorted and
-// shares no (Vals, ID) key with a surviving tuple. Each insert gallops
-// from the previous one's insertion point to its own; the untouched runs
-// between changes move with one copy each. An insert whose point is a
-// deleted position lands where the deleted tuple was.
-func mergeBatch(old, ins []*schema.Tuple, delPos []int) []*schema.Tuple {
-	out := make([]*schema.Tuple, len(old)-len(delPos)+len(ins))
-	w, pos, d := 0, 0, 0
-	// copyTo moves old[pos:to] minus the deleted positions into out.
-	copyTo := func(to int) {
-		for ; d < len(delPos) && delPos[d] < to; d++ {
-			w += copy(out[w:], old[pos:delPos[d]])
-			pos = delPos[d] + 1
-		}
-		w += copy(out[w:], old[pos:to])
-		pos = to
-	}
-	p := 0
-	for _, t := range ins {
-		p = gallopTuples(old, p, t)
-		copyTo(p)
-		out[w] = t
-		w++
-	}
-	copyTo(len(old))
-	return out
-}
-
-// gallopTuples returns the first index p ≥ lo with !less(ts[p], t), the
-// caller knowing every tuple before lo sorts below t. It probes lo, lo+1,
-// lo+3, lo+7, … and binary-searches the last bracket: O(log(p-lo))
-// comparisons, so a walk over sorted keys pays for the gaps it skips
-// only logarithmically.
-func gallopTuples(ts []*schema.Tuple, lo int, t *schema.Tuple) int {
-	hi, step := lo, 1
-	for hi < len(ts) && less(ts[hi], t) {
-		lo = hi + 1
-		hi += step
-		step <<= 1
-	}
-	hi = min(hi, len(ts))
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if less(ts[m], t) {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
-}
-
 // ---------------------------------------------------------------------
 // Posting-list maintenance
 // ---------------------------------------------------------------------
 
 // buildAttrIndex materialises one attribute's posting lists (ID-sorted
-// container sequences) from tuples in any order: lazy snapshot builds,
+// container sequences) from a tuple sequence: lazy snapshot builds,
 // promotions and full rebuilds all build here.
-func buildAttrIndex(tuples []*schema.Tuple, attr int) *attrIndex {
+func buildAttrIndex(seq *tupleSeq, attr int) *attrIndex {
 	byVal := make(map[uint16][]*schema.Tuple)
-	for _, t := range tuples {
-		v := t.Vals[attr]
-		byVal[v] = append(byVal[v], t)
+	for _, l := range seq.leaves {
+		for _, t := range l.ts {
+			v := t.Vals[attr]
+			byVal[v] = append(byVal[v], t)
+		}
 	}
 	lists := make(map[uint16]*postingList, len(byVal))
 	for v, l := range byVal {
@@ -489,8 +376,8 @@ func (st *Store) indexApplyBatch(ins, delTuples []*schema.Tuple) {
 		if ai == nil {
 			continue
 		}
-		if churn*4 >= len(st.tuples) {
-			st.idx[a] = buildAttrIndex(st.tuples, a)
+		if churn*4 >= st.seq.len() {
+			st.idx[a] = buildAttrIndex(&st.seq, a)
 			continue
 		}
 		adds := make(map[uint16][]*schema.Tuple)
@@ -551,21 +438,25 @@ func rebuildList(old *postingList, add []*schema.Tuple, rem map[uint64]bool) *po
 // ForEach visits every live tuple in canonical order. fn must not mutate
 // the store. This is the harness's ground-truth access path.
 func (st *Store) ForEach(fn func(*schema.Tuple)) {
-	for _, t := range st.tuples {
-		fn(t)
+	for _, l := range st.seq.leaves {
+		for _, t := range l.ts {
+			fn(t)
+		}
 	}
 }
 
 // At returns the i-th tuple in canonical order (0 ≤ i < Size). Schedules
 // use it to sample single victims without materialising the ID list.
-func (st *Store) At(i int) *schema.Tuple { return st.tuples[i] }
+func (st *Store) At(i int) *schema.Tuple { return st.seq.at(i) }
 
 // IDs returns the IDs of all live tuples in canonical order. It allocates;
 // intended for schedules that sample deletion victims.
 func (st *Store) IDs() []uint64 {
-	out := make([]uint64, len(st.tuples))
-	for i, t := range st.tuples {
-		out[i] = t.ID
+	out := make([]uint64, 0, st.seq.len())
+	for _, l := range st.seq.leaves {
+		for _, t := range l.ts {
+			out = append(out, t.ID)
+		}
 	}
 	return out
 }

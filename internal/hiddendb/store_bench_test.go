@@ -72,7 +72,7 @@ func loadApplyBench(b *testing.B, sch *schema.Schema, initial []*schema.Tuple, i
 	}
 	if indexed {
 		for a := range st.idx {
-			st.idx[a] = buildAttrIndex(st.tuples, a)
+			st.idx[a] = buildAttrIndex(&st.seq, a)
 		}
 	}
 	st.Snapshot()
@@ -81,14 +81,14 @@ func loadApplyBench(b *testing.B, sch *schema.Schema, initial []*schema.Tuple, i
 
 // BenchmarkStoreApplyBatch applies one churn batch per op to a store of
 // about applyBenchN tuples with a published snapshot, so every batch
-// also pays the copy-on-write of the sorted slice:
+// copies each leaf it touches rather than writing it in place:
 //
 //   - small: +300 / −0.1%, one round of the paper's default tracking
 //     experiment (perfbench's track-autos);
 //   - small-indexed: the same batches with every attribute's posting
 //     lists maintained, the one path that writes them;
 //   - large: +50% / −25%, the regime no tracking round reaches, where
-//     the galloping merge must still not lose to a linear one.
+//     nearly every leaf is rebuilt.
 //
 // When the pre-generated batches run out the store is rebuilt with the
 // timer stopped, so the store never drifts far from applyBenchN.
@@ -122,6 +122,48 @@ func BenchmarkStoreApplyBatch(b *testing.B) {
 					b.Fatal(err)
 				}
 				st.Snapshot()
+			}
+		})
+	}
+}
+
+// BenchmarkStoreInsertDelete times the constant-update write path: one
+// Insert and one Delete of a fresh tuple per op on the applyBenchN-tuple
+// fixture, the tuples cycling through one round's 300 inserts so the
+// pairs land all over the order.
+//
+//   - unpublished: no snapshot holds the store, so each write shifts a
+//     leaf the store owns in place;
+//   - published: st.Snapshot() between pairs, so each Insert first
+//     copies the leaf arrays and its leaf (copy-on-write), and the
+//     Delete shifts the copy.
+func BenchmarkStoreInsertDelete(b *testing.B) {
+	sch := schema.Uniform(applyBenchM, applyBenchDomain)
+	initial, rounds := applyBenchRounds(1, 300, 0)
+	for _, publish := range []bool{false, true} {
+		name := "unpublished"
+		if publish {
+			name = "published"
+		}
+		b.Run(name, func(b *testing.B) {
+			st := NewStore(sch)
+			if err := st.ApplyBatch(initial, nil); err != nil {
+				b.Fatal(err)
+			}
+			ins := rounds[0].ins
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				x := ins[i%len(ins)]
+				if err := st.Insert(x); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := st.Delete(x.ID); err != nil {
+					b.Fatal(err)
+				}
+				if publish {
+					st.Snapshot()
+				}
 			}
 		})
 	}
