@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-serving bench-load bench-load-router bench-smoke fmt fmt-check vet perfbench-check promcheck loc ci
+.PHONY: build test race fuzz bench bench-serving bench-load bench-load-router bench-smoke fmt fmt-check vet perfbench-check promcheck loc figures-check ci
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,20 @@ LOC_COUNT := grep -cv '^[[:space:]]*\(//.*\)\{0,1\}$$'
 loc:
 	@echo "production $$($(LOC_FILES) -not -name '*_test.go' -exec cat {} + | $(LOC_COUNT))"
 	@echo "test       $$($(LOC_FILES) -name '*_test.go' -exec cat {} + | $(LOC_COUNT))"
+
+# figures-check is the fixed-seed figure run: every figure at seed 1 and
+# default trials, timing lines dropped, diffed byte for byte against
+# internal/experiments/testdata/all.golden. TestFiguresGolden pins one
+# trial; this pins the trial-order merge of several. The golden is the
+# reduced scale, so DYNAGG_FULL_SCALE is cleared. The wall time it
+# prints is advisory.
+figures-check:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/exp" ./cmd/dynagg-experiments || exit 1; \
+	start=$$(date +%s); \
+	DYNAGG_FULL_SCALE= "$$dir/exp" -all -seed 1 | grep -v regenerated | \
+		diff internal/experiments/testdata/all.golden - || exit 1; \
+	echo "figures-check: -all at seed 1 matches all.golden; wall $$(( $$(date +%s) - start )) s (advisory)"
 
 # fmt rewrites; fmt-check (CI) fails on any file gofmt would change.
 fmt:
@@ -151,4 +165,4 @@ bench-load-router:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-ci: build test vet perfbench-check fmt-check loc promcheck race fuzz bench-smoke
+ci: build test vet perfbench-check fmt-check loc promcheck figures-check race fuzz bench-smoke

@@ -11,157 +11,136 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"math"
-	"runtime"
+	"os"
 	"strings"
-	"sync"
 
 	dynagg "github.com/dynagg/dynagg"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run parses args, prints the tracking table to stdout and returns the
+// exit status: 2 for a bad flag, 1 when the simulation fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dynagg-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		n       = flag.Int("n", 40000, "dataset size (tuple pool)")
-		init0   = flag.Int("initial", 0, "initial database size (default 90% of n)")
-		m       = flag.Int("m", 38, "number of attributes (<=38)")
-		k       = flag.Int("k", 250, "interface top-k cap")
-		g       = flag.Int("g", 500, "query budget per round")
-		rounds  = flag.Int("rounds", 25, "rounds to simulate")
-		insert  = flag.Int("insert", 300, "tuples inserted per round")
-		del     = flag.Float64("delete", 0.001, "fraction of tuples deleted per round")
-		seed    = flag.Int64("seed", 1, "random seed")
-		algoF   = flag.String("algo", "ALL", "RESTART, REISSUE, RS, or ALL")
-		aggF    = flag.String("agg", "count", "aggregate: count, sumprice, avgprice, delta")
-		workers = flag.Int("workers", 0, "concurrent per-algorithm workers each round (0 = one per core); output is identical for every value")
+		n      = fs.Int("n", 40000, "dataset size (tuple pool)")
+		init0  = fs.Int("initial", 0, "initial database size (default 90% of n)")
+		m      = fs.Int("m", 38, "number of attributes (<=38)")
+		k      = fs.Int("k", 250, "interface top-k cap")
+		g      = fs.Int("g", 500, "query budget per round")
+		rounds = fs.Int("rounds", 25, "rounds to simulate")
+		insert = fs.Int("insert", 300, "tuples inserted per round")
+		del    = fs.Float64("delete", 0.001, "fraction of tuples deleted per round")
+		seed   = fs.Int64("seed", 1, "random seed")
+		algoF  = fs.String("algo", "ALL", "RESTART, REISSUE, RS, or ALL")
+		aggF   = fs.String("agg", "count", "aggregate: count, sumprice, avgprice, delta")
 	)
-	flag.Parse()
-	if *workers <= 0 {
-		*workers = runtime.GOMAXPROCS(0)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	var spec *dynagg.Aggregate
+	switch *aggF {
+	case "count", "delta":
+		spec = dynagg.CountAll()
+	case "sumprice":
+		spec = dynagg.SumOf("SUM(price)", dynagg.AuxField(0))
+	case "avgprice":
+		spec = dynagg.AvgOf("AVG(price)", dynagg.AuxField(0))
+	}
+	for _, c := range []struct {
+		bad  bool
+		rule string
+	}{
+		{spec == nil, "-agg must be count, sumprice, avgprice or delta"},
+		{*n < 0, "-n must be at least 0"},
+		{*init0 < 0, "-initial must be at least 0"},
+		{*m < 1 || *m > 38, "-m must be in [1, 38]"},
+		{*k < 1, "-k must be at least 1"},
+		{*g < 1, "-g must be at least 1"},
+		{*insert < 0, "-insert must be at least 0"},
+		{!(*del >= 0 && *del <= 1), "-delete must be in [0, 1]"},
+	} {
+		if c.bad {
+			fmt.Fprintln(stderr, "dynagg-sim:", c.rule)
+			return 2
+		}
 	}
 	if *init0 == 0 {
 		*init0 = *n * 9 / 10
 	}
-
-	var algos []dynagg.Algorithm
-	switch strings.ToUpper(*algoF) {
-	case "ALL":
-		algos = []dynagg.Algorithm{dynagg.AlgoRestart, dynagg.AlgoReissue, dynagg.AlgoRS}
-	default:
-		algos = []dynagg.Algorithm{dynagg.Algorithm(strings.ToUpper(*algoF))}
+	algos := []dynagg.Algorithm{dynagg.AlgoRestart, dynagg.AlgoReissue, dynagg.AlgoRS}
+	if a := strings.ToUpper(*algoF); a != "ALL" {
+		algos = []dynagg.Algorithm{dynagg.Algorithm(a)}
 	}
-
 	delta := *aggF == "delta"
-	makeAgg := func() *dynagg.Aggregate {
-		switch *aggF {
-		case "count", "delta":
-			return dynagg.CountAll()
-		case "sumprice":
-			return dynagg.SumOf("SUM(price)", dynagg.AuxField(0))
-		case "avgprice":
-			return dynagg.AvgOf("AVG(price)", dynagg.AuxField(0))
-		default:
-			log.Fatalf("unknown aggregate %q", *aggF)
-			return nil
-		}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "dynagg-sim:", err)
+		return 1
 	}
 
-	type runner struct {
-		algo  dynagg.Algorithm
-		env   *dynagg.Env
-		track *dynagg.Tracker
-		spec  *dynagg.Aggregate
+	// One database, tracked by one tracker per algorithm: each round
+	// churns it and scans the truth once, then steps the trackers in
+	// order, each on its own session of G queries.
+	env, err := dynagg.NewEnv(dynagg.AutosLikeN(*seed, *n, *m), *init0, *seed+1)
+	if err != nil {
+		return fail(err)
 	}
-	var runners []*runner
-	for _, algo := range algos {
-		data := dynagg.AutosLikeN(*seed, *n, *m)
-		env, err := dynagg.NewEnv(data, *init0, *seed+1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		iface := dynagg.NewIface(env.Store, *k, nil)
-		spec := makeAgg()
-		tr, err := dynagg.NewTracker(iface, []*dynagg.Aggregate{spec},
+	iface := dynagg.NewIface(env.Store, *k, nil)
+	trackers := make([]*dynagg.Tracker, len(algos))
+	head := "round |        truth"
+	for i, algo := range algos {
+		trackers[i], err = dynagg.NewTracker(iface, []*dynagg.Aggregate{spec},
 			dynagg.TrackerOptions{Algorithm: algo, Budget: *g, Seed: *seed + 7, DeltaTarget: delta})
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
-		runners = append(runners, &runner{algo: algo, env: env, track: tr, spec: spec})
+		head += fmt.Sprintf(" | %8s est   rel", algo)
 	}
+	fmt.Fprintln(stdout, head)
 
-	head := "round |        truth"
-	for _, r := range runners {
-		head += fmt.Sprintf(" | %8s est   rel", r.algo)
-	}
-	fmt.Println(head)
-
-	// Each runner owns its entire mutable world (dataset, env, store,
-	// tracker), so the per-round schedule+step of different algorithms can
-	// run concurrently; only the row formatting below needs their results.
-	type stepOut struct {
-		est dynagg.Estimate
-		ok  bool
-		err error
-	}
-	sem := make(chan struct{}, *workers)
 	prevTruth := math.NaN()
 	for round := 1; round <= *rounds; round++ {
-		var truth float64
-		outs := make([]stepOut, len(runners))
-		var wg sync.WaitGroup
-		for i, r := range runners {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, r *runner) {
-				defer func() { <-sem; wg.Done() }()
-				if round > 1 {
-					if err := r.env.DeleteFraction(*del); err != nil {
-						outs[i].err = err
-						return
-					}
-					if err := r.env.InsertFromPool(*insert); err != nil {
-						outs[i].err = err
-						return
-					}
-				}
-				if i == 0 {
-					truth = r.spec.Truth(r.env.Store)
-				}
-				if err := r.track.Step(); err != nil {
-					outs[i].err = err
-					return
-				}
-				if delta {
-					outs[i].est, outs[i].ok = r.track.Delta(0)
-				} else {
-					outs[i].est, outs[i].ok = r.track.Estimate(0)
-				}
-			}(i, r)
+		if round > 1 {
+			if err := env.DeleteFraction(*del); err != nil {
+				return fail(err)
+			}
+			if err := env.InsertFromPool(*insert); err != nil {
+				return fail(err)
+			}
 		}
-		wg.Wait()
-		row := ""
-		for i := range runners {
-			if outs[i].err != nil {
-				log.Fatal(outs[i].err)
-			}
-			if !outs[i].ok {
-				row += fmt.Sprintf(" | %12s", "-")
-				continue
-			}
-			target := truth
-			if delta {
-				target = truth - prevTruth
-			}
-			rel := math.Abs(outs[i].est.Value-target) / math.Max(1e-9, math.Abs(target))
-			row += fmt.Sprintf(" | %12.1f %4.0f%%", outs[i].est.Value, 100*rel)
-		}
+		truth := spec.Truth(env.Store)
 		target := truth
 		if delta {
 			target = truth - prevTruth
 		}
-		fmt.Printf("%5d | %12.1f%s\n", round, target, row)
 		prevTruth = truth
+		row := fmt.Sprintf("%5d | %12.1f", round, target)
+		for _, tr := range trackers {
+			if err := tr.Step(); err != nil {
+				return fail(err)
+			}
+			est, ok := tr.Estimate(0)
+			if delta {
+				est, ok = tr.Delta(0)
+			}
+			if !ok {
+				row += fmt.Sprintf(" | %12s", "-")
+				continue
+			}
+			rel := math.Abs(est.Value-target) / math.Max(1e-9, math.Abs(target))
+			row += fmt.Sprintf(" | %12.1f %4.0f%%", est.Value, 100*rel)
+		}
+		fmt.Fprintln(stdout, row)
 	}
+	return 0
 }

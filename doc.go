@@ -86,7 +86,8 @@
 //   - Still single-goroutine: a Tracker, every estimator (only its
 //     internal engine fans out), Env and every rand.Rand belong to one
 //     goroutine. Do not share one session across estimators or across
-//     rounds.
+//     rounds; estimators may take turns on one Iface, each with a
+//     session of its own per round.
 //
 // # Sharded stores and epochs
 //
@@ -122,11 +123,13 @@
 // The unit of parallelism for experiments remains one independent
 // Monte-Carlo TRIAL: the harness (internal/experiments) runs each trial
 // on its own worker goroutine with a fully isolated environment derived
-// deterministically from seed+trialIndex, and aggregates results by
-// trial index, so a parallel run is byte-identical to a sequential one
-// with the same seed (Options.Workers, default one per core).
+// deterministically from seed+trialIndex — one database, churned once
+// per round, that every algorithm's estimator queries in turn on its
+// own session — and aggregates results by trial index, so a parallel
+// run is byte-identical to a sequential one with the same seed
+// (Options.Workers, default one per core).
 // Options.Parallelism adds the intra-trial axis on top: each trial's
-// estimator fans its drill-down issuance out without changing a digit
+// estimators fan their drill-down issuance out without changing a digit
 // of any figure. Immutable-after-construction values — schema.Schema,
 // querytree.Tree, a generated Dataset, every published Snapshot — may
 // be shared freely. The contract is enforced by a race-detector CI job

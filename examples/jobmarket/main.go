@@ -2,7 +2,8 @@
 // number of active job postings on a hidden job board (think monster.com),
 // including a skill-specific sub-count, under a strict daily API quota.
 //
-// Each algorithm gets two trackers sharing the daily quota:
+// Each algorithm gets two trackers on the one job board, sharing the
+// algorithm's daily quota:
 //
 //   - one for COUNT(*) over all postings (full query tree), and
 //   - one for COUNT(*) WHERE skill=java, which the estimators serve from
@@ -13,8 +14,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math"
+	"os"
 
 	dynagg "github.com/dynagg/dynagg"
 )
@@ -26,86 +29,84 @@ const (
 )
 
 func main() {
-	algos := []dynagg.Algorithm{dynagg.AlgoRestart, dynagg.AlgoReissue, dynagg.AlgoRS}
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	// One pair of trackers per algorithm, each against its own
-	// identically-evolving copy of the job board (same seeds → same
-	// history).
+func run(w io.Writer) error {
+	data := dynagg.AutosLikeN(23, 50000, 20) // postings: 20 searchable facets
+	board, err := dynagg.NewEnv(data, 42000, 12)
+	if err != nil {
+		return err
+	}
+	iface := dynagg.NewIface(board.Store, topK, nil)
+	// Facet 2 value 0 plays the role of "skill = Java".
+	javaSpec := dynagg.CountWhere("COUNT(skill=java)",
+		dynagg.NewQuery(dynagg.Pred{Attr: 2, Val: 0}))
+
+	// One pair of trackers per algorithm, all on the one job board.
 	type runner struct {
-		algo     dynagg.Algorithm
-		env      *dynagg.Env
-		all      *dynagg.Tracker // COUNT(*) — full tree
-		java     *dynagg.Tracker // COUNT(skill=java) — selection subtree
-		javaSpec *dynagg.Aggregate
+		algo dynagg.Algorithm
+		all  *dynagg.Tracker // COUNT(*) — full tree
+		java *dynagg.Tracker // COUNT(skill=java) — selection subtree
 	}
 	var runners []*runner
-	for _, algo := range algos {
-		data := dynagg.AutosLikeN(23, 50000, 20) // postings: 20 searchable facets
-		env, err := dynagg.NewEnv(data, 42000, 12)
-		if err != nil {
-			log.Fatal(err)
-		}
-		iface := dynagg.NewIface(env.Store, topK, nil)
-
+	for _, algo := range []dynagg.Algorithm{dynagg.AlgoRestart, dynagg.AlgoReissue, dynagg.AlgoRS} {
 		all, err := dynagg.NewTracker(iface,
 			[]*dynagg.Aggregate{dynagg.CountAll()},
 			dynagg.TrackerOptions{Algorithm: algo, Budget: dailyQuota / 2, Seed: 13})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		// Facet 2 value 0 plays the role of "skill = Java".
-		javaSpec := dynagg.CountWhere("COUNT(skill=java)",
-			dynagg.NewQuery(dynagg.Pred{Attr: 2, Val: 0}))
 		java, err := dynagg.NewTracker(iface,
 			[]*dynagg.Aggregate{javaSpec},
 			dynagg.TrackerOptions{Algorithm: algo, Budget: dailyQuota / 2, Seed: 14})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		runners = append(runners, &runner{algo: algo, env: env, all: all, java: java, javaSpec: javaSpec})
+		runners = append(runners, &runner{algo: algo, all: all, java: java})
 	}
 
-	fmt.Println("day | truth(all) | truth(java) | per-algorithm relative error (all postings)")
+	fmt.Fprintln(w, "day | truth(all) | truth(java) | per-algorithm relative error (all postings)")
+	var truthAll, truthJava float64
 	for day := 1; day <= days; day++ {
-		var truthAll, truthJava float64
-		row := ""
-		for i, r := range runners {
-			if day > 1 {
-				// Daily churn: new postings appear, filled/expired ones go.
-				if err := r.env.DeleteFraction(0.02); err != nil {
-					log.Fatal(err)
-				}
-				if err := r.env.InsertFromPool(900); err != nil {
-					log.Fatal(err)
-				}
+		if day > 1 {
+			// Daily churn: new postings appear, filled/expired ones go.
+			if err := board.DeleteFraction(0.02); err != nil {
+				return err
 			}
+			if err := board.InsertFromPool(900); err != nil {
+				return err
+			}
+		}
+		truthAll = float64(board.Store.Size())
+		truthJava = javaSpec.Truth(board.Store)
+		row := ""
+		for _, r := range runners {
 			if err := r.all.Step(); err != nil {
-				log.Fatal(err)
+				return err
 			}
 			if err := r.java.Step(); err != nil {
-				log.Fatal(err)
-			}
-			if i == 0 {
-				truthAll = float64(r.env.Store.Size())
-				truthJava = r.javaSpec.Truth(r.env.Store)
+				return err
 			}
 			est, ok := r.all.Estimate(0)
 			if !ok {
-				log.Fatalf("%s: no estimate on day %d", r.algo, day)
+				return fmt.Errorf("%s: no estimate on day %d", r.algo, day)
 			}
 			row += fmt.Sprintf("  %s %5.1f%%", r.algo, 100*math.Abs(est.Value-truthAll)/truthAll)
 		}
-		fmt.Printf("%3d | %10.0f | %11.0f |%s\n", day, truthAll, truthJava, row)
+		fmt.Fprintf(w, "%3d | %10.0f | %11.0f |%s\n", day, truthAll, truthJava, row)
 	}
 
-	fmt.Println("\nskill-specific count on the final day (selection-subtree trackers):")
+	fmt.Fprintln(w, "\nskill-specific count on the final day (selection-subtree trackers):")
 	for _, r := range runners {
 		est, ok := r.java.Estimate(0)
-		truth := r.javaSpec.Truth(r.env.Store)
 		if !ok {
 			continue
 		}
-		fmt.Printf("  %-8s estimate %7.0f  (truth %6.0f, rel err %.1f%%)\n",
-			r.algo, est.Value, truth, 100*math.Abs(est.Value-truth)/truth)
+		fmt.Fprintf(w, "  %-8s estimate %7.0f  (truth %6.0f, rel err %.1f%%)\n",
+			r.algo, est.Value, truthJava, 100*math.Abs(est.Value-truthJava)/truthJava)
 	}
+	return nil
 }

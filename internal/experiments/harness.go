@@ -234,7 +234,8 @@ type TrackSpec struct {
 // TrackResult carries everything the figures plot.
 type TrackResult struct {
 	Rounds int
-	// Truth per round (identical across algorithms by construction).
+	// Truth per round: the target of the one database every algorithm
+	// of a trial tracks, averaged over trials.
 	Truth []float64
 	// RelErr / EstMean / EstSD / CumQueries / CumDrills are per-algorithm
 	// per-round, averaged (RelErr, means) or pooled (SD) over trials.
@@ -280,8 +281,12 @@ type trackTrial struct {
 }
 
 // runTrackingTrial executes one fully isolated trial: its own dataset,
-// one fresh environment and estimator per algorithm, and RNGs derived
-// from trialSeed(opt.Seed, trial). It never touches shared mutable
+// one environment and interface, one estimator per algorithm, and RNGs
+// derived from trialSeed(opt.Seed, trial). Each round applies the
+// schedule and scans the truth once, then steps the estimators in
+// AllAlgos order, each on its own session of G queries. An answer
+// depends only on the store version and k, so an estimator sees the
+// answers it would see alone. The trial never touches shared mutable
 // state, so any number of trials may run concurrently.
 func runTrackingTrial(spec TrackSpec, opt Options, trial int) (*trackTrial, error) {
 	out := &trackTrial{
@@ -290,55 +295,56 @@ func runTrackingTrial(spec TrackSpec, opt Options, trial int) (*trackTrial, erro
 		cells:   make(map[Algo][]trackCell, len(AllAlgos)),
 	}
 	dataSeed := trialSeed(opt.Seed, trial)
-	data := spec.Dataset(dataSeed)
-	for _, a := range AllAlgos {
-		cells := make([]trackCell, spec.Rounds)
-		env, err := workload.NewEnv(data, spec.Initial, dataSeed+envSeedOffset)
-		if err != nil {
-			return nil, err
-		}
-		iface := hiddendb.NewIface(env.Store, spec.K, nil)
+	env, err := workload.NewEnv(spec.Dataset(dataSeed), spec.Initial, dataSeed+envSeedOffset)
+	if err != nil {
+		return nil, err
+	}
+	iface := hiddendb.NewIface(env.Store, spec.K, nil)
+	aggs := spec.Aggs(env.Store.Schema())
+	ests := make([]estimator.Estimator, len(AllAlgos))
+	for i, a := range AllAlgos {
 		cfg := estimator.Config{
 			Rand:        rand.New(rand.NewSource(dataSeed + rngSeedOffset)),
 			Parallelism: opt.Parallelism,
 			DeltaTarget: spec.Delta,
 		}
-		est, err := estimator.New(string(a), env.Store.Schema(), spec.Aggs(env.Store.Schema()), cfg)
-		if err != nil {
+		if ests[i], err = estimator.New(string(a), env.Store.Schema(), aggs, cfg); err != nil {
 			return nil, err
 		}
-		cumQ, cumD := 0.0, 0.0
-		prevTruth := math.NaN()
-		var truthHist, estHist []float64
-		for round := 1; round <= spec.Rounds; round++ {
-			if round > 1 {
-				if err := spec.Schedule(round, env); err != nil {
-					return nil, err
-				}
+		out.cells[a] = make([]trackCell, spec.Rounds)
+	}
+	cumQ := make([]float64, len(AllAlgos))
+	estHist := make([][]float64, len(AllAlgos))
+	prevTruth := math.NaN()
+	var truthHist []float64
+	for round := 1; round <= spec.Rounds; round++ {
+		if round > 1 {
+			if err := spec.Schedule(round, env); err != nil {
+				return nil, err
 			}
-			truth := est.Aggregates()[0].Truth(env.Store)
-			truthHist = append(truthHist, truth)
-			target := truth
-			switch {
-			case spec.Delta:
-				target = truth - prevTruth
-			case spec.Window > 0:
-				target = tailMean(truthHist, spec.Window)
-			}
+		}
+		truth := aggs[0].Truth(env.Store)
+		truthHist = append(truthHist, truth)
+		target := truth
+		switch {
+		case spec.Delta:
+			target = truth - prevTruth
+		case spec.Window > 0:
+			target = tailMean(truthHist, spec.Window)
+		}
+		prevTruth = truth
+		ready := (!spec.Delta || round > 1) && (spec.Window == 0 || round >= spec.Window)
+		out.truth[round-1], out.truthOK[round-1] = target, ready
+
+		for i, a := range AllAlgos {
+			est := ests[i]
 			if err := est.Step(iface.NewSession(spec.G)); err != nil {
 				return nil, err
 			}
-			cumQ += float64(est.UsedLastRound())
-			cumD = float64(est.DrillDowns())
-
-			c := &cells[round-1]
-			c.queries = cumQ
-			c.drills = cumD
-			ready := (!spec.Delta || round > 1) && (spec.Window == 0 || round >= spec.Window)
-			if a == AllAlgos[0] && ready {
-				out.truth[round-1] = target
-				out.truthOK[round-1] = true
-			}
+			cumQ[i] += float64(est.UsedLastRound())
+			c := &out.cells[a][round-1]
+			c.queries = cumQ[i]
+			c.drills = float64(est.DrillDowns())
 			var e estimator.Estimate
 			var ok bool
 			if spec.Delta {
@@ -348,9 +354,9 @@ func runTrackingTrial(spec TrackSpec, opt Options, trial int) (*trackTrial, erro
 			}
 			value := e.Value
 			if ok && spec.Window > 0 {
-				estHist = append(estHist, e.Value)
-				if len(estHist) >= spec.Window {
-					value = tailMean(estHist, spec.Window)
+				estHist[i] = append(estHist[i], e.Value)
+				if len(estHist[i]) >= spec.Window {
+					value = tailMean(estHist[i], spec.Window)
 				} else {
 					ok = false
 				}
@@ -360,18 +366,15 @@ func runTrackingTrial(spec TrackSpec, opt Options, trial int) (*trackTrial, erro
 				c.rel = stats.RelativeError(value, target)
 				c.estOK = true
 			}
-			prevTruth = truth
 		}
-		out.cells[a] = cells
 	}
 	return out, nil
 }
 
 // RunTracking executes the spec for every algorithm and trial. Every
-// algorithm sees an identical database evolution (one dataset per trial,
-// and one environment per algorithm built from it with the same seed),
-// mirroring the paper's setup where all methods query the same live
-// database.
+// algorithm of a trial queries one live database, as in the paper's
+// setup: one dataset, environment and interface per trial, stepped
+// round by round.
 //
 // Trials run concurrently on opt.workers() goroutines, each with a fully
 // isolated environment. Per-trial outcomes are merged in trial-index

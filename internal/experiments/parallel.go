@@ -10,10 +10,13 @@ import (
 //
 // Concurrency contract (see also doc.go "Concurrency" and ROADMAP.md):
 // the unit of parallelism is one TRIAL. Every trial owns its entire
-// mutable world — its workload.Env and hiddendb.Store/Iface/Session, its
-// estimator instances and every rand.Rand — all derived deterministically
-// from trialSeed(opt.Seed, trial), and builds its own workload.Dataset
-// (read-only once generated; every Env keeps its own fresh-tuple keys).
+// mutable world — its workload.Env and hiddendb.Store/Iface, its
+// estimators, their sessions and every rand.Rand — all derived
+// deterministically from trialSeed(opt.Seed, trial), and builds its own
+// workload.Dataset (read-only once generated). A tracking trial keeps
+// one Env and one Iface that all of its estimators query, each on its
+// own session per round; Fig 4 keeps one per mode, because its
+// constant-update modes mutate the store between one estimator's queries.
 // Nothing mutable crosses a trial boundary; the only shared inputs are
 // immutable-after-construction values (schema.Schema, querytree.Tree,
 // TrackSpec closures over plain parameters). Aggregation happens after

@@ -338,8 +338,8 @@ func contents(forEach func(func(*schema.Tuple))) map[uint64]string {
 
 // Environments built from one Dataset with the same seed must evolve
 // identically, also once the pool runs dry: one environment's fresh draws
-// must not change what the next one draws. The harness builds one
-// environment per algorithm from each trial's dataset.
+// must not change what the next one draws. Fig 4 builds one environment
+// per mode from each trial's dataset, and many tests build several.
 func TestEnvsFromOneDatasetEvolveIdentically(t *testing.T) {
 	d := AutosLikeN(1, 40000, 38)
 	a, err := NewEnv(d, 36000, 2)
