@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-serving bench-load bench-load-router bench-smoke fmt fmt-check vet perfbench-check promcheck loc figures-check ci
+.PHONY: build test race fuzz bench bench-serving bench-load bench-load-router bench-smoke fmt fmt-check vet perfbench-check promcheck loc figures-check reach ci
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,16 @@ figures-check:
 	DYNAGG_FULL_SCALE= "$$dir/exp" -all -seed 1 | grep -v regenerated | \
 		diff internal/experiments/testdata/all.golden - || exit 1; \
 	echo "figures-check: -all at seed 1 matches all.golden; wall $$(( $$(date +%s) - start )) s (advisory)"
+
+# reach is the dead-code gate. It builds the seven commands, the five
+# examples and perfbench with inlining off, and fails on any function
+# declared in production code that none of them links, unless it is
+# public API (the dynagg and webiface packages, and what dynagg.go
+# aliases) or an allowlist entry in internal/reach/reach_test.go with its
+# reason. It also fails on an allowlist entry that is linked, public or
+# gone. The reach build tag keeps the check out of build, vet and test.
+reach:
+	$(GO) test -tags reach -count=1 ./internal/reach/
 
 # fmt rewrites; fmt-check (CI) fails on any file gofmt would change.
 fmt:
@@ -165,4 +175,4 @@ bench-load-router:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-ci: build test vet perfbench-check fmt-check loc promcheck figures-check race fuzz bench-smoke
+ci: build test vet perfbench-check fmt-check loc promcheck figures-check reach race fuzz bench-smoke

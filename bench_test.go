@@ -99,40 +99,6 @@ func BenchmarkFig21EBayLive(b *testing.B)         { benchFigure(b, "fig21") }
 // Ablation benches
 // ---------------------------------------------------------------------
 
-// BenchmarkAblationClientCache compares RESTART's drill-down throughput
-// with and without the client-side per-round answer cache (the paper's
-// cost model charges every query; the cache is the ablation).
-func BenchmarkAblationClientCache(b *testing.B) {
-	for _, cache := range []bool{false, true} {
-		name := "paper-accounting"
-		if cache {
-			name = "client-cache"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			data := workload.AutosLikeN(1, 20000, 12)
-			env, err := workload.NewEnv(data, 18000, 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			iface := hiddendb.NewIface(env.Store, 200, nil)
-			drills := 0
-			for i := 0; i < b.N; i++ {
-				cfg := estimator.Config{Rand: rand.New(rand.NewSource(7)), ClientCache: cache}
-				e, err := estimator.NewRestart(env.Store.Schema(), []*agg.Aggregate{agg.CountAll()}, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := e.Step(iface.NewSession(300)); err != nil {
-					b.Fatal(err)
-				}
-				drills = e.DrillDowns()
-			}
-			b.ReportMetric(float64(drills), "drills/round")
-		})
-	}
-}
-
 // BenchmarkAblationRSPilot sweeps RS's bootstrap parameter ϖ.
 func BenchmarkAblationRSPilot(b *testing.B) {
 	for _, pilot := range []int{5, 10, 20} {
@@ -168,70 +134,6 @@ func BenchmarkAblationRSPilot(b *testing.B) {
 			b.ReportMetric(finalErr, "final_relerr")
 		})
 	}
-}
-
-// BenchmarkAblationCountMetadata quantifies the §8 count-guided
-// extension: with (capped) result counts available, COUNT(*) tracking is
-// exact at a per-round cost equal to the frontier size — compare the
-// reported final_relerr with the sampling estimators'.
-func BenchmarkAblationCountMetadata(b *testing.B) {
-	b.ReportAllocs()
-	var finalErr, frontier float64
-	for i := 0; i < b.N; i++ {
-		data := workload.AutosLikeN(1, 40000, 38)
-		env, err := workload.NewEnv(data, 36000, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ci := hiddendb.NewCountingIface(env.Store, 250, nil, 1000)
-		ca := estimator.NewCountAssisted(env.Store.Schema())
-		for round := 1; round <= 10; round++ {
-			if round > 1 {
-				if err := env.DeleteFraction(0.001); err != nil {
-					b.Fatal(err)
-				}
-				if err := env.InsertFromPool(300); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := ca.Step(ci.NewCountingSession(500)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		truth := float64(env.Store.Size())
-		finalErr = math.Abs(ca.Estimate()-truth) / truth
-		frontier = float64(ca.FrontierSize())
-	}
-	b.ReportMetric(finalErr, "final_relerr")
-	b.ReportMetric(frontier, "frontier_size")
-}
-
-// BenchmarkAblationCrawl measures the §1 "track all changes" strawman: a
-// full enumeration crawl of a modest database versus the drill-down
-// budget the paper's estimators need. The reported crawl_queries is the
-// cost of ONE complete snapshot — two are needed before any change can be
-// diffed.
-func BenchmarkAblationCrawl(b *testing.B) {
-	b.ReportAllocs()
-	var crawlCost float64
-	for i := 0; i < b.N; i++ {
-		data := workload.AutosLikeN(1, 30000, 12)
-		env, err := workload.NewEnv(data, 28000, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		iface := hiddendb.NewIface(env.Store, 100, nil)
-		c := estimator.NewCrawl(env.Store.Schema())
-		res, err := c.Run(iface.AsSearcher())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Complete {
-			b.Fatal("crawl incomplete without budget")
-		}
-		crawlCost = float64(res.Cost)
-	}
-	b.ReportMetric(crawlCost, "crawl_queries")
 }
 
 // ---------------------------------------------------------------------

@@ -46,6 +46,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -54,6 +55,7 @@ import (
 	"time"
 
 	dynagg "github.com/dynagg/dynagg"
+	"github.com/dynagg/dynagg/internal/dbflags"
 	"github.com/dynagg/dynagg/internal/fleet"
 	"github.com/dynagg/dynagg/internal/obs"
 	"github.com/dynagg/dynagg/internal/tracking"
@@ -66,35 +68,46 @@ func fatal(log *slog.Logger, msg string, err error) {
 	os.Exit(1)
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
+
+// run parses args and ticks the fleet until -ticks or SIGINT/SIGTERM. It
+// returns the exit status: 2 for a bad flag, before the local target's
+// database is built.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dynagg-fleet", flag.ExitOnError)
 	var (
-		addr       = flag.String("addr", ":8095", "control-plane HTTP listen address (empty = disabled)")
-		dir        = flag.String("dir", "", "fleet directory: task checkpoints + state; restart resumes the whole fleet (empty = no persistence)")
-		manifest   = flag.String("manifest", "", "JSON task manifest (array of task specs) loaded at start")
-		tick       = flag.Duration("tick", 10*time.Second, "scheduler tick cadence")
-		ticks      = flag.Int("ticks", 0, "stop after this many ticks (0 = run until interrupted)")
-		tickBudget = flag.Int("tick-budget", 1000, "global query budget split across runnable tasks each tick (0 = unlimited, local only)")
+		addr       = fs.String("addr", ":8095", "control-plane HTTP listen address (empty = disabled)")
+		dir        = fs.String("dir", "", "fleet directory: task checkpoints + state; restart resumes the whole fleet (empty = no persistence)")
+		manifest   = fs.String("manifest", "", "JSON task manifest (array of task specs) loaded at start")
+		tick       = fs.Duration("tick", 10*time.Second, "scheduler tick cadence")
+		ticks      = fs.Int("ticks", 0, "stop after this many ticks (0 = run until interrupted)")
+		tickBudget = fs.Int("tick-budget", 1000, "global query budget split across runnable tasks each tick (0 = no limit, local targets only; RESTART and REISSUE tasks then need max_drills or max_budget)")
 
 		// Built-in local simulation target (referenced as "target": "local").
-		localN      = flag.Int("local-n", 40000, "local target: dataset size")
-		localM      = flag.Int("local-m", 12, "local target: attributes (<=38)")
-		localK      = flag.Int("local-k", 250, "local target: interface top-k cap")
-		localSeed   = flag.Int64("local-seed", 1, "local target: dataset/churn seed")
-		localInsert = flag.Int("local-insert", 300, "local target: tuples inserted per tick")
-		localDelete = flag.Float64("local-delete", 0.001, "local target: fraction deleted per tick")
+		localN      = fs.Int("local-n", 40000, "local target: dataset size")
+		localM      = fs.Int("local-m", 12, "local target: attributes (<=38)")
+		localK      = fs.Int("local-k", 250, "local target: interface top-k cap")
+		localSeed   = fs.Int64("local-seed", 1, "local target: dataset/churn seed")
+		localInsert = fs.Int("local-insert", 300, "local target: tuples inserted per tick")
+		localDelete = fs.Float64("local-delete", 0.001, "local target: fraction deleted per tick")
 
 		// Shared remote-client defaults (per-task api_key overrides the key).
-		minInterval = flag.Duration("min-interval", 0, "remote clients: minimum spacing between requests")
-		reqTimeout  = flag.Duration("timeout", 15*time.Second, "remote clients: per-request timeout")
+		minInterval = fs.Duration("min-interval", 0, "remote clients: minimum spacing between requests")
+		reqTimeout  = fs.Duration("timeout", 15*time.Second, "remote clients: per-request timeout")
 
-		logFormat = flag.String("log-format", "text", "log output format: text or json")
-		pprofAddr = flag.String("pprof-addr", "", "optional admin listener serving net/http/pprof (empty = disabled)")
+		logFormat = fs.String("log-format", "text", "log output format: text or json")
+		pprofAddr = fs.String("pprof-addr", "", "optional admin listener serving net/http/pprof (empty = disabled)")
 	)
-	flag.Parse()
-	logger, err := obs.NewLogger(*logFormat, os.Stderr)
+	fs.Parse(args) // ExitOnError: a malformed flag exits 2 here
+	db := dbflags.DB{Prefix: "local-", N: *localN, M: *localM, K: *localK, Insert: *localInsert, Delete: *localDelete}
+	if err := db.Check(); err != nil {
+		fmt.Fprintln(stderr, "dynagg-fleet:", err)
+		return 2
+	}
+	logger, err := obs.NewLogger(*logFormat, stderr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	slog.SetDefault(logger)
 	obs.ServePprof(*pprofAddr, logger)
@@ -212,4 +225,5 @@ func main() {
 			}
 		}
 	}
+	return 0
 }

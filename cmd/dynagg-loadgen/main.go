@@ -51,6 +51,7 @@ import (
 	"time"
 
 	dynagg "github.com/dynagg/dynagg"
+	"github.com/dynagg/dynagg/internal/dbflags"
 	"github.com/dynagg/dynagg/internal/hiddendb"
 	"github.com/dynagg/dynagg/internal/obs"
 	"github.com/dynagg/dynagg/internal/router"
@@ -98,43 +99,56 @@ type config struct {
 	selfserveLog bool
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
+
+// run parses args, runs the load test and writes its report. It returns
+// the exit status: 2 for a bad flag, before any database is built, and
+// 3 for a violated SLO.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dynagg-loadgen", flag.ExitOnError)
 	var cfg config
-	flag.StringVar(&cfg.target, "target", "", "base URL of a running dynagg-serve (empty with -selfserve)")
-	flag.BoolVar(&cfg.selfserve, "selfserve", false, "serve an in-process simulated store and load it over loopback HTTP")
-	flag.BoolVar(&cfg.compare, "compare", false, "run cache-cold and cache-hot passes and report the p50 ratio (selfserve only)")
-	flag.StringVar(&cfg.out, "out", "", "write the JSON report to this file (default stdout)")
-	flag.DurationVar(&cfg.duration, "duration", 10*time.Second, "measured load duration per pass")
-	flag.DurationVar(&cfg.warmup, "warmup", time.Second, "warmup duration excluded from statistics")
-	flag.IntVar(&cfg.clients, "clients", 16, "closed-loop worker count (ignored when -rate > 0)")
-	flag.Float64Var(&cfg.rate, "rate", 0, "open-loop arrival rate in requests/sec (0 = closed loop)")
-	flag.IntVar(&cfg.inflight, "max-inflight", 512, "open-loop concurrent request cap (arrivals past it queue, counted in latency)")
-	flag.Float64Var(&cfg.burstRate, "burst-rate", 0, "open-loop burst arrival rate (0 = no bursts)")
-	flag.DurationVar(&cfg.burstEvery, "burst-every", 5*time.Second, "burst period")
-	flag.DurationVar(&cfg.burstLen, "burst-len", time.Second, "burst window length")
-	flag.IntVar(&cfg.queries, "queries", 256, "distinct queries in the workload universe")
-	flag.Float64Var(&cfg.zipf, "zipf", 1.1, "Zipf skew over the query universe (>1; 0 = uniform)")
-	flag.IntVar(&cfg.tenants, "tenants", 4, "distinct API keys cycled across requests (0 = anonymous)")
-	flag.IntVar(&cfg.batch, "batch", 0, "queries per batched POST (0/1 = single GETs)")
-	flag.Int64Var(&cfg.seed, "seed", 1, "workload randomness seed")
-	flag.IntVar(&cfg.n, "n", 40000, "selfserve: dataset size")
-	flag.IntVar(&cfg.m, "m", 8, "selfserve: attribute count")
-	flag.IntVar(&cfg.k, "k", 250, "selfserve: interface top-k cap")
-	flag.IntVar(&cfg.budget, "budget", 0, "selfserve: per-key budget per round (0 = unlimited)")
-	flag.DurationVar(&cfg.round, "round", 0, "selfserve: churn round length (0 = static database)")
-	flag.IntVar(&cfg.insert, "insert", 300, "selfserve: tuples inserted per round")
-	flag.Float64Var(&cfg.deleteFrac, "delete", 0.001, "selfserve: fraction deleted per round")
-	flag.IntVar(&cfg.shards, "shards", 1, "selfserve: hash-partition the store N ways")
-	flag.IntVar(&cfg.routerShards, "selfserve-router", 0, "selfserve: run N in-process shard daemons behind a dynagg-router instead of one handler (static data)")
-	flag.BoolVar(&cfg.selfserveLog, "selfserve-log", false, "selfserve: log churn rounds")
-	flag.Float64Var(&cfg.sloP50Ms, "slo-p50", 0, "fail (exit 3) if any pass's p50 exceeds this many ms (0 = off)")
-	flag.Float64Var(&cfg.sloP95Ms, "slo-p95", 0, "fail (exit 3) if any pass's p95 exceeds this many ms (0 = off)")
-	flag.Float64Var(&cfg.sloP99Ms, "slo-p99", 0, "fail (exit 3) if any pass's p99 exceeds this many ms (0 = off)")
-	flag.Float64Var(&cfg.sloErrorRate, "slo-error-rate", 0, "fail (exit 3) if any pass's error rate exceeds this fraction (0 = off)")
-	flag.Parse()
+	fs.StringVar(&cfg.target, "target", "", "base URL of a running dynagg-serve (empty with -selfserve)")
+	fs.BoolVar(&cfg.selfserve, "selfserve", false, "serve an in-process simulated store and load it over loopback HTTP")
+	fs.BoolVar(&cfg.compare, "compare", false, "run cache-cold and cache-hot passes and report the p50 ratio (selfserve only)")
+	fs.StringVar(&cfg.out, "out", "", "write the JSON report to this file (default stdout)")
+	fs.DurationVar(&cfg.duration, "duration", 10*time.Second, "measured load duration per pass")
+	fs.DurationVar(&cfg.warmup, "warmup", time.Second, "warmup duration excluded from statistics")
+	fs.IntVar(&cfg.clients, "clients", 16, "closed-loop worker count (ignored when -rate > 0)")
+	fs.Float64Var(&cfg.rate, "rate", 0, "open-loop arrival rate in requests/sec (0 = closed loop)")
+	fs.IntVar(&cfg.inflight, "max-inflight", 512, "open-loop concurrent request cap (arrivals past it queue, counted in latency)")
+	fs.Float64Var(&cfg.burstRate, "burst-rate", 0, "open-loop burst arrival rate (0 = no bursts)")
+	fs.DurationVar(&cfg.burstEvery, "burst-every", 5*time.Second, "burst period")
+	fs.DurationVar(&cfg.burstLen, "burst-len", time.Second, "burst window length")
+	fs.IntVar(&cfg.queries, "queries", 256, "distinct queries in the workload universe")
+	fs.Float64Var(&cfg.zipf, "zipf", 1.1, "Zipf skew over the query universe (>1; 0 = uniform)")
+	fs.IntVar(&cfg.tenants, "tenants", 4, "distinct API keys cycled across requests (0 = anonymous)")
+	fs.IntVar(&cfg.batch, "batch", 0, "queries per batched POST (0/1 = single GETs)")
+	fs.Int64Var(&cfg.seed, "seed", 1, "workload randomness seed")
+	fs.IntVar(&cfg.n, "n", 40000, "selfserve: dataset size")
+	fs.IntVar(&cfg.m, "m", 8, "selfserve: attribute count")
+	fs.IntVar(&cfg.k, "k", 250, "selfserve: interface top-k cap")
+	fs.IntVar(&cfg.budget, "budget", 0, "selfserve: per-key budget per round (0 = unlimited)")
+	fs.DurationVar(&cfg.round, "round", 0, "selfserve: churn round length (0 = static database)")
+	fs.IntVar(&cfg.insert, "insert", 300, "selfserve: tuples inserted per round")
+	fs.Float64Var(&cfg.deleteFrac, "delete", 0.001, "selfserve: fraction deleted per round")
+	fs.IntVar(&cfg.shards, "shards", 1, "selfserve: hash-partition the store N ways")
+	fs.IntVar(&cfg.routerShards, "selfserve-router", 0, "selfserve: run N in-process shard daemons behind a dynagg-router instead of one handler (static data)")
+	fs.BoolVar(&cfg.selfserveLog, "selfserve-log", false, "selfserve: log churn rounds")
+	fs.Float64Var(&cfg.sloP50Ms, "slo-p50", 0, "fail (exit 3) if any pass's p50 exceeds this many ms (0 = off)")
+	fs.Float64Var(&cfg.sloP95Ms, "slo-p95", 0, "fail (exit 3) if any pass's p95 exceeds this many ms (0 = off)")
+	fs.Float64Var(&cfg.sloP99Ms, "slo-p99", 0, "fail (exit 3) if any pass's p99 exceeds this many ms (0 = off)")
+	fs.Float64Var(&cfg.sloErrorRate, "slo-error-rate", 0, "fail (exit 3) if any pass's error rate exceeds this fraction (0 = off)")
+	fs.Parse(args) // ExitOnError: a malformed flag exits 2 here
 
 	if cfg.routerShards > 0 {
 		cfg.selfserve = true // -selfserve-router implies an in-process target
+	}
+	if cfg.selfserve {
+		db := dbflags.DB{N: cfg.n, M: cfg.m, K: cfg.k, Insert: cfg.insert, Delete: cfg.deleteFrac}
+		if err := db.Check(); err != nil {
+			fmt.Fprintln(stderr, "dynagg-loadgen:", err)
+			return 2
+		}
 	}
 	if cfg.target == "" && !cfg.selfserve {
 		log.Fatal("need -target URL or -selfserve (a -target may point at a dynagg-router as well as a dynagg-serve)")
@@ -146,7 +160,7 @@ func main() {
 		log.Fatal("-compare measures the single-process answer cache; it does not combine with -selfserve-router")
 	}
 
-	report, err := run(cfg)
+	report, err := load(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -169,8 +183,9 @@ func main() {
 		for _, v := range report.SLO.Violations {
 			log.Printf("SLO violation: %s", v)
 		}
-		os.Exit(3)
+		return 3
 	}
+	return 0
 }
 
 // sloResult records the configured latency/error-rate objectives and
@@ -292,7 +307,7 @@ type coldHotRatio struct {
 	P50Ratio  float64 `json:"cold_hot_p50_ratio"`
 }
 
-func run(cfg config) (*report, error) {
+func load(cfg config) (*report, error) {
 	target := cfg.target
 	var shutdown func()
 	if cfg.selfserve {

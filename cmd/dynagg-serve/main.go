@@ -38,6 +38,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -46,6 +47,7 @@ import (
 	"time"
 
 	dynagg "github.com/dynagg/dynagg"
+	"github.com/dynagg/dynagg/internal/dbflags"
 	"github.com/dynagg/dynagg/internal/obs"
 	"github.com/dynagg/dynagg/internal/router"
 	"github.com/dynagg/dynagg/webiface"
@@ -57,31 +59,44 @@ func fatal(log *slog.Logger, msg string, err error) {
 	os.Exit(1)
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
+
+// run parses args and serves until SIGINT or SIGTERM. It returns the
+// exit status: 2 for a bad flag, before any database is built.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dynagg-serve", flag.ExitOnError)
 	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		n         = flag.Int("n", 40000, "dataset size (tuple pool)")
-		init0     = flag.Int("initial", 0, "initial database size (default 90% of n)")
-		m         = flag.Int("m", 38, "number of attributes (<=38)")
-		k         = flag.Int("k", 250, "interface top-k cap")
-		seed      = flag.Int64("seed", 1, "random seed")
-		budget    = flag.Int("budget", 0, "per-API-key queries per round (0 = unlimited)")
-		round     = flag.Duration("round", 0, "round length; every round applies churn and resets budgets (0 = static database)")
-		insert    = flag.Int("insert", 300, "tuples inserted per round")
-		del       = flag.Float64("delete", 0.001, "fraction of tuples deleted per round")
-		shards    = flag.Int("shards", 1, "hash-partition the store N ways (scatter-gather serving)")
-		shardMode = flag.Bool("shard-mode", false, "serve as one shard of a dynagg-router fleet: expose the /v1/shard/* epoch admin wire and leave epoch publication to the router")
-		freezeTO  = flag.Duration("freeze-timeout", 30*time.Second, "shard mode: auto-abort a frozen epoch no router published in time")
-		logFormat = flag.String("log-format", "text", "log output format: text or json")
-		pprofAddr = flag.String("pprof-addr", "", "optional admin listener serving net/http/pprof (empty = disabled)")
-		debugReqs = flag.Int("debug-requests", webiface.DefaultDebugRequests, "size of the /v1/debug/requests ring (<= 0 disables)")
-		slowReq   = flag.Duration("slow-request", webiface.DefaultSlowRequest, "record successful requests at or above this latency in the debug ring (<= 0 records every request)")
+		addr      = fs.String("addr", ":8080", "listen address")
+		n         = fs.Int("n", 40000, "dataset size (tuple pool)")
+		init0     = fs.Int("initial", 0, "initial database size (default 90% of n)")
+		m         = fs.Int("m", 38, "number of attributes (<=38)")
+		k         = fs.Int("k", 250, "interface top-k cap")
+		seed      = fs.Int64("seed", 1, "random seed")
+		budget    = fs.Int("budget", 0, "per-API-key queries per round (0 = unlimited)")
+		round     = fs.Duration("round", 0, "round length; every round applies churn and resets budgets (0 = static database)")
+		insert    = fs.Int("insert", 300, "tuples inserted per round")
+		del       = fs.Float64("delete", 0.001, "fraction of tuples deleted per round")
+		shards    = fs.Int("shards", 1, "hash-partition the store N ways (scatter-gather serving)")
+		shardMode = fs.Bool("shard-mode", false, "serve as one shard of a dynagg-router fleet: expose the /v1/shard/* epoch admin wire and leave epoch publication to the router")
+		freezeTO  = fs.Duration("freeze-timeout", 30*time.Second, "shard mode: auto-abort a frozen epoch no router published in time")
+		logFormat = fs.String("log-format", "text", "log output format: text or json")
+		pprofAddr = fs.String("pprof-addr", "", "optional admin listener serving net/http/pprof (empty = disabled)")
+		debugReqs = fs.Int("debug-requests", webiface.DefaultDebugRequests, "size of the /v1/debug/requests ring (<= 0 disables)")
+		slowReq   = fs.Duration("slow-request", webiface.DefaultSlowRequest, "record successful requests at or above this latency in the debug ring (<= 0 records every request)")
 	)
-	flag.Parse()
-	logger, err := obs.NewLogger(*logFormat, os.Stderr)
+	fs.Parse(args) // ExitOnError: a malformed flag exits 2 here
+	err := dbflags.DB{N: *n, Initial: *init0, M: *m, K: *k, Insert: *insert, Delete: *del}.Check()
+	if err == nil && *shards < 1 {
+		err = errors.New("-shards must be at least 1")
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "dynagg-serve:", err)
+		return 2
+	}
+	logger, err := obs.NewLogger(*logFormat, stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	slog.SetDefault(logger)
 	obs.ServePprof(*pprofAddr, logger)
@@ -220,4 +235,5 @@ func main() {
 		fatal(logger, "listen", err)
 	}
 	logger.Info("drained; bye", "queries", b.queries())
+	return 0
 }

@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	dynagg "github.com/dynagg/dynagg"
+	"github.com/dynagg/dynagg/internal/dbflags"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -57,23 +58,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "avgprice":
 		spec = dynagg.AvgOf("AVG(price)", dynagg.AuxField(0))
 	}
-	for _, c := range []struct {
-		bad  bool
-		rule string
-	}{
-		{spec == nil, "-agg must be count, sumprice, avgprice or delta"},
-		{*n < 0, "-n must be at least 0"},
-		{*init0 < 0, "-initial must be at least 0"},
-		{*m < 1 || *m > 38, "-m must be in [1, 38]"},
-		{*k < 1, "-k must be at least 1"},
-		{*g < 1, "-g must be at least 1"},
-		{*insert < 0, "-insert must be at least 0"},
-		{!(*del >= 0 && *del <= 1), "-delete must be in [0, 1]"},
-	} {
-		if c.bad {
-			fmt.Fprintln(stderr, "dynagg-sim:", c.rule)
-			return 2
-		}
+	var bad error
+	switch {
+	case spec == nil:
+		bad = errors.New("-agg must be count, sumprice, avgprice or delta")
+	case *g < 1:
+		bad = errors.New("-g must be at least 1")
+	default:
+		bad = dbflags.DB{N: *n, Initial: *init0, M: *m, K: *k, Insert: *insert, Delete: *del}.Check()
+	}
+	if bad != nil {
+		fmt.Fprintln(stderr, "dynagg-sim:", bad)
+		return 2
 	}
 	if *init0 == 0 {
 		*init0 = *n * 9 / 10

@@ -80,9 +80,8 @@
 //     budget accounting for exactly this bounded fan-out: one Session
 //     (local or webiface) may be shared by the walk goroutines of ONE
 //     Step. Sessions that cannot be searched concurrently — a pre-search
-//     hook couples query order to mutation (constant-update model), or
-//     the client-cache ablation is on — report so and are served
-//     sequentially.
+//     hook couples query order to mutation (constant-update model) —
+//     report so and are served sequentially.
 //   - Still single-goroutine: a Tracker, every estimator (only its
 //     internal engine fans out), Env and every rand.Rand belong to one
 //     goroutine. Do not share one session across estimators or across

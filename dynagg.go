@@ -82,17 +82,6 @@ type (
 	AmazonSim = livesim.Amazon
 	// EBaySim replays the paper's eBay.com live experiment.
 	EBaySim = livesim.EBay
-
-	// CountingIface is a search interface that also reports (capped)
-	// result counts — "1,000+ results" — enabling the §8 count-guided
-	// extension.
-	CountingIface = hiddendb.CountingIface
-	// CountingSession is a budgeted round over a CountingIface.
-	CountingSession = hiddendb.CountingSession
-	// CountAssisted tracks COUNT(*) exactly from count metadata (the §8
-	// future-work extension): it maintains a frontier of uncapped nodes
-	// whose counts sum to the database size.
-	CountAssisted = estimator.CountAssisted
 )
 
 // NullCode marks a NULL value in a nullable attribute.
@@ -100,6 +89,11 @@ const NullCode = schema.NullCode
 
 // ErrBudgetExhausted is returned by Session.Search past the round budget.
 var ErrBudgetExhausted = hiddendb.ErrBudgetExhausted
+
+// ErrUnboundedRound is returned by a RESTART or REISSUE Step on a
+// session without a budget when MaxDrills is 0: that round would never
+// end. The Step spends no query.
+var ErrUnboundedRound = estimator.ErrUnboundedRound
 
 // Schema and store construction.
 var (
@@ -116,11 +110,6 @@ var (
 	// NewShardedIface wraps a sharded store in a scatter-gather top-k
 	// interface.
 	NewShardedIface = hiddendb.NewShardedIface
-	// NewCountingIface wraps a store in a top-k interface that also
-	// reports capped result counts.
-	NewCountingIface = hiddendb.NewCountingIface
-	// NewCountAssisted builds the count-guided COUNT(*) tracker.
-	NewCountAssisted = estimator.NewCountAssisted
 	// NewQuery builds a conjunctive query from predicates.
 	NewQuery = hiddendb.NewQuery
 	// DefaultScorer ranks tuples by a deterministic hash.
@@ -188,8 +177,10 @@ const (
 type TrackerOptions struct {
 	// Algorithm picks the estimator (default AlgoRS).
 	Algorithm Algorithm
-	// Budget is the per-round query limit G imposed by the database
-	// (0 = unlimited — only sensible in tests).
+	// Budget is the per-round query limit G imposed by the database.
+	// 0 lifts the limit, which suits only a local simulation: RESTART
+	// and REISSUE then drill until MaxDrills, and their Step returns
+	// ErrUnboundedRound when MaxDrills is 0.
 	Budget int
 	// Seed drives all random choices; runs are reproducible.
 	Seed int64
@@ -197,12 +188,10 @@ type TrackerOptions struct {
 	Pilot int
 	// RetainTuples keeps retrieved tuples for ad hoc queries (§5.1).
 	RetainTuples bool
-	// ClientCache enables the client-side answer cache ablation.
-	ClientCache bool
 	// DeltaTarget makes RS allocate its budget for the trans-round delta
 	// instead of the single-round value (Figs 15–17).
 	DeltaTarget bool
-	// MaxDrills bounds the drill-down pool (0 = unlimited).
+	// MaxDrills bounds the drill-down pool (0 = no bound).
 	MaxDrills int
 	// BroadMatchNull must be set when the target database returns
 	// NULL-valued tuples for any predicate on that attribute (§5); the
@@ -222,7 +211,6 @@ func (o TrackerOptions) estimatorConfig() estimator.Config {
 		Rand:           rand.New(rand.NewSource(o.Seed)),
 		Pilot:          o.Pilot,
 		RetainTuples:   o.RetainTuples,
-		ClientCache:    o.ClientCache,
 		MaxDrills:      o.MaxDrills,
 		BroadMatchNull: o.BroadMatchNull,
 		Parallelism:    o.Parallelism,

@@ -47,13 +47,10 @@ type Config struct {
 	// node, enabling ad hoc aggregates over past rounds (paper §5.1) at
 	// the price of memory.
 	RetainTuples bool
-	// ClientCache, when set, caches query answers client-side within a
-	// round so a repeated query costs no budget. The paper's cost model
-	// charges every issuance (the RESTART analysis assumes it), so this
-	// is OFF by default; it exists as an ablation.
-	ClientCache bool
 	// MaxDrills caps the total number of live drill downs an estimator
-	// maintains (0 = unlimited). Guards memory in very long runs.
+	// maintains (0 = no cap). Guards memory in very long runs, and ends
+	// a RESTART or REISSUE round on a session without a budget, which
+	// they refuse with ErrUnboundedRound when it is 0.
 	MaxDrills int
 	// BroadMatchNull must mirror the database's NULL policy (paper §5
 	// "Other Issues"): under broad match a NULL tuple is returned by
@@ -66,7 +63,7 @@ type Config struct {
 	// session. 0 reads DYNAGG_ESTIMATOR_WORKERS, defaulting to 1
 	// (sequential). Estimates are byte-identical for every value; the
 	// engine silently falls back to 1 when the session is not safe for
-	// concurrent Search calls or ClientCache is on.
+	// concurrent Search calls.
 	Parallelism int
 	// DeltaTarget makes RS allocate its budget to minimise the variance
 	// of the trans-round delta Q(D_j) − Q(D_{j-1}) instead of the
@@ -300,14 +297,6 @@ func (b *base) EstimateDelta(i int) (Estimate, bool) {
 	return b.deltas[i], true
 }
 
-// searcher wraps the session per the config (client cache ablation).
-func (b *base) searcher(sess Session) hiddendb.Searcher {
-	if b.cfg.ClientCache {
-		return newClientCache(sess)
-	}
-	return sess
-}
-
 // contributionOf evaluates all tracked aggregates on a drill outcome.
 func (b *base) contributionOf(round int, o querytree.Outcome) contribution {
 	c := contribution{
@@ -434,33 +423,6 @@ func pairedDelta(a *agg.Aggregate, drills []*drill, i, j int) (Estimate, bool) {
 func errIsBudget(err error) bool {
 	return errors.Is(err, hiddendb.ErrBudgetExhausted)
 }
-
-// clientCache is the optional client-side per-round answer cache. Repeats
-// of a query within the round are served locally without spending budget.
-type clientCache struct {
-	inner hiddendb.Searcher
-	seen  map[string]hiddendb.Result
-}
-
-func newClientCache(inner hiddendb.Searcher) *clientCache {
-	return &clientCache{inner: inner, seen: make(map[string]hiddendb.Result)}
-}
-
-func (c *clientCache) Search(q hiddendb.Query) (hiddendb.Result, error) {
-	key := q.Key()
-	if r, ok := c.seen[key]; ok {
-		return r, nil
-	}
-	r, err := c.inner.Search(q)
-	if err != nil {
-		return r, err
-	}
-	c.seen[key] = r
-	return r, nil
-}
-
-func (c *clientCache) K() int                 { return c.inner.K() }
-func (c *clientCache) Schema() *schema.Schema { return c.inner.Schema() }
 
 // adHocPair evaluates a NEW aggregate (not tracked at Step time) against
 // the retained tuples of the drill downs current at the given round: the

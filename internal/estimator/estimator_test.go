@@ -1,6 +1,7 @@
 package estimator
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -30,6 +31,12 @@ func newTestEnv(t testing.TB, seed int64, n, initial, k int) *testEnv {
 func cfg(seed int64) Config {
 	return Config{Rand: rand.New(rand.NewSource(seed))}
 }
+
+// PoolSize returns the number of live drill downs.
+func (r *Reissue) PoolSize() int { return len(r.pool) }
+
+// PoolSize returns the number of live drill downs.
+func (r *RS) PoolSize() int { return len(r.pool) }
 
 func TestConstructorValidation(t *testing.T) {
 	te := newTestEnv(t, 1, 2000, 1500, 50)
@@ -415,34 +422,6 @@ func TestAdHocRequiresRetention(t *testing.T) {
 	}
 }
 
-// The client-cache ablation: with caching on, repeated queries are free,
-// so strictly more drill downs fit in the same budget for RESTART.
-func TestClientCacheAblation(t *testing.T) {
-	te := newTestEnv(t, 100, 20000, 20000, 100)
-	sch := te.env.Store.Schema()
-
-	plain, err := NewRestart(sch, []*agg.Aggregate{agg.CountAll()}, cfg(101))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := cfg(101)
-	cc.ClientCache = true
-	cached, err := NewRestart(sch, []*agg.Aggregate{agg.CountAll()}, cc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plain.Step(te.iface.NewSession(200)); err != nil {
-		t.Fatal(err)
-	}
-	if err := cached.Step(te.iface.NewSession(200)); err != nil {
-		t.Fatal(err)
-	}
-	if cached.DrillDowns() <= plain.DrillDowns() {
-		t.Errorf("client cache did not increase drill downs: %d vs %d",
-			cached.DrillDowns(), plain.DrillDowns())
-	}
-}
-
 func TestMaxDrillsBoundsPool(t *testing.T) {
 	te := newTestEnv(t, 110, 10000, 9000, 100)
 	sch := te.env.Store.Schema()
@@ -459,6 +438,41 @@ func TestMaxDrillsBoundsPool(t *testing.T) {
 	}
 	if e.PoolSize() > 20 {
 		t.Errorf("pool %d exceeds MaxDrills", e.PoolSize())
+	}
+}
+
+// TestUnboundedRound: on a session without a budget RESTART and REISSUE
+// drill until the pool reaches MaxDrills, so with MaxDrills 0 they
+// refuse the round before spending a query, and with MaxDrills 64 they
+// finish it with 64 drills.
+func TestUnboundedRound(t *testing.T) {
+	te := newTestEnv(t, 130, 10000, 9000, 100)
+	sch := te.env.Store.Schema()
+	for _, algo := range []string{"RESTART", "REISSUE"} {
+		e, err := New(algo, sch, []*agg.Aggregate{agg.CountAll()}, cfg(131))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess := te.iface.NewSession(0)
+		if err := e.Step(sess); !errors.Is(err, ErrUnboundedRound) {
+			t.Errorf("%s: uncapped unlimited round: err = %v, want ErrUnboundedRound", algo, err)
+		}
+		if sess.Used() != 0 || e.Round() != 0 {
+			t.Errorf("%s: refused round spent %d queries and advanced to round %d", algo, sess.Used(), e.Round())
+		}
+
+		c := cfg(131)
+		c.MaxDrills = 64
+		e, err = New(algo, sch, []*agg.Aggregate{agg.CountAll()}, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Step(te.iface.NewSession(0)); err != nil {
+			t.Fatalf("%s: capped unlimited round: %v", algo, err)
+		}
+		if e.Round() != 1 || e.DrillDowns() != 64 {
+			t.Errorf("%s: capped unlimited round ended at round %d with %d drills, want 1 and 64", algo, e.Round(), e.DrillDowns())
+		}
 	}
 }
 

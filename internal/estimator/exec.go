@@ -1,6 +1,7 @@
 package estimator
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -37,10 +38,9 @@ import (
 //     pool mutation and float accumulation order never depend on timing.
 //
 // Sessions with a pre-search hook (the constant-update model mutates the
-// database per query, making walk outcomes order-dependent) and the
-// client-cache ablation (cache hits skip budget, making costs depend on
-// cross-walk timing) are detected and executed with one worker, where the
-// engine degenerates to the plain sequential loop.
+// database per query, making walk outcomes order-dependent) are detected
+// and executed with one worker, where the engine degenerates to the
+// plain sequential loop.
 //
 // The byte-identity guarantee presumes the round budget is enforced by
 // the SESSION (client side) — the only budget the wave admission can
@@ -94,12 +94,11 @@ func (b *base) planUpdate(d *drill) drillOp {
 }
 
 // execWorkers resolves how many goroutines may issue this round's walks
-// concurrently: Config.Parallelism, clamped to 1 whenever correctness
-// demands sequential issuance (client cache on, or a session that does
-// not declare itself safe for concurrent Search calls).
+// concurrently: Config.Parallelism, clamped to 1 when the session does
+// not declare itself safe for concurrent Search calls.
 func (b *base) execWorkers(sess Session) int {
 	w := b.cfg.Parallelism
-	if w <= 1 || b.cfg.ClientCache {
+	if w <= 1 {
 		return 1
 	}
 	cs, ok := sess.(hiddendb.ConcurrentSearcher)
@@ -121,16 +120,16 @@ func runWalk(s hiddendb.Searcher, t *querytree.Tree, op *drillOp) opResult {
 	return opResult{outcome: o, err: err, ran: true}
 }
 
-// runPlan executes the planned walks in op order against the searcher s
-// (sess with the optional client-cache wrap), charging the shared session
-// sess. See the file comment for the equivalence argument; callers apply
-// results strictly in op order and stop at the first error.
-func (b *base) runPlan(sess Session, s hiddendb.Searcher, ops []drillOp) []opResult {
+// runPlan executes the planned walks in op order against the shared
+// session sess. See the file comment for the equivalence argument;
+// callers apply results strictly in op order and stop at the first
+// error.
+func (b *base) runPlan(sess Session, ops []drillOp) []opResult {
 	results := make([]opResult, len(ops))
 	workers := b.execWorkers(sess)
 	if workers <= 1 {
 		for i := range ops {
-			results[i] = runWalk(s, b.tree, &ops[i])
+			results[i] = runWalk(sess, b.tree, &ops[i])
 			if results[i].err != nil {
 				break
 			}
@@ -153,7 +152,7 @@ func (b *base) runPlan(sess Session, s hiddendb.Searcher, ops []drillOp) []opRes
 		if wave == 0 {
 			// Tail: the next walk runs alone with everything that remains,
 			// so a death here is exactly a sequential shared-budget death.
-			a := &allowance{inner: s, left: rem}
+			a := &allowance{inner: sess, left: rem}
 			results[i] = runWalk(a, b.tree, &ops[i])
 			results[i].used = a.used
 			if results[i].err != nil {
@@ -162,7 +161,7 @@ func (b *base) runPlan(sess Session, s hiddendb.Searcher, ops []drillOp) []opRes
 			i++
 			continue
 		}
-		b.runWave(workers, s, ops[i:i+wave], results[i:i+wave])
+		b.runWave(workers, sess, ops[i:i+wave], results[i:i+wave])
 		for j := i; j < i+wave; j++ {
 			if results[j].err != nil {
 				// First-in-order error ends the plan (a server-side budget
@@ -187,7 +186,7 @@ func (b *base) runPlan(sess Session, s hiddendb.Searcher, ops []drillOp) []opRes
 // runWave issues one budget-covered wave of walks on a bounded worker
 // pool. Every walk in the wave holds a full worst-case allowance, so none
 // can exhaust the shared budget.
-func (b *base) runWave(workers int, s hiddendb.Searcher, ops []drillOp, results []opResult) {
+func (b *base) runWave(workers int, sess Session, ops []drillOp, results []opResult) {
 	if workers > len(ops) {
 		workers = len(ops)
 	}
@@ -202,7 +201,7 @@ func (b *base) runWave(workers int, s hiddendb.Searcher, ops []drillOp, results 
 				if i >= len(ops) {
 					return
 				}
-				a := &allowance{inner: s, left: ops[i].maxCost}
+				a := &allowance{inner: sess, left: ops[i].maxCost}
 				results[i] = runWalk(a, b.tree, &ops[i])
 				results[i].used = a.used
 			}
@@ -277,6 +276,21 @@ func (b *base) applyUpdate(d *drill, o querytree.Outcome, round int) {
 	d.cur = b.contributionOf(round, o)
 }
 
+// ErrUnboundedRound is returned by RESTART's and REISSUE's Step on a
+// session without a budget when Config.MaxDrills is 0: their fresh-drill
+// phase ends only when the budget dies or the pool reaches MaxDrills, so
+// that round would never end. The Step spends no query and leaves
+// Round() where it was.
+var ErrUnboundedRound = errors.New("estimator: an unlimited round needs Config.MaxDrills > 0")
+
+// checkBounded refuses a round runFreshPhase could not end.
+func (b *base) checkBounded(sess Session) error {
+	if sess.Remaining() < 0 && b.cfg.MaxDrills <= 0 {
+		return ErrUnboundedRound
+	}
+	return nil
+}
+
 // unlimitedFreshBatch is the batch size of open-ended fresh phases when
 // the session has no budget: any fixed constant keeps the RNG stream
 // independent of the worker count.
@@ -287,7 +301,7 @@ const unlimitedFreshBatch = 16
 // batch size is a function of the remaining budget only — never of the
 // worker count — so the signature stream is identical for every
 // Parallelism. Returns whether the phase ended in a budget death.
-func (b *base) runFreshPhase(sess Session, s hiddendb.Searcher, poolLen func() int, apply func(*drill)) (bool, error) {
+func (b *base) runFreshPhase(sess Session, poolLen func() int, apply func(*drill)) (bool, error) {
 	for {
 		n := 0
 		if rem := sess.Remaining(); rem < 0 {
@@ -309,7 +323,7 @@ func (b *base) runFreshPhase(sess Session, s hiddendb.Searcher, poolLen func() i
 		for i := range ops {
 			ops[i] = b.planFresh()
 		}
-		results := b.runPlan(sess, s, ops)
+		results := b.runPlan(sess, ops)
 		dead, err := applyResults(ops, results, func(i int, o querytree.Outcome) {
 			apply(b.applyFresh(&ops[i], o, b.round))
 		})

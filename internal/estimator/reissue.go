@@ -32,9 +32,11 @@ func NewReissue(sch *schema.Schema, aggs []*agg.Aggregate, cfg Config) (*Reissue
 // front and handed to the execution engine (exec.go), which may issue the
 // walks concurrently without changing any estimate.
 func (r *Reissue) Step(sess Session) error {
+	if err := r.checkBounded(sess); err != nil {
+		return err
+	}
 	r.round++
 	startUsed := sess.Used()
-	s := r.searcher(sess)
 
 	// Phase 1: update all previous drill downs.
 	order := r.cfg.Rand.Perm(len(r.pool))
@@ -42,7 +44,7 @@ func (r *Reissue) Step(sess Session) error {
 	for i, idx := range order {
 		ops[i] = r.planUpdate(r.pool[idx])
 	}
-	results := r.runPlan(sess, s, ops)
+	results := r.runPlan(sess, ops)
 	budgetDead, err := applyResults(ops, results, func(i int, o querytree.Outcome) {
 		r.applyUpdate(ops[i].d, o, r.round)
 	})
@@ -52,7 +54,7 @@ func (r *Reissue) Step(sess Session) error {
 
 	// Phase 2: new drill downs with the remaining budget.
 	if !budgetDead {
-		if _, err := r.runFreshPhase(sess, s,
+		if _, err := r.runFreshPhase(sess,
 			func() int { return len(r.pool) },
 			func(d *drill) { r.pool = append(r.pool, d) }); err != nil {
 			return err
@@ -82,9 +84,6 @@ func (r *Reissue) Step(sess Session) error {
 	}
 	return nil
 }
-
-// PoolSize returns the number of live drill downs (diagnostics).
-func (r *Reissue) PoolSize() int { return len(r.pool) }
 
 // AdHoc evaluates a new aggregate against the retained tuples of any past
 // round still held by the pool (requires Config.RetainTuples).

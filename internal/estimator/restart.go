@@ -34,12 +34,14 @@ func NewRestart(sch *schema.Schema, aggs []*agg.Aggregate, cfg Config) (*Restart
 // The round is planned and executed in batches (exec.go), so the walks
 // may be issued concurrently without changing any estimate.
 func (r *Restart) Step(sess Session) error {
+	if err := r.checkBounded(sess); err != nil {
+		return err
+	}
 	r.round++
 	startUsed := sess.Used()
-	s := r.searcher(sess)
 
 	var drills []*drill
-	_, err := r.runFreshPhase(sess, s,
+	_, err := r.runFreshPhase(sess,
 		func() int { return len(drills) },
 		func(d *drill) { drills = append(drills, d) })
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"github.com/dynagg/dynagg/internal/agg"
-	"github.com/dynagg/dynagg/internal/hiddendb"
 	"github.com/dynagg/dynagg/internal/querytree"
 	"github.com/dynagg/dynagg/internal/schema"
 	"github.com/dynagg/dynagg/internal/stats"
@@ -141,7 +140,6 @@ type rsGroup struct {
 func (r *RS) Step(sess Session) error {
 	r.round++
 	startUsed := sess.Used()
-	s := r.searcher(sess)
 
 	budgetDead := false
 
@@ -194,7 +192,7 @@ func (r *RS) Step(sess Session) error {
 			}
 		}
 	}
-	results := r.runPlan(sess, s, ops)
+	results := r.runPlan(sess, ops)
 	var err error
 	budgetDead, err = applyResults(ops, results, func(i int, o querytree.Outcome) {
 		grp := r.applyPlanned(&ops[i], opGrp[i], o)
@@ -220,7 +218,7 @@ func (r *RS) Step(sess Session) error {
 	}
 	if !budgetDead {
 		r.allocate(groups, float64(sess.Remaining()))
-		if err := r.execute(sess, s, groups, &budgetDead); err != nil {
+		if err := r.execute(sess, groups, &budgetDead); err != nil {
 			return err
 		}
 	}
@@ -399,7 +397,7 @@ func (r *RS) allocate(groups []*rsGroup, budget float64) {
 // task order is shuffled and every random choice (fresh signatures,
 // member pops) drawn at plan time, so the execution engine may issue the
 // walks concurrently without changing any estimate.
-func (r *RS) execute(sess Session, s hiddendb.Searcher, groups []*rsGroup, budgetDead *bool) error {
+func (r *RS) execute(sess Session, groups []*rsGroup, budgetDead *bool) error {
 	var order []*rsGroup
 	for _, grp := range groups {
 		extra := grp.want - len(grp.updated)
@@ -439,7 +437,7 @@ func (r *RS) execute(sess Session, s hiddendb.Searcher, groups []*rsGroup, budge
 		opGrp = append(opGrp, grp)
 	}
 
-	results := r.runPlan(sess, s, ops)
+	results := r.runPlan(sess, ops)
 	dead, err := applyResults(ops, results, func(i int, o querytree.Outcome) {
 		r.applyPlanned(&ops[i], opGrp[i], o)
 	})
@@ -707,9 +705,6 @@ func (r *RS) gcPool() {
 	sort.SliceStable(r.pool, func(i, j int) bool { return r.pool[i].cur.round > r.pool[j].cur.round })
 	r.pool = r.pool[:r.cfg.MaxDrills]
 }
-
-// PoolSize returns the number of live drill downs (diagnostics).
-func (r *RS) PoolSize() int { return len(r.pool) }
 
 // AdHoc evaluates a new aggregate against the retained tuples of any past
 // round still held by the pool (requires Config.RetainTuples).

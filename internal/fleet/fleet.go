@@ -78,8 +78,10 @@ type Target struct {
 // Config tunes a Manager.
 type Config struct {
 	// TickBudget is the global query budget split across the runnable
-	// tasks each tick (0 = unlimited: every task runs an unlimited — or
-	// MaxBudget-capped — round; only sensible against local targets).
+	// tasks each tick. 0 lifts the limit: every task runs a round capped
+	// only by its MaxBudget, which suits local targets alone, and a
+	// RESTART or REISSUE task without MaxBudget or MaxDrills fails each
+	// round with estimator.ErrUnboundedRound.
 	TickBudget int
 	// Interval is the tick cadence of Run (TickOnce ignores it).
 	Interval time.Duration

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/dynagg/dynagg/internal/agg"
+	"github.com/dynagg/dynagg/internal/estimator"
 	"github.com/dynagg/dynagg/internal/hiddendb"
 	"github.com/dynagg/dynagg/internal/tracking"
 	"github.com/dynagg/dynagg/internal/workload"
@@ -433,6 +434,37 @@ func TestFleetPreTickErrorSurvivesPersist(t *testing.T) {
 	mgr.TickOnce()
 	if st := mgr.Status(); !strings.Contains(st.LastTickError, "churn backend down") {
 		t.Fatalf("last_tick_error = %q, want the PreTick error", st.LastTickError)
+	}
+}
+
+// TestFleetUnlimitedTickRefusesUnboundedTask: at TickBudget 0 a RESTART
+// task without max_drills would drill forever; the tick returns, that
+// task reports ErrUnboundedRound, and a capped task completes its round.
+func TestFleetUnlimitedTickRefusesUnboundedTask(t *testing.T) {
+	mgr, err := New(Config{Targets: map[string]Target{"db": target(newEnv(t, 91), false)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []TaskSpec{
+		{ID: "capped", Target: "db", Algorithm: "RESTART", Seed: 1, MaxDrills: 64},
+		{ID: "open", Target: "db", Algorithm: "RESTART", Seed: 2},
+	} {
+		if err := mgr.Add(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mgr.TickOnce()
+	for _, ts := range mgr.Status().Tasks {
+		switch ts.ID {
+		case "open":
+			if !strings.Contains(ts.LastError, estimator.ErrUnboundedRound.Error()) || ts.View.Round != 0 {
+				t.Errorf("open task: round %d, last_error %q; want round 0 and ErrUnboundedRound", ts.View.Round, ts.LastError)
+			}
+		case "capped":
+			if ts.LastError != "" || ts.View.Round != 1 || ts.View.Drills != 64 {
+				t.Errorf("capped task: round %d, %d drills, last_error %q; want round 1, 64 drills, no error", ts.View.Round, ts.View.Drills, ts.LastError)
+			}
+		}
 	}
 }
 

@@ -38,10 +38,6 @@ type Answer struct {
 // encode it like a cached one.
 func NewAnswer(res Result) *Answer { return &Answer{res: res} }
 
-// Result returns the engine result. The tuple slice is shared with every
-// other holder of this Answer; treat it as read-only.
-func (a *Answer) Result() Result { return a.res }
-
 // Wire returns the answer's memoized wire encoding, computing it with
 // encode on first use. encode must be a pure function of the Result
 // (every caller of one Answer must encode identically); when two

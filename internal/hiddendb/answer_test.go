@@ -174,7 +174,7 @@ func TestCacheShardDoPanicDoesNotWedge(t *testing.T) {
 	}
 	wg.Wait()
 	for i, a := range results {
-		if a == nil || !a.Result().Overflow {
+		if a == nil || !a.res.Overflow {
 			t.Fatalf("waiter %d got %v, want a retried answer", i, a)
 		}
 	}
@@ -183,7 +183,7 @@ func TestCacheShardDoPanicDoesNotWedge(t *testing.T) {
 		t.Error("recompute after retry publication")
 		return Result{}
 	})
-	if !a.Result().Overflow {
+	if !a.res.Overflow {
 		t.Fatal("post-panic hit returned the wrong answer")
 	}
 }

@@ -364,50 +364,6 @@ func (f *Iface) LookupAnswer(key []byte) (*Answer, bool) {
 	return f.lookup(s.version, key)
 }
 
-// BudgetCounter is the atomic claim-before-issue accounting of a round's
-// query budget G, shared by Session and CountingSession: a query is
-// charged by Claim before it is issued, and a failed claim IS the round's
-// budget death. Safe for the estimator execution engine's bounded
-// fan-out.
-type BudgetCounter struct {
-	g    int // <= 0 means unlimited
-	used atomic.Int64
-}
-
-// NewBudgetCounter starts a round's accounting (g <= 0 = unlimited).
-func NewBudgetCounter(g int) *BudgetCounter { return &BudgetCounter{g: g} }
-
-// Claim charges one query, returning its 0-based index and whether the
-// budget allowed it.
-func (b *BudgetCounter) Claim() (int, bool) {
-	if b.g <= 0 {
-		return int(b.used.Add(1) - 1), true
-	}
-	for {
-		u := b.used.Load()
-		if u >= int64(b.g) {
-			return 0, false
-		}
-		if b.used.CompareAndSwap(u, u+1) {
-			return int(u), true
-		}
-	}
-}
-
-// Used returns the queries claimed so far.
-func (b *BudgetCounter) Used() int { return int(b.used.Load()) }
-
-// Remaining returns the unclaimed budget (negative when unlimited).
-func (b *BudgetCounter) Remaining() int {
-	if b.g <= 0 {
-		return -1
-	}
-	return b.g - b.Used()
-}
-
-// Budget returns the round budget G (<= 0 means unlimited).
-func (b *BudgetCounter) Budget() int { return b.g }
-
 // Session enforces the per-round query budget G on top of any
 // BatchSearcher — an Iface, an epoch-pinned view of a ShardedIface, or a
 // remote webiface.Client — and optionally drives the constant-update
@@ -415,21 +371,24 @@ func (b *BudgetCounter) Budget() int { return b.g }
 // apply mid-round updates, modelling databases that change while the
 // algorithm is executing, §5.2).
 //
-// Budget accounting is atomic, so one Session may be shared by the
-// bounded fan-out of the estimator execution engine (several goroutines
-// issuing one round's drill-down walks). With a pre-search hook installed
-// the session reverts to single-goroutine use — the hook couples query
-// order to database mutation — and reports so via ConcurrentSearchable.
+// Budget accounting is atomic claim-before-issue: a query is charged
+// before it is issued, and a failed claim IS the round's budget death.
+// So one Session may be shared by the bounded fan-out of the estimator
+// execution engine (several goroutines issuing one round's drill-down
+// walks). With a pre-search hook installed the session reverts to
+// single-goroutine use — the hook couples query order to database
+// mutation — and reports so via ConcurrentSearchable.
 type Session struct {
 	b         BatchSearcher
-	bc        *BudgetCounter
+	g         int // <= 0 means unlimited
+	used      atomic.Int64
 	preSearch func(queryIndex int)
 }
 
 // NewSession starts a round over b with budget G (G <= 0 means
 // unlimited).
 func NewSession(b BatchSearcher, g int) *Session {
-	return &Session{b: b, bc: NewBudgetCounter(g)}
+	return &Session{b: b, g: g}
 }
 
 // NewSession starts a round with budget G (G <= 0 means unlimited).
@@ -446,7 +405,7 @@ func (s *Session) ConcurrentSearchable() bool { return s.preSearch == nil }
 
 // Search issues one query, consuming one unit of budget.
 func (s *Session) Search(q Query) (Result, error) {
-	idx, ok := s.bc.Claim()
+	idx, ok := s.claim()
 	if !ok {
 		return Result{}, ErrBudgetExhausted
 	}
@@ -476,7 +435,7 @@ func (s *Session) SearchBatch(qs []Query) ([]BatchItem, error) {
 	claimed := make([]Query, 0, len(qs))
 	claimedIdx := make([]int, 0, len(qs))
 	for i, q := range qs {
-		if _, ok := s.bc.Claim(); !ok {
+		if _, ok := s.claim(); !ok {
 			items[i].Err = ErrBudgetExhausted
 			continue
 		}
@@ -502,84 +461,40 @@ func (s *Session) K() int { return s.b.K() }
 // Schema returns the queryable schema.
 func (s *Session) Schema() *schema.Schema { return s.b.Schema() }
 
+// claim charges one query, returning its 0-based index and whether the
+// budget allowed it.
+func (s *Session) claim() (int, bool) {
+	if s.g <= 0 {
+		return int(s.used.Add(1) - 1), true
+	}
+	for {
+		u := s.used.Load()
+		if u >= int64(s.g) {
+			return 0, false
+		}
+		if s.used.CompareAndSwap(u, u+1) {
+			return int(u), true
+		}
+	}
+}
+
 // Used returns the number of queries issued in this session.
-func (s *Session) Used() int { return s.bc.Used() }
+func (s *Session) Used() int { return int(s.used.Load()) }
 
 // Remaining returns the unused budget, or a negative number if unlimited.
-func (s *Session) Remaining() int { return s.bc.Remaining() }
+func (s *Session) Remaining() int {
+	if s.g <= 0 {
+		return -1
+	}
+	return s.g - s.Used()
+}
 
 // Budget returns the session's budget G (<=0 means unlimited).
-func (s *Session) Budget() int { return s.bc.Budget() }
+func (s *Session) Budget() int { return s.g }
 
 var _ ConcurrentSearcher = (*Session)(nil)
 var _ BatchSearcher = (*Session)(nil)
 var _ BatchSearcher = (*Iface)(nil)
-
-// CountingIface is an Iface that additionally reports each query's result
-// count, capped at countCap — modelling sites that display "1,000+
-// results". The paper's core model assumes no COUNT metadata (§2.1 worst
-// case); this interface supports the §8 future-work extension of
-// count-guided drill downs.
-type CountingIface struct {
-	f        *Iface
-	countCap int
-}
-
-// NewCountingIface wraps a store in a top-k interface that also reports
-// capped result counts. countCap <= 0 means uncapped (exact counts).
-func NewCountingIface(st *Store, k int, scorer Scorer, countCap int) *CountingIface {
-	return &CountingIface{f: NewIface(st, k, scorer), countCap: countCap}
-}
-
-// K returns the result cap of the interface.
-func (c *CountingIface) K() int { return c.f.K() }
-
-// CountCap returns the display cap on counts (0 = exact).
-func (c *CountingIface) CountCap() int { return c.countCap }
-
-// Schema returns the queryable schema.
-func (c *CountingIface) Schema() *schema.Schema { return c.f.Schema() }
-
-// SearchWithCount answers one query with its (capped) result count. The
-// second return is the displayed count: min(|Sel(q)|, countCap), and
-// capped reports whether the true count exceeds the cap.
-func (c *CountingIface) SearchWithCount(q Query) (res Result, count int, capped bool, err error) {
-	res, err = c.f.Search(q)
-	if err != nil {
-		return res, 0, false, err
-	}
-	true0 := c.f.st.CountMatching(q)
-	if c.countCap > 0 && true0 > c.countCap {
-		return res, c.countCap, true, nil
-	}
-	return res, true0, false, nil
-}
-
-// NewCountingSession starts a budgeted round against the counting
-// interface.
-func (c *CountingIface) NewCountingSession(g int) *CountingSession {
-	return &CountingSession{c: c, bc: NewBudgetCounter(g)}
-}
-
-// CountingSession enforces the per-round budget over a CountingIface.
-type CountingSession struct {
-	c  *CountingIface
-	bc *BudgetCounter
-}
-
-// SearchWithCount issues one query, consuming one unit of budget.
-func (s *CountingSession) SearchWithCount(q Query) (Result, int, bool, error) {
-	if _, ok := s.bc.Claim(); !ok {
-		return Result{}, 0, false, ErrBudgetExhausted
-	}
-	return s.c.SearchWithCount(q)
-}
-
-// Used returns the queries issued in this session.
-func (s *CountingSession) Used() int { return s.bc.Used() }
-
-// Remaining returns the unused budget (negative when unlimited).
-func (s *CountingSession) Remaining() int { return s.bc.Remaining() }
 
 // AsSearcher returns the interface as an unbudgeted Searcher (tests,
 // ground-truth-free exploration tools).

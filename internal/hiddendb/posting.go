@@ -2,7 +2,6 @@ package hiddendb
 
 import (
 	"cmp"
-	"fmt"
 	"math/bits"
 	"slices"
 
@@ -161,75 +160,6 @@ func (pl *postingList) forEachTuple(fn func(*schema.Tuple)) {
 			fn(t)
 		}
 	}
-}
-
-// validate checks every structural invariant; tests run it on every list
-// the store holds after each step of the incremental-vs-rebuild test.
-func (pl *postingList) validate() error {
-	if pl == nil {
-		return nil
-	}
-	total := 0
-	for i := range pl.cs {
-		c := &pl.cs[i]
-		if i > 0 && pl.cs[i-1].key >= c.key {
-			return fmt.Errorf("container keys out of order at %d", i)
-		}
-		if c.count() == 0 {
-			return fmt.Errorf("empty container at key %d", c.key)
-		}
-		if (c.bits != nil) == (c.ids != nil) {
-			return fmt.Errorf("container key %d has ambiguous form", c.key)
-		}
-		if c.bits != nil && c.count() <= arrayMaxEntries {
-			return fmt.Errorf("container key %d: bitmap form at count %d", c.key, c.count())
-		}
-		if c.ids != nil && c.count() > arrayMaxEntries {
-			return fmt.Errorf("container key %d: array form at count %d", c.key, c.count())
-		}
-		for j, t := range c.tuples {
-			if t.ID>>16 != c.key {
-				return fmt.Errorf("container key %d holds tuple %d", c.key, t.ID)
-			}
-			if j > 0 && c.tuples[j-1].ID >= t.ID {
-				return fmt.Errorf("container key %d payload out of ID order at %d", c.key, j)
-			}
-			if c.ids != nil && c.ids[j] != uint16(t.ID) {
-				return fmt.Errorf("container key %d: ids[%d]=%d but tuple ID %d", c.key, j, c.ids[j], t.ID)
-			}
-			if c.bits != nil && !c.bits.has(uint16(t.ID)) {
-				return fmt.Errorf("container key %d: bit for tuple %d not set", c.key, t.ID)
-			}
-		}
-		if c.bits != nil {
-			if len(c.ids) != 0 {
-				return fmt.Errorf("container key %d: bitmap form with ids", c.key)
-			}
-			if want := buildRanks(c.bits); len(c.ranks) != bitmapWords {
-				return fmt.Errorf("container key %d: rank index length %d", c.key, len(c.ranks))
-			} else {
-				for w := range want {
-					if c.ranks[w] != want[w] {
-						return fmt.Errorf("container key %d: rank[%d]=%d want %d", c.key, w, c.ranks[w], want[w])
-					}
-				}
-			}
-			n := 0
-			for _, w := range c.bits {
-				n += bits.OnesCount64(w)
-			}
-			if n != c.count() {
-				return fmt.Errorf("container key %d: %d bits set, %d tuples", c.key, n, c.count())
-			}
-		} else if len(c.ids) != c.count() {
-			return fmt.Errorf("container key %d: %d ids, %d tuples", c.key, len(c.ids), c.count())
-		}
-		total += c.count()
-	}
-	if total != pl.n {
-		return fmt.Errorf("list count %d, containers hold %d", pl.n, total)
-	}
-	return nil
 }
 
 // sortTuplesByID ID-sorts a freshly built payload slice (index builds

@@ -103,16 +103,11 @@ func (s *Snapshot) ForEach(fn func(*schema.Tuple)) {
 }
 
 // CountMatching returns |Sel(q)| exactly — ground truth only, never
-// exposed through the restricted interface. When every predicate is
-// covered by posting lists the count comes straight off the intersection
-// survivor sizes, without gathering a single tuple.
+// exposed through the restricted interface.
 func (s *Snapshot) CountMatching(q Query) int {
 	sc := getScratch()
 	defer putScratch(sc)
 	pln := s.plan(q, strategyAuto, sc)
-	if pln.postings && len(pln.rest) == 0 {
-		return s.countPostings(&pln, sc)
-	}
 	n := 0
 	s.execPlan(&pln, sc, func(*schema.Tuple) { n++ })
 	return n
@@ -367,25 +362,6 @@ func (s *Snapshot) execPostings(pln *queryPlan, sc *queryScratch, fn func(*schem
 			}
 		}
 	}
-}
-
-// countPostings counts the plan's matches without gathering tuples —
-// valid only when every predicate is covered (rest is empty).
-func (s *Snapshot) countPostings(pln *queryPlan, sc *queryScratch) int {
-	n := 0
-	for _, part := range [2]*postingList{pln.seed.val, pln.seed.null} {
-		if part == nil {
-			continue
-		}
-		if len(pln.others) == 0 {
-			n += part.n
-			continue
-		}
-		for ci := range part.cs {
-			n += len(sc.runIntersect(&part.cs[ci], pln.others))
-		}
-	}
-	return n
 }
 
 // Answer computes the top-k result for q under the given scorer. It is

@@ -99,9 +99,6 @@ func (b *Builder) Histogram(name string, bounds []float64, counts []uint64, sum 
 	b.Value(name+"_count", float64(cum), labelPairs...)
 }
 
-// String returns the exposition text.
-func (b *Builder) String() string { return b.sb.String() }
-
 // WriteTo writes the exposition text.
 func (b *Builder) WriteTo(w io.Writer) (int64, error) {
 	n, err := io.WriteString(w, b.sb.String())

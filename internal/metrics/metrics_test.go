@@ -5,6 +5,14 @@ import (
 	"testing"
 )
 
+// text reads the exposition a Builder holds through WriteTo, the way
+// every /v1/metrics handler does.
+func text(b *Builder) string {
+	var sb strings.Builder
+	b.WriteTo(&sb)
+	return sb.String()
+}
+
 // TestFamilyAndValueOrdering: families render HELP then TYPE, and
 // samples appear after their family declaration in emission order — the
 // exposition contract every /v1/metrics endpoint relies on.
@@ -14,7 +22,7 @@ func TestFamilyAndValueOrdering(t *testing.T) {
 	b.Value("dynagg_a_total", 3)
 	b.Family("dynagg_b", "gauge", "Second family.")
 	b.Int("dynagg_b", -7)
-	got := b.String()
+	got := text(&b)
 	want := "# HELP dynagg_a_total First family.\n" +
 		"# TYPE dynagg_a_total counter\n" +
 		"dynagg_a_total 3\n" +
@@ -33,7 +41,7 @@ func TestLabelRendering(t *testing.T) {
 	b.Value("m", 1, "key", "alpha")
 	b.Value("m", 2, "key", "beta", "shard", "0")
 	b.Value("m", 3, "key", `a\b"c`+"\n")
-	got := b.String()
+	got := text(&b)
 	for _, want := range []string{
 		`m{key="alpha"} 1`,
 		`m{key="beta",shard="0"} 2`,
@@ -70,7 +78,7 @@ func TestHistogramExposition(t *testing.T) {
 	var b Builder
 	b.Family("lat_seconds", "histogram", "Latency.")
 	b.Histogram("lat_seconds", []float64{0.001, 0.01, 0.1}, []uint64{2, 3, 0, 1}, 0.256, "route", "search")
-	got := b.String()
+	got := text(&b)
 	want := "# HELP lat_seconds Latency.\n" +
 		"# TYPE lat_seconds histogram\n" +
 		`lat_seconds_bucket{route="search",le="0.001"} 2` + "\n" +
@@ -89,7 +97,7 @@ func TestHistogramExposition(t *testing.T) {
 func TestHistogramNoLabels(t *testing.T) {
 	var b Builder
 	b.Histogram("h", []float64{1}, []uint64{1, 1}, 3)
-	got := b.String()
+	got := text(&b)
 	for _, want := range []string{
 		`h_bucket{le="1"} 1`,
 		`h_bucket{le="+Inf"} 2`,

@@ -13,6 +13,9 @@
 //     mandatory le="+Inf" bucket, and _sum/_count samples with _count
 //     equal to the +Inf bucket;
 //   - no family is declared twice and the document ends with a newline.
+//
+// The package is test-only: `make promcheck` runs its scrape tests, which
+// hold the live documents of all three daemons to the validator.
 package promcheck
 
 import (

@@ -104,13 +104,3 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s.SumSeconds = float64(h.sumNs.Load()) / float64(time.Second)
 	return s
 }
-
-// Merge adds another snapshot's samples into s — legal only because
-// every Histogram shares the one compiled-in bucket layout.
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
-	for i := range s.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.Count += o.Count
-	s.SumSeconds += o.SumSeconds
-}

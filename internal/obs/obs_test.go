@@ -80,14 +80,6 @@ func TestHistogramObserveSnapshot(t *testing.T) {
 	if diff := s.SumSeconds - wantSum; diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("sum %g, want %g", s.SumSeconds, wantSum)
 	}
-
-	var other Histogram
-	other.Observe(time.Millisecond)
-	o := other.Snapshot()
-	s.Merge(o)
-	if s.Count != 4 || s.Counts[10] != 2 {
-		t.Fatalf("after merge: count=%d counts=%v", s.Count, s.Counts)
-	}
 }
 
 // TestHistogramObserveAllocs: Observe is the hot-path primitive — it

@@ -126,9 +126,6 @@ func NewRequestLog(size int, slow time.Duration) *RequestLog {
 	return l
 }
 
-// SlowThreshold returns the configured slow-request threshold.
-func (l *RequestLog) SlowThreshold() time.Duration { return l.slow }
-
 // Qualifies reports whether a request with the given latency/failure
 // outcome should be recorded. It takes no lock and allocates nothing,
 // so hot paths can call it unconditionally.

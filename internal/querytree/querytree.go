@@ -21,7 +21,6 @@ package querytree
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"github.com/dynagg/dynagg/internal/hiddendb"
@@ -77,9 +76,6 @@ func NewWithSelection(sch *schema.Schema, sel hiddendb.Query) *Tree {
 // Schema returns the underlying schema.
 func (t *Tree) Schema() *schema.Schema { return t.sch }
 
-// Selection returns the fixed selection predicates (zero Query if none).
-func (t *Tree) Selection() hiddendb.Query { return t.fixed }
-
 // Depth returns the number of drill levels (m minus fixed attributes).
 func (t *Tree) Depth() int { return len(t.order) }
 
@@ -118,8 +114,8 @@ func (t *Tree) Node(sig Signature, depth int) hiddendb.Query {
 }
 
 // Probe returns Node(sig, depth) marked as a probe (hiddendb.Query.Probe):
-// the drill-down loops and the crawl read only the overflow flag of an
-// overflowing node, so the interface may answer it without tuples.
+// the drill-down loops read only the overflow flag of an overflowing
+// node, so the interface may answer it without tuples.
 func (t *Tree) Probe(sig Signature, depth int) hiddendb.Query {
 	return t.Node(sig, depth).Probe()
 }
@@ -227,14 +223,4 @@ func UpdateDrill(s hiddendb.Searcher, t *Tree, sig Signature, prevDepth int) (Ou
 		r = pr
 	}
 	return Outcome{Depth: 0, Result: r, Cost: cost}, nil
-}
-
-// ExpectedDrillDepthLowerBound returns the paper's Theorem 3.2 lower bound
-// on the expected number of queries of a from-root drill down,
-// log(n/k)/log(max|Ui|). Diagnostic/analysis use only.
-func ExpectedDrillDepthLowerBound(n, k, maxDomain int) float64 {
-	if n <= k || maxDomain < 2 {
-		return 1
-	}
-	return math.Log(float64(n)/float64(k)) / math.Log(float64(maxDomain))
 }

@@ -367,8 +367,8 @@ func TestSelectionSubtree(t *testing.T) {
 	if tr.Depth() != 4 {
 		t.Fatalf("subtree depth = %d, want 4", tr.Depth())
 	}
-	if tr.Selection().Len() != 1 {
-		t.Fatalf("selection lost")
+	if root := tr.Node(make(Signature, tr.Depth()), 0); root.Key() != sel.Key() {
+		t.Fatalf("selection lost: root is %v", root)
 	}
 	// Every node must contain the selection predicate.
 	rng := rand.New(rand.NewSource(16))
@@ -427,16 +427,6 @@ func TestUpdateDrillPanicsOnBadDepth(t *testing.T) {
 		}
 	}()
 	_, _ = UpdateDrill(f.AsSearcher(), tr, Signature{0, 0, 0}, 9)
-}
-
-func TestExpectedDrillDepthLowerBound(t *testing.T) {
-	if got := ExpectedDrillDepthLowerBound(100, 200, 10); got != 1 {
-		t.Errorf("n<=k should give 1, got %v", got)
-	}
-	got := ExpectedDrillDepthLowerBound(100000, 10, 10)
-	if math.Abs(got-4) > 1e-9 {
-		t.Errorf("bound = %v, want 4", got)
-	}
 }
 
 // Leaf overflow must be surfaced, not silently mis-estimated. Construct a

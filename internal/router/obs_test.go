@@ -41,8 +41,7 @@ func TestTracePropagation(t *testing.T) {
 	for _, h := range f.handlers {
 		h.SetRequestLog(64, 0) // record every request, not just slow ones
 	}
-	rt, srv := dialRouter(t, f, Options{})
-	rt.SetRequestLog(64, 0)
+	rt, srv := dialRouter(t, f, Options{DebugRequests: 64, SlowRequest: -1})
 	f.round(rt)
 
 	const trace = "cafef00d1badd00d"
@@ -112,8 +111,7 @@ func TestTraceMintedAndBatchPropagation(t *testing.T) {
 	for _, h := range f.handlers {
 		h.SetRequestLog(64, 0)
 	}
-	rt, srv := dialRouter(t, f, Options{})
-	rt.SetRequestLog(64, 0)
+	rt, srv := dialRouter(t, f, Options{DebugRequests: 64, SlowRequest: -1})
 	f.round(rt)
 
 	resp, err := http.Post(srv.URL+"/v1/search", "application/json",

@@ -254,12 +254,6 @@ func (rt *Router) RetryCount() uint64 {
 	return n
 }
 
-// SetRequestLog swaps the /v1/debug/requests ring (size <= 0 disables;
-// slow <= 0 records every request). Call before serving.
-func (rt *Router) SetRequestLog(size int, slow time.Duration) {
-	rt.h.SetRequestLog(size, slow)
-}
-
 // ServeHTTP serves the same /v1/ surface as a shard daemon's serving
 // handler, plus nothing else: the admin wire is shard-side only. Every
 // route but healthz goes through the router's webiface.Handler. A search

@@ -1,15 +1,8 @@
 // Package stats provides the small statistical substrate used throughout
-// the estimators: streaming moments (Welford's algorithm), Bessel-corrected
-// sample variance, inverse-variance weighted combination of independent
-// estimates, and error metrics (relative error, MSE decomposition).
-//
-// The paper's estimators lean on three statistical facts:
-//
-//   - MSE(θ̃) = Bias²(θ̃) + Var(θ̃)                               (paper eq. 1)
-//   - the optimal convex combination of independent unbiased estimates
-//     weighs each by the inverse of its variance                 (Thm. 4.2)
-//   - population variances are approximated by Bessel-corrected sample
-//     variances of the drill-down estimates                      (§4.2)
+// the estimators and the experiment harness: streaming moments (Welford's
+// algorithm) with a Bessel-corrected sample variance — the paper's §4.2
+// approximates population variances by the sample variances of the
+// drill-down estimates — and the relative error the figures report.
 package stats
 
 import (
@@ -41,13 +34,6 @@ func (r *Running) Add(x float64) {
 	r.m2 += delta * (x - r.mean)
 }
 
-// AddAll incorporates every observation in xs.
-func (r *Running) AddAll(xs []float64) {
-	for _, x := range xs {
-		r.Add(x)
-	}
-}
-
 // N returns the number of observations added so far.
 func (r *Running) N() int { return r.n }
 
@@ -63,43 +49,8 @@ func (r *Running) Var() float64 {
 	return r.m2 / float64(r.n-1)
 }
 
-// PopVar returns the population variance (divide by n). It returns 0 when
-// no observations have been added.
-func (r *Running) PopVar() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
 // StdDev returns the Bessel-corrected sample standard deviation.
 func (r *Running) StdDev() float64 { return math.Sqrt(r.Var()) }
-
-// VarOfMean returns the estimated variance of the sample mean, Var/n.
-// It returns 0 when fewer than two observations have been added.
-func (r *Running) VarOfMean() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.Var() / float64(r.n)
-}
-
-// Merge combines another Running into r as if all of o's observations had
-// been added to r (parallel-variance / Chan et al. update).
-func (r *Running) Merge(o Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = o
-		return
-	}
-	n := r.n + o.n
-	delta := o.mean - r.mean
-	mean := r.mean + delta*float64(o.n)/float64(n)
-	m2 := r.m2 + o.m2 + delta*delta*float64(r.n)*float64(o.n)/float64(n)
-	r.n, r.mean, r.m2 = n, mean, m2
-}
 
 // Mean returns the arithmetic mean of xs.
 func Mean(xs []float64) (float64, error) {
@@ -107,16 +58,10 @@ func Mean(xs []float64) (float64, error) {
 		return 0, ErrNoData
 	}
 	var r Running
-	r.AddAll(xs)
+	for _, x := range xs {
+		r.Add(x)
+	}
 	return r.Mean(), nil
-}
-
-// SampleVar returns the Bessel-corrected sample variance of xs
-// (0 when len(xs) < 2).
-func SampleVar(xs []float64) float64 {
-	var r Running
-	r.AddAll(xs)
-	return r.Var()
 }
 
 // RelativeError returns |est−truth| / |truth|. When truth is zero it
@@ -130,50 +75,4 @@ func RelativeError(est, truth float64) float64 {
 		return math.Inf(1)
 	}
 	return math.Abs(est-truth) / math.Abs(truth)
-}
-
-// WeightedEstimate is one independent unbiased estimate with its variance.
-type WeightedEstimate struct {
-	Value    float64
-	Variance float64
-}
-
-// CombineInverseVariance combines independent unbiased estimates by
-// inverse-variance weighting, the minimum-variance convex combination
-// (paper Theorem 4.2 / Corollary 4.2). It returns the combined value and
-// its variance 1/Σ(1/Vi).
-//
-// Estimates with non-positive variance are treated as exact: if any are
-// present, their mean is returned with zero variance (this is the natural
-// limit of the weighting as V→0 and keeps the combination well-defined
-// when a bootstrap round produces a degenerate zero sample variance).
-func CombineInverseVariance(ests []WeightedEstimate) (value, variance float64, err error) {
-	if len(ests) == 0 {
-		return 0, 0, ErrNoData
-	}
-	var exact Running
-	for _, e := range ests {
-		if e.Variance <= 0 {
-			exact.Add(e.Value)
-		}
-	}
-	if exact.N() > 0 {
-		return exact.Mean(), 0, nil
-	}
-	var sumW, sumWV float64
-	for _, e := range ests {
-		w := 1 / e.Variance
-		sumW += w
-		sumWV += w * e.Value
-	}
-	return sumWV / sumW, 1 / sumW, nil
-}
-
-// MSE decomposes a set of estimation errors against a single truth into
-// bias², variance, and their sum (the mean squared error), per paper eq. (1).
-func MSE(ests []float64, truth float64) (bias2, variance, mse float64) {
-	var r Running
-	r.AddAll(ests)
-	b := r.Mean() - truth
-	return b * b, r.PopVar(), b*b + r.PopVar()
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -19,21 +18,26 @@ func almostEqual(a, b, tol float64) bool {
 	return diff <= tol*scale
 }
 
+// running accumulates xs into a fresh Running.
+func running(xs ...float64) Running {
+	var r Running
+	for _, x := range xs {
+		r.Add(x)
+	}
+	return r
+}
+
 func TestRunningBasics(t *testing.T) {
 	var r Running
 	if r.N() != 0 || r.Mean() != 0 || r.Var() != 0 {
 		t.Fatalf("zero value not neutral: %+v", r)
 	}
-	r.AddAll([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	r = running(2, 4, 4, 4, 5, 5, 7, 9)
 	if r.N() != 8 {
 		t.Fatalf("N = %d, want 8", r.N())
 	}
 	if got := r.Mean(); !almostEqual(got, 5, 1e-12) {
 		t.Errorf("Mean = %v, want 5", got)
-	}
-	// population variance of this classic sequence is 4
-	if got := r.PopVar(); !almostEqual(got, 4, 1e-12) {
-		t.Errorf("PopVar = %v, want 4", got)
 	}
 	if got := r.Var(); !almostEqual(got, 32.0/7.0, 1e-12) {
 		t.Errorf("Var = %v, want 32/7", got)
@@ -41,15 +45,12 @@ func TestRunningBasics(t *testing.T) {
 	if got := r.StdDev(); !almostEqual(got, math.Sqrt(32.0/7.0), 1e-12) {
 		t.Errorf("StdDev = %v", got)
 	}
-	if got := r.VarOfMean(); !almostEqual(got, 32.0/7.0/8.0, 1e-12) {
-		t.Errorf("VarOfMean = %v", got)
-	}
 }
 
 func TestRunningSingleObservation(t *testing.T) {
 	var r Running
 	r.Add(42)
-	if r.Var() != 0 || r.VarOfMean() != 0 {
+	if r.Var() != 0 {
 		t.Errorf("variance with one observation should be 0, got %v", r.Var())
 	}
 	if r.Mean() != 42 {
@@ -67,8 +68,7 @@ func TestRunningMatchesNaive(t *testing.T) {
 		for i, v := range raw {
 			xs[i] = float64(v) / 3.0
 		}
-		var r Running
-		r.AddAll(xs)
+		r := running(xs...)
 		mean := 0.0
 		for _, x := range xs {
 			mean += x
@@ -86,28 +86,6 @@ func TestRunningMatchesNaive(t *testing.T) {
 	}
 }
 
-// Property: merging two streams equals one combined stream.
-func TestRunningMergeEquivalence(t *testing.T) {
-	f := func(a, b []int16) bool {
-		var ra, rb, rc Running
-		for _, v := range a {
-			ra.Add(float64(v))
-			rc.Add(float64(v))
-		}
-		for _, v := range b {
-			rb.Add(float64(v))
-			rc.Add(float64(v))
-		}
-		ra.Merge(rb)
-		return ra.N() == rc.N() &&
-			almostEqual(ra.Mean(), rc.Mean(), 1e-9) &&
-			almostEqual(ra.Var(), rc.Var(), 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMeanErrors(t *testing.T) {
 	if _, err := Mean(nil); err != ErrNoData {
 		t.Errorf("Mean(nil) err = %v, want ErrNoData", err)
@@ -119,14 +97,14 @@ func TestMeanErrors(t *testing.T) {
 }
 
 func TestSampleVar(t *testing.T) {
-	if v := SampleVar([]float64{5}); v != 0 {
-		t.Errorf("SampleVar single = %v, want 0", v)
+	if r := running(5); r.Var() != 0 {
+		t.Errorf("Var single = %v, want 0", r.Var())
 	}
-	if v := SampleVar([]float64{1, 1, 1, 1}); v != 0 {
-		t.Errorf("SampleVar constant = %v, want 0", v)
+	if r := running(1, 1, 1, 1); r.Var() != 0 {
+		t.Errorf("Var constant = %v, want 0", r.Var())
 	}
-	if v := SampleVar([]float64{1, 3}); !almostEqual(v, 2, 1e-12) {
-		t.Errorf("SampleVar{1,3} = %v, want 2", v)
+	if r := running(1, 3); !almostEqual(r.Var(), 2, 1e-12) {
+		t.Errorf("Var{1,3} = %v, want 2", r.Var())
 	}
 }
 
@@ -147,82 +125,5 @@ func TestRelativeError(t *testing.T) {
 	}
 	if got := RelativeError(1, 0); !math.IsInf(got, 1) {
 		t.Errorf("RelativeError(1,0) = %v, want +Inf", got)
-	}
-}
-
-func TestCombineInverseVariance(t *testing.T) {
-	// Two estimates with equal variance: plain average.
-	v, vv, err := CombineInverseVariance([]WeightedEstimate{
-		{Value: 10, Variance: 4}, {Value: 20, Variance: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(v, 15, 1e-12) {
-		t.Errorf("combined value = %v, want 15", v)
-	}
-	if !almostEqual(vv, 2, 1e-12) {
-		t.Errorf("combined variance = %v, want 2", vv)
-	}
-
-	// Lower-variance estimate dominates.
-	v, _, err = CombineInverseVariance([]WeightedEstimate{
-		{Value: 10, Variance: 1}, {Value: 20, Variance: 1e9},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(v-10) > 0.01 {
-		t.Errorf("combined value = %v, want ~10", v)
-	}
-
-	// Zero-variance estimate is treated as exact.
-	v, vv, err = CombineInverseVariance([]WeightedEstimate{
-		{Value: 7, Variance: 0}, {Value: 100, Variance: 5},
-	})
-	if err != nil || v != 7 || vv != 0 {
-		t.Errorf("exact estimate: got %v,%v,%v", v, vv, err)
-	}
-
-	if _, _, err := CombineInverseVariance(nil); err != ErrNoData {
-		t.Errorf("empty combine err = %v, want ErrNoData", err)
-	}
-}
-
-// Property: the inverse-variance combination never has higher variance than
-// the best individual estimate.
-func TestCombineReducesVariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(5)
-		ests := make([]WeightedEstimate, n)
-		best := math.Inf(1)
-		for i := range ests {
-			ests[i] = WeightedEstimate{Value: rng.NormFloat64() * 100, Variance: 0.1 + rng.Float64()*10}
-			if ests[i].Variance < best {
-				best = ests[i].Variance
-			}
-		}
-		_, vv, err := CombineInverseVariance(ests)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if vv > best+1e-12 {
-			t.Fatalf("combined variance %v exceeds best individual %v", vv, best)
-		}
-	}
-}
-
-func TestMSEDecomposition(t *testing.T) {
-	ests := []float64{9, 11, 10, 10}
-	bias2, variance, mse := MSE(ests, 8)
-	if !almostEqual(bias2, 4, 1e-12) {
-		t.Errorf("bias² = %v, want 4", bias2)
-	}
-	if !almostEqual(variance, 0.5, 1e-12) {
-		t.Errorf("variance = %v, want 0.5", variance)
-	}
-	if !almostEqual(mse, 4.5, 1e-12) {
-		t.Errorf("mse = %v, want 4.5", mse)
 	}
 }

@@ -57,8 +57,10 @@ type Config struct {
 	// Aggregates are the tracked aggregate specs (required). On resume
 	// they must match the checkpoint (same count and order).
 	Aggregates []*agg.Aggregate
-	// Budget is the per-round query limit G of StepOnce (0 = unlimited;
-	// only sensible against a local simulation).
+	// Budget is the per-round query limit G of StepOnce. 0 lifts the
+	// limit, which only suits a local simulation: RESTART and REISSUE
+	// then need MaxDrills, or their rounds fail with
+	// estimator.ErrUnboundedRound.
 	Budget int
 	// Seed drives the estimator's randomness. A resumed service should
 	// use a fresh seed: signatures already drawn live in the checkpoint.

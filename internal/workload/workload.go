@@ -452,11 +452,6 @@ func (e *Env) matching(pred func(*schema.Tuple) bool) []uint64 {
 // schedules are applied from round 2 onward by the harness.
 type Schedule func(round int, env *Env) error
 
-// Static returns a schedule that never changes the database.
-func Static() Schedule {
-	return func(int, *Env) error { return nil }
-}
-
 // PoolChurn returns the paper's default-style schedule: per round, insert
 // insertN pool tuples and delete a deleteFrac fraction (applied before
 // insertion, matching "delete 0.1% of the existing tuples").
@@ -489,12 +484,6 @@ func NetChange(n int) Schedule {
 		}
 		return env.DeleteRandom(-n)
 	}
-}
-
-// TotalChange regenerates the whole database every round (§3.2.1
-// example 2).
-func TotalChange() Schedule {
-	return func(_ int, env *Env) error { return env.RegenerateAll() }
 }
 
 // Compose applies schedules in order.

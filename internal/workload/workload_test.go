@@ -187,8 +187,8 @@ func TestSchedules(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := Static()(2, env); err != nil || env.Store.Size() != 1000 {
-		t.Errorf("static changed the db: %d", env.Store.Size())
+	if env.Store.Size() != 1000 {
+		t.Errorf("initial db: %d", env.Store.Size())
 	}
 
 	if err := NetChange(100)(2, env); err != nil {
@@ -212,11 +212,11 @@ func TestSchedules(t *testing.T) {
 	}
 
 	before := env.Store.Size()
-	if err := TotalChange()(5, env); err != nil {
+	if err := env.RegenerateAll(); err != nil {
 		t.Fatal(err)
 	}
 	if env.Store.Size() != before {
-		t.Errorf("TotalChange altered size: %d -> %d", before, env.Store.Size())
+		t.Errorf("RegenerateAll altered size: %d -> %d", before, env.Store.Size())
 	}
 
 	combo := Compose(NetChange(10), NetChange(-5))

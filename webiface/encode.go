@@ -105,7 +105,8 @@ func appendWireResult(dst []byte, k int, res hiddendb.Result) []byte {
 	dst = strconv.AppendBool(dst, res.Overflow)
 	dst = append(dst, `,"tuples":`...)
 	if len(res.Tuples) == 0 {
-		// wireResultOf never appended, leaving a nil slice: "null".
+		// The encoding/json reference (wireResultOf, in the tests)
+		// never appends here, leaving a nil slice: "null".
 		return append(dst, `null}`...)
 	}
 	dst = append(dst, '[')

@@ -26,6 +26,16 @@ import (
 // across cache hit/miss, winner/waiter and shard counts, and across
 // mutation between identical queries. These tests pin that.
 
+// wireResultOf builds the wire struct the pre-fast-path handler encoded
+// with encoding/json: the reference the fast path's bytes are pinned to.
+func (h *Handler) wireResultOf(res hiddendb.Result) wireResult {
+	out := wireResult{K: h.b.K(), Overflow: res.Overflow}
+	for _, t := range res.Tuples {
+		out.Tuples = append(out.Tuples, wireTuple{ID: t.ID, Vals: t.Vals, Aux: t.Aux})
+	}
+	return out
+}
+
 // legacyBody is the oracle: what the handler answered before the fast
 // path existed — json.Encoder over wireResultOf (note the trailing
 // newline Encode appends). It runs the query on a FRESH interface over

@@ -398,14 +398,6 @@ func (h *Handler) parseWhere(where []string) (hiddendb.Query, error) {
 	return hiddendb.NewQuery(preds...), nil
 }
 
-func (h *Handler) wireResultOf(res hiddendb.Result) wireResult {
-	out := wireResult{K: h.b.K(), Overflow: res.Overflow}
-	for _, t := range res.Tuples {
-		out.Tuples = append(out.Tuples, wireTuple{ID: t.ID, Vals: t.Vals, Aux: t.Aux})
-	}
-	return out
-}
-
 // serveSearch answers a single GET query through the wire fast path:
 // parse into pooled scratch, charge the budget, probe the answer cache
 // by scratch-built key bytes, and serve the pre-encoded body on a hit.
