@@ -44,7 +44,7 @@ figures-check:
 		diff internal/experiments/testdata/all.golden - || exit 1; \
 	echo "figures-check: -all at seed 1 matches all.golden; wall $$(( $$(date +%s) - start )) s (advisory)"
 
-# reach is the dead-code gate. It builds the seven commands, the five
+# reach is the dead-code gate. It builds the six commands, the five
 # examples and perfbench with inlining off, and fails on any function
 # declared in production code that none of them links, unless it is
 # public API (the dynagg and webiface packages, and what dynagg.go
@@ -110,7 +110,7 @@ promcheck:
 	$(GO) test -count=1 ./internal/metrics/ ./internal/metrics/promcheck/
 
 # bench regenerates every figure and reports the headline metrics, then
-# refreshes the machine-readable serving-benchmark record.
+# refreshes the serving-benchmark record.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 	$(MAKE) bench-serving
@@ -124,9 +124,8 @@ bench:
 # sharded scatter-gather serving at shards=1/4/16 under mutation load,
 # the fleet scheduler tick at tasks=1 vs tasks=8 on one shared remote,
 # the bitmap AND kernel scalar-vs-unrolled pair and the HTTP handler's
-# legacy-vs-fastpath pair) and emits machine-readable results to
-# BENCH_serving.json; CI archives the file as an artifact, seeding the
-# repo's perf trajectory.
+# legacy-vs-fastpath pair) into BENCH_serving.out, plain `go test -bench`
+# output that benchstat reads; CI archives the file as an artifact.
 SERVING_BENCH := BenchmarkSnapshotPrefixQuery|BenchmarkSnapshotPrefixWide|BenchmarkStoreApplyBatch|BenchmarkStoreInsertDelete|BenchmarkSnapshotNonPrefix|BenchmarkQueryKey|BenchmarkServingConcurrent|BenchmarkConcurrentSessions|BenchmarkEstimatorExec|BenchmarkFleetScheduler|BenchmarkBitmapAND|BenchmarkHandlerSearch
 BENCHTIME ?= 1s
 # BenchmarkServingConcurrent races a free-running mutator goroutine, so
@@ -136,14 +135,11 @@ BENCHTIME ?= 1s
 # the go test timeout). A fixed iteration count keeps the run bounded
 # and the numbers comparable across commits (same count CI ratios with).
 CHURN_BENCHTIME ?= 2000x
-# Steps are separate (not a pipe) so a benchmark failure fails the
-# target instead of being masked by the converter's exit status.
 bench-serving:
 	$(GO) test -run '^$$' -bench '$(SERVING_BENCH)' -benchmem -benchtime $(BENCHTIME) \
 		./internal/hiddendb/ ./internal/experiments/ ./internal/estimator/ ./internal/fleet/ ./webiface/ > BENCH_serving.out
 	$(GO) test -run '^$$' -bench 'BenchmarkServingConcurrent' -benchmem -benchtime $(CHURN_BENCHTIME) \
 		. >> BENCH_serving.out
-	$(GO) run ./cmd/dynagg-benchjson -out BENCH_serving.json < BENCH_serving.out
 
 # bench-load fires the ReqBench-style HTTP load harness at an in-process
 # server: a cache-cold pass (every request a fresh query) and a

@@ -215,7 +215,7 @@ func BenchmarkServingConcurrent(b *testing.B) {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					s := iface.NewSession(0) // sessions are per-goroutine
+					s := iface.NewSession(per) // sessions are per-goroutine
 					for i := 0; i < per; i++ {
 						if _, err := s.Search(queries[(g+i)%len(queries)]); err != nil {
 							b.Error(err)
@@ -276,7 +276,7 @@ func BenchmarkServingConcurrent(b *testing.B) {
 					wg.Add(1)
 					go func(g int) {
 						defer wg.Done()
-						s := siface.NewSession(0)
+						s := siface.NewSession(per)
 						for i := 0; i < per; i++ {
 							if _, err := s.Search(queries[(g+i)%len(queries)]); err != nil {
 								b.Error(err)

@@ -81,7 +81,7 @@ func run(args []string, stderr io.Writer) int {
 		manifest   = fs.String("manifest", "", "JSON task manifest (array of task specs) loaded at start")
 		tick       = fs.Duration("tick", 10*time.Second, "scheduler tick cadence")
 		ticks      = fs.Int("ticks", 0, "stop after this many ticks (0 = run until interrupted)")
-		tickBudget = fs.Int("tick-budget", 1000, "global query budget split across runnable tasks each tick (0 = no limit, local targets only; RESTART and REISSUE tasks then need max_drills or max_budget)")
+		tickBudget = fs.Int("tick-budget", 1000, "global query budget split across runnable tasks each tick (at least 1)")
 
 		// Built-in local simulation target (referenced as "target": "local").
 		localN      = fs.Int("local-n", 40000, "local target: dataset size")
@@ -102,6 +102,10 @@ func run(args []string, stderr io.Writer) int {
 	db := dbflags.DB{Prefix: "local-", N: *localN, M: *localM, K: *localK, Insert: *localInsert, Delete: *localDelete}
 	if err := db.Check(); err != nil {
 		fmt.Fprintln(stderr, "dynagg-fleet:", err)
+		return 2
+	}
+	if *tickBudget < 1 || *tickBudget > fleet.MaxTickBudget {
+		fmt.Fprintf(stderr, "dynagg-fleet: -tick-budget must be in [1, %d]\n", fleet.MaxTickBudget)
 		return 2
 	}
 	logger, err := obs.NewLogger(*logFormat, stderr)

@@ -6,10 +6,9 @@ import (
 	"testing"
 )
 
-// TestBadFlags: each out-of-range flag of the local target's database is
-// refused with exit 2 and one stderr line naming the flag, before the
-// database is built. A flag the check missed runs one empty tick and
-// exits 0.
+// TestBadFlags: each out-of-range flag of the local target's database,
+// and a tick budget outside [1, 2^31), is refused with exit 2 and one
+// stderr line naming the flag, before the database is built.
 func TestBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-local-m", "0"}, {"-local-m", "40"},
@@ -17,6 +16,7 @@ func TestBadFlags(t *testing.T) {
 		{"-local-n", "-5"},
 		{"-local-insert", "-5"},
 		{"-local-delete", "1.5"},
+		{"-tick-budget", "0"}, {"-tick-budget", "2147483648"},
 	} {
 		var errOut bytes.Buffer
 		base := []string{"-addr", "", "-ticks", "1", "-tick", "1ms", "-local-n", "2000"}

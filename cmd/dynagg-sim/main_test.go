@@ -34,9 +34,8 @@ func TestTableGolden(t *testing.T) {
 }
 
 // A bad flag value exits 2 with one line naming the flag, before any
-// database is built: no panic, no hang on an unlimited budget. The runs
-// ask for no rounds, so a missing check shows as exit 0 or a panic, not
-// as an endless round.
+// database is built, and never panics. The runs ask for no rounds, so a
+// missing check shows as exit 0 or a panic.
 func TestBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-m", "0"}, {"-m", "40"},

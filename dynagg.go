@@ -90,10 +90,9 @@ const NullCode = schema.NullCode
 // ErrBudgetExhausted is returned by Session.Search past the round budget.
 var ErrBudgetExhausted = hiddendb.ErrBudgetExhausted
 
-// ErrUnboundedRound is returned by a RESTART or REISSUE Step on a
-// session without a budget when MaxDrills is 0: that round would never
-// end. The Step spends no query.
-var ErrUnboundedRound = estimator.ErrUnboundedRound
+// ErrNoBudget is returned by a Step on a session whose budget is below
+// 1. The Step spends no query.
+var ErrNoBudget = estimator.ErrNoBudget
 
 // Schema and store construction.
 var (
@@ -177,10 +176,8 @@ const (
 type TrackerOptions struct {
 	// Algorithm picks the estimator (default AlgoRS).
 	Algorithm Algorithm
-	// Budget is the per-round query limit G imposed by the database.
-	// 0 lifts the limit, which suits only a local simulation: RESTART
-	// and REISSUE then drill until MaxDrills, and their Step returns
-	// ErrUnboundedRound when MaxDrills is 0.
+	// Budget is the per-round query limit G imposed by the database: at
+	// least 1, or Step returns ErrNoBudget.
 	Budget int
 	// Seed drives all random choices; runs are reproducible.
 	Seed int64

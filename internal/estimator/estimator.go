@@ -48,9 +48,7 @@ type Config struct {
 	// the price of memory.
 	RetainTuples bool
 	// MaxDrills caps the total number of live drill downs an estimator
-	// maintains (0 = no cap). Guards memory in very long runs, and ends
-	// a RESTART or REISSUE round on a session without a budget, which
-	// they refuse with ErrUnboundedRound when it is 0.
+	// maintains (0 = no cap). Guards memory in very long runs.
 	MaxDrills int
 	// BroadMatchNull must mirror the database's NULL policy (paper §5
 	// "Other Issues"): under broad match a NULL tuple is returned by
@@ -106,11 +104,17 @@ type Session interface {
 	hiddendb.Searcher
 	// Used returns the queries issued so far in this round.
 	Used() int
-	// Remaining returns the unused budget (negative when unlimited).
+	// Remaining returns the unused budget, never negative.
 	Remaining() int
-	// Budget returns the round's budget G (<= 0 when unlimited).
+	// Budget returns the round's budget G: the most queries the round
+	// may issue.
 	Budget() int
 }
+
+// ErrNoBudget is returned by every estimator's Step on a session whose
+// Budget is below 1. The Step spends no query and leaves Round() where
+// it was.
+var ErrNoBudget = errors.New("estimator: a round needs a budget of at least 1 query")
 
 // Estimator is the common behaviour of RESTART, REISSUE and RS.
 type Estimator interface {

@@ -441,37 +441,24 @@ func TestMaxDrillsBoundsPool(t *testing.T) {
 	}
 }
 
-// TestUnboundedRound: on a session without a budget RESTART and REISSUE
-// drill until the pool reaches MaxDrills, so with MaxDrills 0 they
-// refuse the round before spending a query, and with MaxDrills 64 they
-// finish it with 64 drills.
-func TestUnboundedRound(t *testing.T) {
+// TestZeroBudgetRefused: every algorithm refuses a session that may
+// issue no query, before it spends one or advances its round.
+func TestZeroBudgetRefused(t *testing.T) {
 	te := newTestEnv(t, 130, 10000, 9000, 100)
 	sch := te.env.Store.Schema()
-	for _, algo := range []string{"RESTART", "REISSUE"} {
-		e, err := New(algo, sch, []*agg.Aggregate{agg.CountAll()}, cfg(131))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess := te.iface.NewSession(0)
-		if err := e.Step(sess); !errors.Is(err, ErrUnboundedRound) {
-			t.Errorf("%s: uncapped unlimited round: err = %v, want ErrUnboundedRound", algo, err)
-		}
-		if sess.Used() != 0 || e.Round() != 0 {
-			t.Errorf("%s: refused round spent %d queries and advanced to round %d", algo, sess.Used(), e.Round())
-		}
-
-		c := cfg(131)
-		c.MaxDrills = 64
-		e, err = New(algo, sch, []*agg.Aggregate{agg.CountAll()}, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Step(te.iface.NewSession(0)); err != nil {
-			t.Fatalf("%s: capped unlimited round: %v", algo, err)
-		}
-		if e.Round() != 1 || e.DrillDowns() != 64 {
-			t.Errorf("%s: capped unlimited round ended at round %d with %d drills, want 1 and 64", algo, e.Round(), e.DrillDowns())
+	for _, algo := range []string{"RESTART", "REISSUE", "RS"} {
+		for _, g := range []int{0, -5} {
+			e, err := New(algo, sch, []*agg.Aggregate{agg.CountAll()}, cfg(131))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess := te.iface.NewSession(g)
+			if err := e.Step(sess); !errors.Is(err, ErrNoBudget) {
+				t.Errorf("%s at G=%d: err = %v, want ErrNoBudget", algo, g, err)
+			}
+			if sess.Used() != 0 || e.Round() != 0 {
+				t.Errorf("%s at G=%d: refused round spent %d queries and advanced to round %d", algo, g, sess.Used(), e.Round())
+			}
 		}
 	}
 }

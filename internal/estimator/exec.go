@@ -1,7 +1,6 @@
 package estimator
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -138,16 +137,11 @@ func (b *base) runPlan(sess Session, ops []drillOp) []opResult {
 	}
 	i := 0
 	for i < len(ops) {
-		rem := sess.Remaining() // < 0 ⇒ unlimited
-		wave := 0
-		if rem < 0 {
-			wave = len(ops) - i
-		} else {
-			budget := rem
-			for i+wave < len(ops) && ops[i+wave].maxCost <= budget {
-				budget -= ops[i+wave].maxCost
-				wave++
-			}
+		rem := sess.Remaining()
+		wave, budget := 0, rem
+		for i+wave < len(ops) && ops[i+wave].maxCost <= budget {
+			budget -= ops[i+wave].maxCost
+			wave++
 		}
 		if wave == 0 {
 			// Tail: the next walk runs alone with everything that remains,
@@ -216,17 +210,15 @@ func (b *base) runWave(workers int, sess Session, ops []drillOp, results []opRes
 // shared-budget death. An allowance belongs to one walk goroutine.
 type allowance struct {
 	inner hiddendb.Searcher
-	left  int // < 0 ⇒ unlimited
+	left  int // queries the walk may still issue
 	used  int // queries actually handed to inner
 }
 
 func (a *allowance) Search(q hiddendb.Query) (hiddendb.Result, error) {
-	if a.left == 0 {
+	if a.left <= 0 {
 		return hiddendb.Result{}, hiddendb.ErrBudgetExhausted
 	}
-	if a.left > 0 {
-		a.left--
-	}
+	a.left--
 	a.used++
 	return a.inner.Search(q)
 }
@@ -276,26 +268,6 @@ func (b *base) applyUpdate(d *drill, o querytree.Outcome, round int) {
 	d.cur = b.contributionOf(round, o)
 }
 
-// ErrUnboundedRound is returned by RESTART's and REISSUE's Step on a
-// session without a budget when Config.MaxDrills is 0: their fresh-drill
-// phase ends only when the budget dies or the pool reaches MaxDrills, so
-// that round would never end. The Step spends no query and leaves
-// Round() where it was.
-var ErrUnboundedRound = errors.New("estimator: an unlimited round needs Config.MaxDrills > 0")
-
-// checkBounded refuses a round runFreshPhase could not end.
-func (b *base) checkBounded(sess Session) error {
-	if sess.Remaining() < 0 && b.cfg.MaxDrills <= 0 {
-		return ErrUnboundedRound
-	}
-	return nil
-}
-
-// unlimitedFreshBatch is the batch size of open-ended fresh phases when
-// the session has no budget: any fixed constant keeps the RNG stream
-// independent of the worker count.
-const unlimitedFreshBatch = 16
-
 // runFreshPhase drills fresh signatures until the budget dies or the pool
 // cap is hit, invoking apply for every completed drill in plan order. The
 // batch size is a function of the remaining budget only — never of the
@@ -303,14 +275,9 @@ const unlimitedFreshBatch = 16
 // Parallelism. Returns whether the phase ended in a budget death.
 func (b *base) runFreshPhase(sess Session, poolLen func() int, apply func(*drill)) (bool, error) {
 	for {
-		n := 0
-		if rem := sess.Remaining(); rem < 0 {
-			n = unlimitedFreshBatch
-		} else {
-			// Enough full-allowance drills to cover the budget, plus the
-			// one that may die on the remainder.
-			n = rem/(b.tree.Depth()+1) + 1
-		}
+		// Enough full-allowance drills to cover the budget, plus the one
+		// that may die on the remainder.
+		n := sess.Remaining()/(b.tree.Depth()+1) + 1
 		if b.cfg.MaxDrills > 0 {
 			if head := b.cfg.MaxDrills - poolLen(); head < n {
 				n = head

@@ -32,7 +32,7 @@ var _ Session = (*slowSession)(nil)
 // query remote. One op is one full budgeted round (G=400). Estimates are
 // byte-identical across the workers sub-benchmarks; only wall-clock
 // changes, so the ratio IS the issuance speedup. Recorded into
-// BENCH_serving.json by `make bench-serving`.
+// BENCH_serving.out by `make bench-serving`.
 func BenchmarkEstimatorExec(b *testing.B) {
 	for _, mode := range []struct {
 		name  string

@@ -32,8 +32,8 @@ func NewReissue(sch *schema.Schema, aggs []*agg.Aggregate, cfg Config) (*Reissue
 // front and handed to the execution engine (exec.go), which may issue the
 // walks concurrently without changing any estimate.
 func (r *Reissue) Step(sess Session) error {
-	if err := r.checkBounded(sess); err != nil {
-		return err
+	if sess.Budget() < 1 {
+		return ErrNoBudget
 	}
 	r.round++
 	startUsed := sess.Used()

@@ -34,8 +34,8 @@ func NewRestart(sch *schema.Schema, aggs []*agg.Aggregate, cfg Config) (*Restart
 // The round is planned and executed in batches (exec.go), so the walks
 // may be issued concurrently without changing any estimate.
 func (r *Restart) Step(sess Session) error {
-	if err := r.checkBounded(sess); err != nil {
-		return err
+	if sess.Budget() < 1 {
+		return ErrNoBudget
 	}
 	r.round++
 	startUsed := sess.Used()

@@ -138,6 +138,9 @@ type rsGroup struct {
 
 // Step runs one round of RS-ESTIMATOR.
 func (r *RS) Step(sess Session) error {
+	if sess.Budget() < 1 {
+		return ErrNoBudget
+	}
 	r.round++
 	startUsed := sess.Used()
 
@@ -171,7 +174,7 @@ func (r *RS) Step(sess Session) error {
 	// drawn in group order) and handed to the execution engine, which
 	// may issue the walks concurrently without changing any estimate.
 	pilot := r.cfg.Pilot
-	if g := sess.Budget(); g > 0 && pilot*len(groups) > g/3 {
+	if g := sess.Budget(); pilot*len(groups) > g/3 {
 		pilot = max(1, g/(3*len(groups)))
 	}
 	var ops []drillOp

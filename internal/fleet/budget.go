@@ -21,21 +21,13 @@ type claim struct {
 //     one unit at a time in task-ID order — so for any budget and weight
 //     vector the same IDs always win the leftover units.
 //
-// total <= 0 means the fleet is unlimited: every task is granted its own
-// cap (0 = unlimited round, matching tracking.Config.Budget semantics).
-// With total > 0 a grant of 0 means "no queries this tick" — the
-// scheduler must skip the task, not start an unlimited round.
+// total is in [1, MaxTickBudget] (New refuses any other tick budget). A
+// grant of 0 means "no queries this tick": the scheduler skips the task.
 //
 // Paused tasks simply do not appear as claims, so their budget flows to
 // the remaining tasks by the same rules.
 func allocate(total int, claims []claim) []int {
 	grants := make([]int, len(claims))
-	if total <= 0 {
-		for i, c := range claims {
-			grants[i] = c.cap
-		}
-		return grants
-	}
 	remaining := total
 	for remaining > 0 {
 		// Tasks that can still absorb budget this pass.
@@ -78,7 +70,7 @@ func allocate(total int, claims []claim) []int {
 	return grants
 }
 
-// headroom returns how much more the claim can absorb (-1 = unlimited).
+// headroom returns how much more the claim can absorb (-1 = uncapped).
 func headroom(c claim, granted int) int {
 	if c.cap == 0 {
 		return -1

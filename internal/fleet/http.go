@@ -129,7 +129,7 @@ func (m *Manager) serveMetrics(w http.ResponseWriter) {
 	var b metrics.Builder
 	b.Family("dynagg_fleet_ticks_total", "counter", "Scheduler ticks completed (lifetime, survives restart).")
 	b.Int("dynagg_fleet_ticks_total", st.Ticks)
-	b.Family("dynagg_fleet_tick_budget", "gauge", "Global per-tick query budget (0 = unlimited).")
+	b.Family("dynagg_fleet_tick_budget", "gauge", "Global per-tick query budget split across the runnable tasks.")
 	b.Int("dynagg_fleet_tick_budget", st.TickBudget)
 	b.Family("dynagg_fleet_tasks", "gauge", "Registered tasks.")
 	b.Int("dynagg_fleet_tasks", st.TaskCount)

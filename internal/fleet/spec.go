@@ -42,7 +42,7 @@ type TaskSpec struct {
 	Parallelism int `json:"parallelism,omitempty"`
 	// Pilot overrides RS's bootstrap parameter ϖ (0 = default).
 	Pilot int `json:"pilot,omitempty"`
-	// MaxDrills bounds the drill-down pool (0 = unlimited).
+	// MaxDrills bounds the drill-down pool (0 = no bound).
 	MaxDrills int `json:"max_drills,omitempty"`
 	// DeltaTarget makes RS optimise the trans-round delta.
 	DeltaTarget bool `json:"delta_target,omitempty"`
@@ -54,9 +54,13 @@ type TaskSpec struct {
 var idPattern = regexp.MustCompile(`^[A-Za-z0-9._-]+$`)
 
 // MaxWeight bounds TaskSpec.Weight. allocate multiplies a tick budget by
-// a weight and sums weights in int; under this bound neither can
-// overflow for any tick budget below 2^31.
+// a weight and sums weights in int; under this bound and MaxTickBudget
+// neither can overflow.
 const MaxWeight = 1_000_000
+
+// MaxTickBudget bounds Config.TickBudget, which New holds to
+// [1, MaxTickBudget].
+const MaxTickBudget = 1<<31 - 1
 
 // validate normalises defaults and rejects malformed specs.
 func (s *TaskSpec) validate() error {
@@ -73,9 +77,8 @@ func (s *TaskSpec) validate() error {
 		return fmt.Errorf("fleet: task %s weight %d outside [1, %d]", s.ID, s.Weight, MaxWeight)
 	}
 	if s.MaxBudget < 0 {
-		// A negative cap would starve the task forever on a budgeted
-		// fleet (never "active" in the allocator) yet mean "unlimited"
-		// on an unbudgeted one — reject rather than guess.
+		// A negative cap would starve the task forever (never "active"
+		// in the allocator): reject rather than guess.
 		return fmt.Errorf("fleet: task %s max_budget %d < 0", s.ID, s.MaxBudget)
 	}
 	switch s.Algorithm {

@@ -259,7 +259,7 @@ func TestIfaceAnswerCacheCounters(t *testing.T) {
 func TestShardedIfaceAnswerCacheCounters(t *testing.T) {
 	_, ss, churn := mirroredStores(t, 52, 400, 4, []int{8, 6, 10})
 	f := NewShardedIface(ss, 10, nil)
-	stale := f.NewSession(0) // pinned to the first epoch
+	stale := f.NewSession(100) // pinned to the first epoch
 	q := NewQuery(Pred{Attr: 0, Val: 1})
 
 	// The first query of an epoch runs the engine; the repeat hits.

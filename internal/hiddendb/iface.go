@@ -380,18 +380,19 @@ func (f *Iface) LookupAnswer(key []byte) (*Answer, bool) {
 // mutation — and reports so via ConcurrentSearchable.
 type Session struct {
 	b         BatchSearcher
-	g         int // <= 0 means unlimited
+	g         int // >= 0
 	used      atomic.Int64
 	preSearch func(queryIndex int)
 }
 
-// NewSession starts a round over b with budget G (G <= 0 means
-// unlimited).
+// NewSession starts a round over b that answers at most G queries (none
+// when G <= 0).
 func NewSession(b BatchSearcher, g int) *Session {
-	return &Session{b: b, g: g}
+	return &Session{b: b, g: max(g, 0)}
 }
 
-// NewSession starts a round with budget G (G <= 0 means unlimited).
+// NewSession starts a round that answers at most G queries (none when
+// G <= 0).
 func (f *Iface) NewSession(g int) *Session { return NewSession(f, g) }
 
 // SetPreSearchHook installs fn, invoked with the 0-based index of each
@@ -464,9 +465,6 @@ func (s *Session) Schema() *schema.Schema { return s.b.Schema() }
 // claim charges one query, returning its 0-based index and whether the
 // budget allowed it.
 func (s *Session) claim() (int, bool) {
-	if s.g <= 0 {
-		return int(s.used.Add(1) - 1), true
-	}
 	for {
 		u := s.used.Load()
 		if u >= int64(s.g) {
@@ -481,15 +479,11 @@ func (s *Session) claim() (int, bool) {
 // Used returns the number of queries issued in this session.
 func (s *Session) Used() int { return int(s.used.Load()) }
 
-// Remaining returns the unused budget, or a negative number if unlimited.
-func (s *Session) Remaining() int {
-	if s.g <= 0 {
-		return -1
-	}
-	return s.g - s.Used()
-}
+// Remaining returns the unused budget, never negative.
+func (s *Session) Remaining() int { return s.g - s.Used() }
 
-// Budget returns the session's budget G (<=0 means unlimited).
+// Budget returns the session's budget G (0 when it was started with
+// G <= 0).
 func (s *Session) Budget() int { return s.g }
 
 var _ ConcurrentSearcher = (*Session)(nil)

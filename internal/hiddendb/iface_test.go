@@ -211,15 +211,15 @@ func TestSessionBudget(t *testing.T) {
 		t.Errorf("Used = %d after rejection, want 3", s.Used())
 	}
 
-	// Unlimited session.
-	u := f.NewSession(0)
-	for i := 0; i < 10; i++ {
-		if _, err := u.Search(NewQuery()); err != nil {
-			t.Fatal(err)
+	// G <= 0 answers nothing.
+	for _, g := range []int{0, -1} {
+		z := f.NewSession(g)
+		if _, err := z.Search(NewQuery()); err != ErrBudgetExhausted {
+			t.Errorf("G=%d: err = %v, want ErrBudgetExhausted", g, err)
 		}
-	}
-	if u.Remaining() >= 0 {
-		t.Errorf("unlimited Remaining = %d, want negative", u.Remaining())
+		if z.Remaining() != 0 || z.Used() != 0 || z.Budget() != 0 {
+			t.Errorf("G=%d: Remaining %d, Used %d, Budget %d; want 0, 0, 0", g, z.Remaining(), z.Used(), z.Budget())
+		}
 	}
 }
 

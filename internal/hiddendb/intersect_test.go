@@ -8,7 +8,7 @@ import (
 
 // andBitmapsScalar is the pre-unroll word-at-a-time kernel, kept as the
 // equivalence reference for TestBitmapANDUnrollEquivalence and the
-// "before" half of BenchmarkBitmapAND in BENCH_serving.json.
+// "before" half of BenchmarkBitmapAND in BENCH_serving.out.
 func andBitmapsScalar(a, b *idBitmap, dst []uint16) []uint16 {
 	for w := 0; w < bitmapWords; w++ {
 		m := a[w] & b[w]

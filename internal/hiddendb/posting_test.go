@@ -328,7 +328,7 @@ func TestScratchPoolRaceIface(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			s := f.NewSession(0)
+			s := f.NewSession(100)
 			for i := 0; i < 60; i++ {
 				switch (g + i) % 3 {
 				case 0:
@@ -409,7 +409,7 @@ func TestScratchPoolRaceSharded(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			s := f.NewSession(0)
+			s := f.NewSession(100)
 			for i := 0; i < 40; i++ {
 				switch (g + i) % 3 {
 				case 0:

@@ -162,7 +162,7 @@ func TestProbeAnswersLikeSearch(t *testing.T) {
 				st := newNullableTestStore(t, 65, 2000, probeDomains, 0.1)
 				st.SetBroadMatchNull(broad)
 				hookRng := rand.New(rand.NewSource(66))
-				sess[i] = NewIface(st, 20, nil).NewSession(0)
+				sess[i] = NewIface(st, 20, nil).NewSession(1000)
 				sess[i].SetPreSearchHook(func(int) { probeChurn(t, st, hookRng, 1) })
 			}
 			rng := rand.New(rand.NewSource(67))
@@ -201,7 +201,7 @@ func TestShardedProbeAnswersLikeSearch(t *testing.T) {
 				rng := rand.New(rand.NewSource(72))
 				var prev *Session
 				for round := 0; round < 3; round++ {
-					sess := f.NewSession(0)
+					sess := f.NewSession(1000)
 					for _, q := range probeQueries(rng, ss.Schema(), 60) {
 						probe, _ := sess.Search(q.Probe())
 						full, _ := sess.Search(q)
@@ -298,7 +298,7 @@ func TestProbeCacheIsolation(t *testing.T) {
 
 	ss := probeShardedStore(t, 83, 2000, 4)
 	sf := NewShardedIface(ss, k, nil)
-	sess := sf.NewSession(0)
+	sess := sf.NewSession(100)
 	if r, _ := sess.Search(root.Probe()); !r.Overflow || len(r.Tuples) != 0 {
 		t.Fatalf("sharded root probe: overflow %v with %d tuples", r.Overflow, len(r.Tuples))
 	}

@@ -404,8 +404,8 @@ func (f *ShardedIface) LookupAnswer(key []byte) (*Answer, bool) {
 
 // NewSession starts a budgeted round pinned to the CURRENT epoch: every
 // query of the session — however long it runs — is answered from the
-// epoch that was live when the session was created. G <= 0 means
-// unlimited.
+// epoch that was live when the session was created. It answers at most
+// G queries (none when G <= 0).
 func (f *ShardedIface) NewSession(g int) *Session {
 	return NewSession(&epochView{f: f, e: f.ss.Epoch()}, g)
 }

@@ -140,7 +140,7 @@ func TestShardedEpochPinning(t *testing.T) {
 	_, ss, churn := mirroredStores(t, 7, 900, 4, []int{6, 5, 5})
 	const k = 20
 	si := NewShardedIface(ss, k, nil)
-	pinned := si.NewSession(0)
+	pinned := si.NewSession(1000)
 	e0 := ss.Epoch()
 
 	rng := rand.New(rand.NewSource(99))
@@ -175,7 +175,7 @@ func TestShardedEpochPinning(t *testing.T) {
 
 	// A fresh session sees the current epoch: at least one answer must
 	// differ from the e0 baseline after this much churn.
-	fresh := si.NewSession(0)
+	fresh := si.NewSession(100)
 	changed := false
 	for i, q := range queries {
 		r, err := fresh.Search(q)
@@ -231,7 +231,7 @@ func TestShardedConcurrentSessions(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(1000 + g)))
-			sess := si.NewSession(0)
+			sess := si.NewSession(100)
 			e := sess.Epoch()
 			for i := 0; i < 40; i++ {
 				q := randomQueryOver(rng, ss.Schema())

@@ -129,7 +129,7 @@ func BenchmarkSnapshotNonPrefixScan(b *testing.B) {
 // posting-container refactor deleted: every Push boxes a legacyScored
 // into an interface value (one escape per retained tuple) and every
 // candidate dereferences its tuple to score it. Kept verbatim as a cost
-// model so BENCH_serving.json carries a before/after pair for the
+// model so BENCH_serving.out carries a before/after pair for the
 // indexed hot path; the equivalence is asserted once per process below.
 type legacyScored struct {
 	t *schema.Tuple
@@ -210,7 +210,7 @@ func legacyAnswer(s *Snapshot, q Query, k int) Result {
 
 // BenchmarkSnapshotNonPrefixLegacy runs the identical non-prefix
 // workload as BenchmarkSnapshotNonPrefixIndexed through the pre-refactor
-// path. The name matches the bench-serving filter, so the JSON artifact
+// path. The name matches the bench-serving filter, so the artifact
 // records this before/after pair (ns/op AND allocs/op) side by side.
 func BenchmarkSnapshotNonPrefixLegacy(b *testing.B) {
 	_, snap := servingStore(b)

@@ -505,7 +505,7 @@ func TestConcurrentSearchOneIface(t *testing.T) {
 		done := make(chan error, 32)
 		for g := 0; g < 32; g++ {
 			go func(g int) {
-				s := f.NewSession(0) // one session per goroutine
+				s := f.NewSession(100) // one session per goroutine
 				for i := 0; i < 40; i++ {
 					q := queries[(g+i)%len(queries)]
 					r, err := s.Search(q)

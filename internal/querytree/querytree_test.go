@@ -343,7 +343,7 @@ func TestDrillBudgetExhaustion(t *testing.T) {
 		t.Errorf("partial cost = %d, want 1", o.Cost)
 	}
 
-	s2 := f.NewSession(0)
+	s2 := f.NewSession(tr.Depth() + 1)
 	full, err := DrillFromRoot(s2, tr, sig)
 	if err != nil {
 		t.Fatal(err)
@@ -488,7 +488,7 @@ func TestCostAccountingMatchesSession(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for i := 0; i < 20; i++ {
 		sig := tr.RandomSignature(rng)
-		s := f.NewSession(0)
+		s := f.NewSession(tr.Depth() + 1)
 		o, err := DrillFromRoot(s, tr, sig)
 		if err != nil {
 			t.Fatal(err)
@@ -496,7 +496,7 @@ func TestCostAccountingMatchesSession(t *testing.T) {
 		if o.Cost != s.Used() {
 			t.Fatalf("fresh drill cost %d != session used %d", o.Cost, s.Used())
 		}
-		s2 := f.NewSession(0)
+		s2 := f.NewSession(tr.Depth() + 1)
 		u, err := UpdateDrill(s2, tr, sig, o.Depth)
 		if err != nil {
 			t.Fatal(err)

@@ -3,7 +3,7 @@
 // Package reach holds the dead-code gate (`make reach`): every function
 // declared in production code must be linked into a shipped binary,
 // belong to the module's public API, or carry an allowlist entry with
-// its reason. It builds the seven commands, the five examples and
+// its reason. It builds the six commands, the five examples and
 // perfbench with inlining off, reads their symbol tables with
 // `go tool nm`, lists the production functions with go/ast and matches
 // the two. The linker keeps everything a binary can reach, so an
@@ -141,8 +141,8 @@ func linkedSymbols(t *testing.T, root string) map[string]bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 13 {
-		t.Fatalf("built %d binaries, want 13 (seven commands, five examples, perfbench)", len(entries))
+	if len(entries) != 12 {
+		t.Fatalf("built %d binaries, want 12 (six commands, five examples, perfbench)", len(entries))
 	}
 	syms := map[string]bool{}
 	for _, e := range entries {

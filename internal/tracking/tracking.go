@@ -57,10 +57,8 @@ type Config struct {
 	// Aggregates are the tracked aggregate specs (required). On resume
 	// they must match the checkpoint (same count and order).
 	Aggregates []*agg.Aggregate
-	// Budget is the per-round query limit G of StepOnce. 0 lifts the
-	// limit, which only suits a local simulation: RESTART and REISSUE
-	// then need MaxDrills, or their rounds fail with
-	// estimator.ErrUnboundedRound.
+	// Budget is the per-round query limit G of StepOnce: at least 1, or
+	// the round fails with estimator.ErrNoBudget.
 	Budget int
 	// Seed drives the estimator's randomness. A resumed service should
 	// use a fresh seed: signatures already drawn live in the checkpoint.
@@ -72,7 +70,7 @@ type Config struct {
 	Pilot int
 	// DeltaTarget makes RS optimise the trans-round delta.
 	DeltaTarget bool
-	// MaxDrills bounds the drill-down pool (0 = unlimited). Long-running
+	// MaxDrills bounds the drill-down pool (0 = no bound). Long-running
 	// services should set it: the pool otherwise grows with lifetime.
 	MaxDrills int
 	// CheckpointPath, when set, is written atomically after every round

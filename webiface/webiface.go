@@ -772,29 +772,21 @@ func (c *Client) Search(q hiddendb.Query) (hiddendb.Result, error) {
 // ClientOptions.RequestTimeout additionally bounds each attempt; an
 // attempt timeout is transient (retried), ctx cancellation is terminal.
 func (c *Client) SearchContext(ctx context.Context, q hiddendb.Query) (hiddendb.Result, error) {
-	if err := c.waitSlot(ctx); err != nil {
+	var res hiddendb.Result
+	err := c.do(ctx, "search",
+		func(actx context.Context) (*http.Request, error) { return c.opts.Request(actx, c.base, q) },
+		func(resp *http.Response) (err error) {
+			if c.opts.Parse != nil {
+				res, err = c.opts.Parse(resp)
+			} else {
+				res, err = c.readAnswer(resp.Body)
+			}
+			return err
+		})
+	if err != nil {
 		return hiddendb.Result{}, err
 	}
-	var lastErr error
-	backoff := 100 * time.Millisecond
-	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
-		if attempt > 0 {
-			c.retries.Add(1)
-			if err := sleepCtx(ctx, backoff); err != nil {
-				return hiddendb.Result{}, err
-			}
-			backoff *= 2
-		}
-		res, retryable, err := c.attempt(ctx, q)
-		if err == nil {
-			return res, nil
-		}
-		if !retryable {
-			return hiddendb.Result{}, err
-		}
-		lastErr = err
-	}
-	return hiddendb.Result{}, fmt.Errorf("webiface: search failed after retries: %w", lastErr)
+	return res, nil
 }
 
 // SearchBatch issues many queries as ONE batched POST — one rate-limit
@@ -824,41 +816,6 @@ func (c *Client) SearchBatchContext(ctx context.Context, qs []hiddendb.Query) ([
 		}
 		return items, nil
 	}
-	if err := c.waitSlot(ctx); err != nil {
-		return nil, err
-	}
-	var lastErr error
-	backoff := 100 * time.Millisecond
-	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
-		if attempt > 0 {
-			c.retries.Add(1)
-			if err := sleepCtx(ctx, backoff); err != nil {
-				return nil, err
-			}
-			backoff *= 2
-		}
-		items, retryable, err := c.batchAttempt(ctx, qs)
-		if err == nil {
-			return items, nil
-		}
-		if !retryable {
-			return nil, err
-		}
-		lastErr = err
-	}
-	return nil, fmt.Errorf("webiface: batch search failed after retries: %w", lastErr)
-}
-
-// batchAttempt performs one batched request/parse cycle against the
-// versioned batch endpoint, with the same failure classification as
-// attempt.
-func (c *Client) batchAttempt(ctx context.Context, qs []hiddendb.Query) (items []hiddendb.BatchItem, retryable bool, err error) {
-	actx := ctx
-	if c.opts.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, c.opts.RequestTimeout)
-		defer cancel()
-	}
 	req := wireBatchRequest{Queries: make([]wireBatchQuery, len(qs))}
 	for i, q := range qs {
 		where := make([]string, 0, q.Len())
@@ -869,97 +826,101 @@ func (c *Client) batchAttempt(ctx context.Context, qs []hiddendb.Query) (items [
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	hreq, err := http.NewRequestWithContext(actx, http.MethodPost,
-		c.base+"/"+httpapi.Version+"/search", bytes.NewReader(body))
+	var items []hiddendb.BatchItem
+	err = c.do(ctx, "batch search",
+		func(actx context.Context) (*http.Request, error) {
+			hreq, err := http.NewRequestWithContext(actx, http.MethodPost,
+				c.base+"/"+httpapi.Version+"/search", bytes.NewReader(body))
+			if err == nil {
+				hreq.Header.Set("Content-Type", "application/json")
+			}
+			return hreq, err
+		},
+		func(resp *http.Response) (err error) {
+			items, err = c.readBatch(resp.Body)
+			return err
+		})
 	if err != nil {
-		return nil, false, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	if c.opts.APIKey != "" {
-		hreq.Header.Set("X-API-Key", c.opts.APIKey)
-	}
-	if id := obs.TraceID(ctx); id != "" {
-		// Forward the caller's trace ID so the receiving daemon's request
-		// log and logs correlate with the originating router entry.
-		hreq.Header.Set(obs.TraceHeader, id)
-	}
-	resp, err := c.http.Do(hreq)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, false, ctx.Err()
-		}
-		return nil, true, err
-	}
-	defer httpapi.DrainClose(resp.Body)
-	if c.opts.ObserveResponse != nil {
-		c.opts.ObserveResponse(resp)
-	}
-	switch {
-	case resp.StatusCode == http.StatusTooManyRequests:
-		return nil, false, &BudgetExhaustedError{Status: resp.Status}
-	case resp.StatusCode != http.StatusOK:
-		return nil, resp.StatusCode >= 500, statusError("batch search", resp)
-	}
-	items, err = c.readBatch(resp.Body)
-	if err != nil {
-		return nil, !errors.Is(err, errAnswerK), err
+		return nil, err
 	}
 	if len(items) != len(qs) {
-		return nil, false, fmt.Errorf("webiface: batch answered %d of %d queries", len(items), len(qs))
+		return nil, fmt.Errorf("webiface: batch answered %d of %d queries", len(items), len(qs))
 	}
-	return items, false, nil
+	return items, nil
 }
 
-// attempt performs one request/parse cycle, classifying failures as
-// retryable (transient network/server trouble) or terminal.
-func (c *Client) attempt(ctx context.Context, q hiddendb.Query) (res hiddendb.Result, retryable bool, err error) {
-	actx := ctx
-	if c.opts.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, c.opts.RequestTimeout)
-		defer cancel()
+// do runs one request cycle: it waits for a rate-limit slot, then makes
+// up to 1+Retries attempts with exponential backoff between them. Each
+// attempt builds its request under the attempt's context (bounded by
+// RequestTimeout), sends the API-key and trace headers, and hands a 200
+// answer to read. Transport errors, 5xx answers and read errors are
+// retried; caller cancellation, 429 (a BudgetExhaustedError), other
+// non-200 answers and an answer under another k are not. op names the
+// request in errors.
+func (c *Client) do(ctx context.Context, op string, build func(context.Context) (*http.Request, error), read func(*http.Response) error) error {
+	if err := c.waitSlot(ctx); err != nil {
+		return err
 	}
-	req, err := c.opts.Request(actx, c.base, q)
-	if err != nil {
-		return hiddendb.Result{}, false, err
-	}
-	if c.opts.APIKey != "" {
-		req.Header.Set("X-API-Key", c.opts.APIKey)
-	}
-	if id := obs.TraceID(ctx); id != "" {
-		// Forward the caller's trace ID (see batchAttempt).
-		req.Header.Set(obs.TraceHeader, id)
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			// The caller cancelled; the per-attempt timeout alone stays
-			// retryable.
-			return hiddendb.Result{}, false, ctx.Err()
+	attempt := func() (retryable bool, err error) {
+		actx := ctx
+		if c.opts.RequestTimeout > 0 {
+			var cancel context.CancelFunc
+			actx, cancel = context.WithTimeout(ctx, c.opts.RequestTimeout)
+			defer cancel()
 		}
-		return hiddendb.Result{}, true, err
+		req, err := build(actx)
+		if err != nil {
+			return false, err
+		}
+		if c.opts.APIKey != "" {
+			req.Header.Set("X-API-Key", c.opts.APIKey)
+		}
+		if id := obs.TraceID(ctx); id != "" {
+			// Forward the caller's trace ID so the receiving daemon's
+			// request log and logs correlate with the originating entry.
+			req.Header.Set(obs.TraceHeader, id)
+		}
+		resp, err := c.http.Do(req)
+		if err != nil {
+			if ctx.Err() != nil {
+				// The caller cancelled; the per-attempt timeout alone
+				// stays retryable.
+				return false, ctx.Err()
+			}
+			return true, err
+		}
+		defer httpapi.DrainClose(resp.Body)
+		if c.opts.ObserveResponse != nil {
+			c.opts.ObserveResponse(resp)
+		}
+		switch {
+		case resp.StatusCode == http.StatusTooManyRequests:
+			return false, &BudgetExhaustedError{Status: resp.Status}
+		case resp.StatusCode != http.StatusOK:
+			return resp.StatusCode >= 500, statusError(op, resp)
+		}
+		err = read(resp)
+		return !errors.Is(err, errAnswerK), err
 	}
-	defer httpapi.DrainClose(resp.Body)
-	if c.opts.ObserveResponse != nil {
-		c.opts.ObserveResponse(resp)
+	var lastErr error
+	backoff := 100 * time.Millisecond
+	for try := 0; try <= c.opts.Retries; try++ {
+		if try > 0 {
+			c.retries.Add(1)
+			if err := sleepCtx(ctx, backoff); err != nil {
+				return err
+			}
+			backoff *= 2
+		}
+		retryable, err := attempt()
+		if err == nil || !retryable {
+			return err
+		}
+		lastErr = err
 	}
-	switch {
-	case resp.StatusCode == http.StatusTooManyRequests:
-		return hiddendb.Result{}, false, &BudgetExhaustedError{Status: resp.Status}
-	case resp.StatusCode != http.StatusOK:
-		return hiddendb.Result{}, resp.StatusCode >= 500, statusError("search", resp)
-	}
-	if c.opts.Parse != nil {
-		res, err = c.opts.Parse(resp)
-	} else {
-		res, err = c.readAnswer(resp.Body)
-	}
-	if err != nil {
-		return hiddendb.Result{}, !errors.Is(err, errAnswerK), err
-	}
-	return res, false, nil
+	return fmt.Errorf("webiface: %s failed after retries: %w", op, lastErr)
 }
 
 // statusError turns a non-200 response into an error, decoding the JSON
@@ -1025,10 +986,11 @@ func defaultRequest(ctx context.Context, base string, q hiddendb.Query) (*http.R
 	return http.NewRequestWithContext(ctx, http.MethodGet, string(u), nil)
 }
 
-// NewSession starts a budgeted round against the remote database: a
-// hiddendb.Session over the client, whose atomic budget accounting lets
-// one session be shared by the estimator execution engine's bounded
-// fan-out (several goroutines issuing one round's drill-down walks).
+// NewSession starts a round against the remote database that issues at
+// most G queries (none when G <= 0): a hiddendb.Session over the client,
+// whose atomic budget accounting lets one session be shared by the
+// estimator execution engine's bounded fan-out (several goroutines
+// issuing one round's drill-down walks).
 func (c *Client) NewSession(g int) *hiddendb.Session { return hiddendb.NewSession(c, g) }
 
 var _ hiddendb.BatchSearcher = (*Client)(nil)
