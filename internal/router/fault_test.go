@@ -3,6 +3,8 @@ package router
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -308,6 +310,144 @@ func TestShardAdminHandshakeRejections(t *testing.T) {
 	if code, body = fetch(t, http.MethodPost, base+"/v1/shard/publish", "", `{"seq":7}`); code != http.StatusOK || !strings.Contains(body, `"seq":7`) {
 		t.Fatalf("publish: %d %q", code, body)
 	}
+}
+
+// FuzzShardAdmin sends a ShardAdmin over a 1-shard store the operations
+// the fuzz bytes spell. Each takes one byte (bits 0-6 mod 6 pick the
+// operation, bit 7 sends GET in place of POST) and the operand bytes
+// after it; missing bytes read as 0:
+//
+//	0 freeze
+//	1 publish of a seq, 2 abort of a seq: one byte b, the current seq
+//	  -1, +0, +1 or +2 by b&3 when b < 0x80, else the next 8 bytes
+//	  (little-endian) are the seq
+//	3 a raw publish body: one length byte, then that many bytes
+//	4 an epoch probe
+//	5 a mutation through WithMutators, skipped while frozen (it would
+//	  block): one byte, an insert when even, else a delete
+//
+// Every answer is 200, or an httpapi envelope with status 400, 405 or
+// 409, the admin's frozen flag follows the store's pending freeze, and
+// the epoch seq moves only through a successful publish or an abort
+// that reports rolled_back. Whether a later handshake succeeds is not
+// checked: a publish of seq 2^64-1 lands, after which the router's
+// next seq wraps to 0, which every shard refuses.
+func FuzzShardAdmin(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 1, 2, 4, 2, 1, 1, 2, 4})                                        // freeze, stale publish, publish, probe, rollback, publish of nothing
+	f.Add([]byte{0, 1, 0x80, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 4, 0, 1, 2}) // the wrapping seq
+	f.Add(append([]byte{0, 3, 22}, `{"seq":9,"abort":true}`...))
+	f.Add([]byte{0x80, 0x81, 2, 0x82, 1, 0x84, 5, 0, 5, 1, 0, 5, 1, 3, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		ss := hiddendb.NewShardedStore(testSchema(), 1)
+		next := func() byte {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return b
+		}
+		var nextID uint64
+		insert := func(b byte) error {
+			nextID++
+			return ss.Insert(&schema.Tuple{ID: nextID, Vals: []uint16{uint16(b % 7), uint16(b % 5), uint16(b % 4), uint16(b % 6)}})
+		}
+		for b := byte(0); b < 20; b++ {
+			if err := insert(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		admin := NewShardAdmin(ss, webiface.NewHandler(hiddendb.NewShardedIface(ss, 5, nil)), AdminOptions{})
+
+		for len(ops) > 0 {
+			op := next()
+			before := ss.Epoch().Seq()
+			seqArg := func() uint64 {
+				b := next()
+				if b < 0x80 {
+					return before + uint64(b&3) - 1
+				}
+				var v [8]byte
+				for i := range v {
+					v[i] = next()
+				}
+				return binary.LittleEndian.Uint64(v[:])
+			}
+			method, path, body := http.MethodPost, "/v1/shard/publish", ""
+			if op&0x80 != 0 {
+				method = http.MethodGet
+			}
+			switch op & 0x7f % 6 {
+			case 0:
+				path = "/v1/shard/freeze"
+			case 1:
+				body = fmt.Sprintf(`{"seq":%d}`, seqArg())
+			case 2:
+				body = fmt.Sprintf(`{"seq":%d,"abort":true}`, seqArg())
+			case 3:
+				raw := make([]byte, next())
+				for i := range raw {
+					raw[i] = next()
+				}
+				body = string(raw)
+			case 4:
+				path = "/v1/shard/epoch"
+			case 5:
+				b := next()
+				if ss.EpochFrozen() {
+					continue
+				}
+				err := admin.WithMutators(func() error {
+					if b%2 == 0 || ss.Size() == 0 {
+						return insert(b)
+					}
+					_, err := ss.Delete(ss.IDs()[0])
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				path = ""
+			}
+
+			rec := httptest.NewRecorder()
+			if path != "" {
+				admin.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+				switch rec.Code {
+				case http.StatusOK:
+				case http.StatusBadRequest, http.StatusMethodNotAllowed, http.StatusConflict:
+					if e, ok := httpapi.DecodeError(bytes.NewReader(rec.Body.Bytes())); !ok || e.Code == "" || e.Message == "" {
+						t.Fatalf("%s %s %q: %d %q is no error envelope", method, path, body, rec.Code, rec.Body)
+					}
+				default:
+					t.Fatalf("%s %s %q: status %d %q", method, path, body, rec.Code, rec.Body)
+				}
+			}
+
+			admin.mu.Lock()
+			frozen := admin.frozen
+			admin.mu.Unlock()
+			if frozen != ss.EpochFrozen() {
+				t.Fatalf("%s %s %q: admin frozen %v, store frozen %v", method, path, body, frozen, !frozen)
+			}
+			after := ss.Epoch().Seq()
+			if path == "/v1/shard/epoch" && rec.Code == http.StatusOK {
+				var probe wireShardEpoch
+				if err := json.Unmarshal(rec.Body.Bytes(), &probe); err != nil || probe.Seq != after || probe.Frozen != frozen || probe.Size != ss.Size() {
+					t.Fatalf("epoch probe %q (%v), want seq %d, frozen %v, size %d", rec.Body, err, after, frozen, ss.Size())
+				}
+			}
+			if after != before {
+				var pub wirePublished
+				published := path == "/v1/shard/publish" && rec.Code == http.StatusOK &&
+					json.Unmarshal(rec.Body.Bytes(), &pub) == nil && pub.Seq == after &&
+					(pub.RolledBack && after < before || !pub.RolledBack && after > before)
+				if !published {
+					t.Fatalf("%s %s %q answered %d %q, yet moved the seq %d -> %d", method, path, body, rec.Code, rec.Body, before, after)
+				}
+			}
+		}
+	})
 }
 
 // TestHandshakeRollbackOnFailedPublish: when one shard cannot publish,

@@ -2,9 +2,11 @@ package webiface
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +18,7 @@ import (
 	"time"
 
 	"github.com/dynagg/dynagg/internal/hiddendb"
+	"github.com/dynagg/dynagg/internal/schema"
 	"github.com/dynagg/dynagg/internal/workload"
 )
 
@@ -27,9 +30,10 @@ import (
 // mutation between identical queries. These tests pin that.
 
 // wireResultOf builds the wire struct the pre-fast-path handler encoded
-// with encoding/json: the reference the fast path's bytes are pinned to.
-func (h *Handler) wireResultOf(res hiddendb.Result) wireResult {
-	out := wireResult{K: h.b.K(), Overflow: res.Overflow}
+// with encoding/json for an answer under result cap k: the reference the
+// fast path's bytes are pinned to.
+func wireResultOf(k int, res hiddendb.Result) wireResult {
+	out := wireResult{K: k, Overflow: res.Overflow}
 	for _, t := range res.Tuples {
 		out.Tuples = append(out.Tuples, wireTuple{ID: t.ID, Vals: t.Vals, Aux: t.Aux})
 	}
@@ -46,7 +50,7 @@ func legacyBody(t *testing.T, h *Handler, fresh hiddendb.Searcher, q hiddendb.Qu
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := json.Marshal(h.wireResultOf(res))
+	raw, err := json.Marshal(wireResultOf(h.b.K(), res))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +258,7 @@ func TestFastPathByteIdentityBatch(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					wr := h.wireResultOf(res)
+					wr := wireResultOf(k, res)
 					want.Results = append(want.Results, wireBatchItem{Result: &wr})
 				}
 				wantRaw, err := json.Marshal(want)
@@ -474,6 +478,72 @@ func FuzzDecodeBatch(f *testing.F) {
 	})
 }
 
+// FuzzAppendWireResult: for any Result the fuzz bytes describe, the
+// hand-rolled encoder writes the bytes encoding/json writes for
+// wireResultOf, and parseWireResult reads them back to an equal Result
+// (nil and empty slices are equal; aux values compare bit for bit). Each
+// tuple takes a head byte (bits 0-2: vals count, bit 3: nil vals, bits
+// 4-5: aux count), an 8-byte ID, 2 bytes per val and 8 bytes of raw
+// float bits per aux value, all little-endian; missing bytes read as 0.
+// encoding/json refuses NaN and ±Inf, for which appendJSONFloat writes
+// NaN or +Inf, which is not JSON. No dataset generates such an aux
+// value, so the target drops them from the Result.
+func FuzzAppendWireResult(f *testing.F) {
+	// One tuple: ID 2^64-1, vals NullCode, 1, 2, aux 12.5.
+	f.Add(250, true, uint8(8), []byte{0x13, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+		0xff, 0xff, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0x29, 0x40})
+	// A tuple with nil vals, then one with no vals and aux -0.
+	f.Add(3, false, uint8(2), []byte{0x08, 1, 0, 0, 0, 0, 0, 0, 0,
+		0x10, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Fuzz(func(t *testing.T, k int, overflow bool, m uint8, data []byte) {
+		take := func(n int) []byte {
+			b := make([]byte, n)
+			data = data[copy(b, data):]
+			return b
+		}
+		res := hiddendb.Result{Overflow: overflow}
+		for len(data) > 0 {
+			head := take(1)[0]
+			tp := &schema.Tuple{ID: binary.LittleEndian.Uint64(take(8))}
+			if head&8 == 0 {
+				tp.Vals = make([]uint16, head&7)
+				for i := range tp.Vals {
+					tp.Vals[i] = binary.LittleEndian.Uint16(take(2))
+				}
+			}
+			for i := byte(0); i < head>>4&3; i++ {
+				if a := math.Float64frombits(binary.LittleEndian.Uint64(take(8))); !math.IsNaN(a) && !math.IsInf(a, 0) {
+					tp.Aux = append(tp.Aux, a)
+				}
+			}
+			res.Tuples = append(res.Tuples, tp)
+		}
+
+		got := appendWireResult(nil, k, res)
+		want, err := json.Marshal(wireResultOf(k, res))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("encoder wrote\n%s\nencoding/json wrote\n%s", got, want)
+		}
+		back, err := parseWireResult(got, k, int(m))
+		if err != nil {
+			t.Fatalf("decoding %s: %v", got, err)
+		}
+		if back.Overflow != res.Overflow || len(back.Tuples) != len(res.Tuples) {
+			t.Fatalf("%s decoded to overflow %v and %d tuples, want %v and %d",
+				got, back.Overflow, len(back.Tuples), res.Overflow, len(res.Tuples))
+		}
+		sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+		for i, tp := range res.Tuples {
+			if b := back.Tuples[i]; b.ID != tp.ID || !slices.Equal(b.Vals, tp.Vals) || !slices.EqualFunc(b.Aux, tp.Aux, sameBits) {
+				t.Fatalf("tuple %d decoded to %+v, want %+v", i, *b, *tp)
+			}
+		}
+	})
+}
+
 // TestFastPathBatchMatchAllAfterPredicates is the end-to-end form of the
 // scratch-reuse check: alternate a predicate-heavy batch with a bare
 // {"queries":[{}]} batch against one server and assert the match-all
@@ -494,7 +564,7 @@ func TestFastPathBatchMatchAllAfterPredicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wr := h.wireResultOf(res)
+	wr := wireResultOf(h.b.K(), res)
 	want := wireBatchResponse{K: 40, Results: []wireBatchItem{{Result: &wr}}}
 	wantRaw, err := json.Marshal(want)
 	if err != nil {
