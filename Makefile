@@ -84,22 +84,21 @@ race:
 		./internal/metrics/promcheck/
 
 # fuzz runs each native fuzz target for a bounded time, in its own
-# package: the client's wire-answer walk (GET and batch) differential
-# against encoding/json, the handler's wire-answer encoder differential
-# against encoding/json and read back by that walk, the handler's
-# query-string walk differential against net/url, the handler's pooled
-# batch decode differential against a fresh scratch, the estimator
-# checkpoint loader and the fleet state file loader, which must refuse
-# or survive any bytes, and the shard admin wire (freeze, publish,
-# abort, probe, mutation), which must answer 200 or an error envelope
-# and keep its freeze flag and epoch seq consistent. The committed seed
+# package: the client's wire-answer walk differential against
+# encoding/json, the handler's wire-answer encoder differential against
+# encoding/json and read back by that walk, the handler's query-string
+# walk differential against net/url, the estimator checkpoint loader
+# and the fleet state file loader, which must refuse or survive any
+# bytes, and the shard admin wire (freeze, publish, abort, probe,
+# mutation), which must answer 200 or an error envelope and keep its
+# freeze flag and epoch seq consistent. The committed seed
 # corpora under each package's testdata/fuzz also run in every plain go
 # test; `go test -fuzz` takes one target per run. Entries are
 # package:target.
 FUZZTIME ?= 10s
-FUZZ_TARGETS := ./webiface/:FuzzParseWireResult ./webiface/:FuzzParseWireBatch \
-	./webiface/:FuzzAppendWireResult ./webiface/:FuzzParseSearchParams ./webiface/:FuzzDecodeBatch \
-	./internal/estimator/:FuzzLoad ./internal/fleet/:FuzzFleetState ./internal/router/:FuzzShardAdmin
+FUZZ_TARGETS := ./webiface/:FuzzParseWireResult ./webiface/:FuzzAppendWireResult \
+	./webiface/:FuzzParseSearchParams ./internal/estimator/:FuzzLoad \
+	./internal/fleet/:FuzzFleetState ./internal/router/:FuzzShardAdmin
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run '^$$' -fuzz "^$${t##*:}$$" -fuzztime $(FUZZTIME) "$${t%%:*}" || exit 1; \

@@ -34,7 +34,6 @@ func main() {
 		fullScale = flag.Bool("full", false, "use the paper's full-scale parameters")
 		csvDir    = flag.String("csv", "", "also write <dir>/<fig>.csv for plotting")
 		workers   = flag.Int("workers", 0, "concurrent trial workers (0 = DYNAGG_WORKERS env or one per core); output is identical for every value")
-		estWorker = flag.Int("estimator-workers", 0, "concurrent drill-down walks per estimator round (0 = DYNAGG_ESTIMATOR_WORKERS env or sequential); output is identical for every value")
 	)
 	flag.Parse()
 	writeCSV = *csvDir
@@ -47,9 +46,6 @@ func main() {
 	}
 	if *workers > 0 {
 		opt.Workers = *workers
-	}
-	if *estWorker > 0 {
-		opt.Parallelism = *estWorker
 	}
 
 	switch {

@@ -1,10 +1,11 @@
 // Command dynagg-router fronts a fleet of shard-mode dynagg-serve
 // processes as ONE logical hidden database. It serves the full /v1/
-// surface — search (GET and batched POST), schema, stats, healthz,
+// surface — search (one GET per query), schema, stats, healthz,
 // metrics, debug/requests — through the same webiface.Handler as
 // dynagg-serve, answering every search by scatter-gather across the
 // fleet under one pinned epoch, with responses byte-identical to a
-// single process serving the union of the shards.
+// single process serving the union of the shards. A search that cannot
+// reach every shard under that epoch answers 503.
 //
 // The router owns the fleet's epoch lifecycle: on -epoch-every it drives
 // the two-phase handshake (freeze every shard with mutators quiescent,
@@ -51,7 +52,6 @@ func main() {
 		probeEvery = flag.Duration("probe-every", 2*time.Second, "shard health probe interval (0 = no probing)")
 		retries    = flag.Int("retries", 2, "per-shard request retries with exponential backoff")
 		timeout    = flag.Duration("timeout", 5*time.Second, "per-shard request attempt timeout")
-		degraded   = flag.Bool("degraded", false, "serve from surviving shards when some fail, instead of failing fast with an unavailable envelope")
 		logFormat  = flag.String("log-format", "text", "log output format: text or json")
 		pprofAddr  = flag.String("pprof-addr", "", "optional admin listener serving net/http/pprof (empty = disabled)")
 		debugReqs  = flag.Int("debug-requests", webiface.DefaultDebugRequests, "size of the /v1/debug/requests ring (<= 0 disables)")
@@ -90,7 +90,6 @@ func main() {
 				RequestTimeout: *timeout,
 			},
 			PerKeyBudget:  *budget,
-			DegradedReads: *degraded,
 			AdminTimeout:  *timeout,
 			DebugRequests: *debugReqs,
 			SlowRequest:   *slowReq,
@@ -181,7 +180,7 @@ func main() {
 
 	logger.Info("routing fleet",
 		"addr", *addr, "shards", rt.NumShards(), "k", rt.K(), "budget", *budget,
-		"epoch_every", (*epochEvery).String(), "degraded", *degraded)
+		"epoch_every", (*epochEvery).String())
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Error("listen", "error", err)
 		os.Exit(1)

@@ -72,11 +72,11 @@
 //     drill-down walks — drawing all randomness from its rand.Rand up
 //     front, one goroutine — and then an execution engine issues the
 //     planned walks concurrently (TrackerOptions.Parallelism /
-//     estimator.Config.Parallelism / DYNAGG_ESTIMATOR_WORKERS), applying
-//     results in drill-index order. A wave of walks is admitted only
-//     when its worst-case cost fits the remaining budget, and the tail
-//     runs one walk at a time with everything left, so estimates are
-//     byte-identical for every worker count. Sessions carry atomic
+//     estimator.Config.Parallelism), applying results in drill-index
+//     order. A wave of walks is admitted only when its worst-case cost
+//     fits the remaining budget, and the tail runs one walk at a time
+//     with everything left, so estimates are byte-identical for every
+//     worker count. Sessions carry atomic
 //     budget accounting for exactly this bounded fan-out: one Session
 //     (local or webiface) may be shared by the walk goroutines of ONE
 //     Step. Sessions that cannot be searched concurrently — a pre-search
@@ -115,9 +115,9 @@
 //     shard count (the shard-equivalence fuzz proves this under churn
 //     for shards ∈ {1, 4, 16}).
 //   - Epoch-pinned sessions: ShardedIface.NewSession pins the epoch
-//     current at creation; every answer of that session — including
-//     SearchBatch — is served from that one epoch, so a round's session
-//     never observes two epochs no matter how many advance under it.
+//     current at creation; every answer of that session is served from
+//     that one epoch, so a round's session never observes two epochs no
+//     matter how many advance under it.
 //
 // The unit of parallelism for experiments remains one independent
 // Monte-Carlo TRIAL: the harness (internal/experiments) runs each trial
@@ -126,12 +126,11 @@
 // per round, that every algorithm's estimator queries in turn on its
 // own session — and aggregates results by trial index, so a parallel
 // run is byte-identical to a sequential one with the same seed
-// (Options.Workers, default one per core).
-// Options.Parallelism adds the intra-trial axis on top: each trial's
-// estimators fan their drill-down issuance out without changing a digit
-// of any figure. Immutable-after-construction values — schema.Schema,
-// querytree.Tree, a generated Dataset, every published Snapshot — may
-// be shared freely. The contract is enforced by a race-detector CI job
+// (Options.Workers, default one per core). Within a trial each
+// estimator issues its walks sequentially: the fan-out would not change
+// a digit of any figure. Immutable-after-construction values —
+// schema.Schema, querytree.Tree, a generated Dataset, every published
+// Snapshot — may be shared freely. The contract is enforced by a race-detector CI job
 // (make race) covering the engine, the estimator executor, the tracking
 // service, the experiment harness, the workload pools and the HTTP
 // serving layer.

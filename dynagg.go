@@ -195,10 +195,10 @@ type TrackerOptions struct {
 	// estimators then apply the matching probability correction.
 	BroadMatchNull bool
 	// Parallelism bounds how many goroutines issue a round's planned
-	// drill-down walks concurrently against the session (0 reads
-	// DYNAGG_ESTIMATOR_WORKERS, defaulting to sequential). Estimates are
-	// byte-identical for every value; sessions that are not safe for
-	// concurrent searching are served sequentially regardless.
+	// drill-down walks concurrently against the session (0 or less means
+	// sequential). Estimates are byte-identical for every value; sessions
+	// that are not safe for concurrent searching are served sequentially
+	// regardless.
 	Parallelism int
 }
 

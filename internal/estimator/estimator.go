@@ -27,8 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"strconv"
 
 	"github.com/dynagg/dynagg/internal/agg"
 	"github.com/dynagg/dynagg/internal/hiddendb"
@@ -58,10 +56,9 @@ type Config struct {
 	BroadMatchNull bool
 	// Parallelism bounds how many of a round's planned drill-down walks
 	// the execution engine (exec.go) issues concurrently against the
-	// session. 0 reads DYNAGG_ESTIMATOR_WORKERS, defaulting to 1
-	// (sequential). Estimates are byte-identical for every value; the
-	// engine silently falls back to 1 when the session is not safe for
-	// concurrent Search calls.
+	// session; 0 or less means 1 (sequential). Estimates are
+	// byte-identical for every value; the engine silently falls back to 1
+	// when the session is not safe for concurrent Search calls.
 	Parallelism int
 	// DeltaTarget makes RS allocate its budget to minimise the variance
 	// of the trans-round delta Q(D_j) − Q(D_{j-1}) instead of the
@@ -74,11 +71,7 @@ func (c Config) withDefaults() Config {
 		c.Pilot = 10
 	}
 	if c.Parallelism <= 0 {
-		if v, _ := strconv.Atoi(os.Getenv("DYNAGG_ESTIMATOR_WORKERS")); v > 0 {
-			c.Parallelism = v
-		} else {
-			c.Parallelism = 1
-		}
+		c.Parallelism = 1
 	}
 	return c
 }

@@ -51,7 +51,7 @@ func Fig4(opt Options) (*Figure, error) {
 				return nil, err
 			}
 			iface := hiddendb.NewIface(env.Store, p.k, nil)
-			cfg := estimator.Config{Rand: rand.New(rand.NewSource(dataSeed + rngSeedOffset)), Parallelism: opt.Parallelism}
+			cfg := estimator.Config{Rand: rand.New(rand.NewSource(dataSeed + rngSeedOffset))}
 			est, err := estimator.New(string(m.algo), env.Store.Schema(), countAggs(env.Store.Schema()), cfg)
 			if err != nil {
 				return nil, err

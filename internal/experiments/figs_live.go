@@ -20,7 +20,7 @@ func Fig20(opt Options) (*Figure, error) {
 	}
 	iface := am.Interface()
 	aggs := am.Aggregates()
-	cfg := estimator.Config{Rand: rand.New(rand.NewSource(opt.Seed + 7)), Parallelism: opt.Parallelism}
+	cfg := estimator.Config{Rand: rand.New(rand.NewSource(opt.Seed + 7))}
 	est, err := estimator.New("RS", am.Env.Store.Schema(), aggs, cfg)
 	if err != nil {
 		return nil, err
@@ -70,7 +70,7 @@ func Fig21(opt Options) (*Figure, error) {
 	iface := eb.Interface()
 	ests := map[Algo]estimator.Estimator{}
 	for _, a := range AllAlgos {
-		cfg := estimator.Config{Rand: rand.New(rand.NewSource(opt.Seed + 7)), Parallelism: opt.Parallelism}
+		cfg := estimator.Config{Rand: rand.New(rand.NewSource(opt.Seed + 7))}
 		e, err := estimator.New(string(a), eb.Env.Store.Schema(),
 			[]*agg.Aggregate{eb.FixAggregate(), eb.BidAggregate()}, cfg)
 		if err != nil {

@@ -62,25 +62,16 @@ type Options struct {
 	// Results are aggregated by trial index, so every figure is
 	// byte-identical across Workers values for the same Seed.
 	Workers int
-	// Parallelism is the intra-trial bound: how many of one round's
-	// planned drill-down walks each estimator issues concurrently
-	// (estimator.Config.Parallelism; 0 = DYNAGG_ESTIMATOR_WORKERS or
-	// sequential). Estimates — and therefore figures — are byte-identical
-	// across values; constant-update figures fall back to sequential
-	// automatically (their sessions carry a pre-search hook).
-	Parallelism int
 }
 
-// DefaultOptions reads DYNAGG_FULL_SCALE, DYNAGG_WORKERS and
-// DYNAGG_ESTIMATOR_WORKERS from the environment.
+// DefaultOptions reads DYNAGG_FULL_SCALE and DYNAGG_WORKERS from the
+// environment.
 func DefaultOptions() Options {
 	workers, _ := strconv.Atoi(os.Getenv("DYNAGG_WORKERS"))
-	estWorkers, _ := strconv.Atoi(os.Getenv("DYNAGG_ESTIMATOR_WORKERS"))
 	return Options{
-		Seed:        1,
-		FullScale:   os.Getenv("DYNAGG_FULL_SCALE") == "1",
-		Workers:     workers,
-		Parallelism: estWorkers,
+		Seed:      1,
+		FullScale: os.Getenv("DYNAGG_FULL_SCALE") == "1",
+		Workers:   workers,
 	}
 }
 
@@ -305,7 +296,6 @@ func runTrackingTrial(spec TrackSpec, opt Options, trial int) (*trackTrial, erro
 	for i, a := range AllAlgos {
 		cfg := estimator.Config{
 			Rand:        rand.New(rand.NewSource(dataSeed + rngSeedOffset)),
-			Parallelism: opt.Parallelism,
 			DeltaTarget: spec.Delta,
 		}
 		if ests[i], err = estimator.New(string(a), env.Store.Schema(), aggs, cfg); err != nil {

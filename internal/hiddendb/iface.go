@@ -1,7 +1,6 @@
 package hiddendb
 
 import (
-	"context"
 	"hash/maphash"
 	"sync"
 	"sync/atomic"
@@ -168,22 +167,6 @@ func (f *front) probe(fz frozen, q Query) *Answer {
 	return &Answer{res: Result{Overflow: true}}
 }
 
-// batch counts and answers qs on the ONE frozen state pin returns, so
-// each answer is byte-identical to a single query on that state. An empty
-// batch pins nothing.
-func (f *front) batch(qs []Query, pin func() (frozen, uint64)) []*Answer {
-	out := make([]*Answer, len(qs))
-	if len(qs) == 0 {
-		return out
-	}
-	f.queries.Add(uint64(len(qs)))
-	fz, version := pin()
-	for i, q := range qs {
-		out[i] = f.answer(fz, version, q)
-	}
-	return out
-}
-
 // lookup is the serving fast path: probe the cache of the current
 // version by already-encoded key bytes (Query.AppendKey) without
 // constructing a Query. A hit counts as one answered query; a miss
@@ -201,15 +184,6 @@ func (f *front) lookup(version uint64, key []byte) (*Answer, bool) {
 	f.queries.Add(1)
 	f.stats.hits.Add(1)
 	return a, true
-}
-
-// batchItems wraps a batch's answers as BatchSearcher items.
-func batchItems(as []*Answer) []BatchItem {
-	items := make([]BatchItem, len(as))
-	for i, a := range as {
-		items[i].Result = a.res
-	}
-	return items
 }
 
 // cacheShardCount shards the per-version answer cache to keep concurrent
@@ -330,28 +304,6 @@ func (f *Iface) searchAnswer(q Query) *Answer {
 	return a
 }
 
-// SearchBatch answers many queries against ONE snapshot pin: the whole
-// batch sees the same frozen version, and each answer is byte-identical
-// to what a sequence of Search calls over the unchanged version returns.
-// Like Search it never fails; per-query budget charging lives in Session.
-func (f *Iface) SearchBatch(qs []Query) ([]BatchItem, error) {
-	return batchItems(f.batch(qs, f.pin)), nil
-}
-
-// SearchBatchAnswer is SearchBatch returning the shared cached Answers —
-// the batched wire path serves pre-encoded bodies through them. Same
-// single-snapshot pin, same byte-identical results; it ignores ctx and
-// never fails.
-func (f *Iface) SearchBatchAnswer(_ context.Context, qs []Query) ([]*Answer, error) {
-	return f.batch(qs, f.pin), nil
-}
-
-// pin publishes (if needed) and returns the store's current snapshot.
-func (f *Iface) pin() (frozen, uint64) {
-	s := f.st.Snapshot()
-	return s, s.version
-}
-
 // LookupAnswer is the serving fast path (see front.lookup). It only hits
 // when the store has a current published snapshot AND the cache already
 // holds the key, so it can never observe a version the full path would
@@ -365,7 +317,7 @@ func (f *Iface) LookupAnswer(key []byte) (*Answer, bool) {
 }
 
 // Session enforces the per-round query budget G on top of any
-// BatchSearcher — an Iface, an epoch-pinned view of a ShardedIface, or a
+// Searcher — an Iface, an epoch-pinned view of a ShardedIface, or a
 // remote webiface.Client — and optionally drives the constant-update
 // model by running a hook before each query (the harness uses the hook to
 // apply mid-round updates, modelling databases that change while the
@@ -379,7 +331,7 @@ func (f *Iface) LookupAnswer(key []byte) (*Answer, bool) {
 // single-goroutine use — the hook couples query order to database
 // mutation — and reports so via ConcurrentSearchable.
 type Session struct {
-	b         BatchSearcher
+	b         Searcher
 	g         int // >= 0
 	used      atomic.Int64
 	preSearch func(queryIndex int)
@@ -387,7 +339,7 @@ type Session struct {
 
 // NewSession starts a round over b that answers at most G queries (none
 // when G <= 0).
-func NewSession(b BatchSearcher, g int) *Session {
+func NewSession(b Searcher, g int) *Session {
 	return &Session{b: b, g: max(g, 0)}
 }
 
@@ -416,42 +368,15 @@ func (s *Session) Search(q Query) (Result, error) {
 	return s.b.Search(q)
 }
 
-// SearchBatch issues many queries as one batch, charging one unit of
-// budget per query in order. Queries the budget cannot cover come back as
-// ErrBudgetExhausted items; the covered prefix is answered in one backend
-// batch (one snapshot/epoch pin, one round trip for a remote database),
-// whose whole-batch failure is the error return. With a pre-search hook
-// installed the batch degrades to sequential Search calls — the hook
-// mutates the database between queries, so answering them together would
-// change semantics.
+// SearchBatch issues qs as ordered Search calls, charging one unit of
+// budget per query. Queries past the budget, and any query whose search
+// fails, come back as items carrying the error; the error return is
+// always nil.
 func (s *Session) SearchBatch(qs []Query) ([]BatchItem, error) {
 	items := make([]BatchItem, len(qs))
-	if s.preSearch != nil {
-		for i, q := range qs {
-			r, err := s.Search(q)
-			items[i] = BatchItem{Result: r, Err: err}
-		}
-		return items, nil
-	}
-	claimed := make([]Query, 0, len(qs))
-	claimedIdx := make([]int, 0, len(qs))
 	for i, q := range qs {
-		if _, ok := s.claim(); !ok {
-			items[i].Err = ErrBudgetExhausted
-			continue
-		}
-		claimed = append(claimed, q)
-		claimedIdx = append(claimedIdx, i)
-	}
-	if len(claimed) == 0 {
-		return items, nil
-	}
-	got, err := s.b.SearchBatch(claimed)
-	if err != nil {
-		return nil, err
-	}
-	for j, it := range got {
-		items[claimedIdx[j]] = it
+		r, err := s.Search(q)
+		items[i] = BatchItem{Result: r, Err: err}
 	}
 	return items, nil
 }
@@ -488,7 +413,6 @@ func (s *Session) Budget() int { return s.g }
 
 var _ ConcurrentSearcher = (*Session)(nil)
 var _ BatchSearcher = (*Session)(nil)
-var _ BatchSearcher = (*Iface)(nil)
 
 // AsSearcher returns the interface as an unbudgeted Searcher (tests,
 // ground-truth-free exploration tools).

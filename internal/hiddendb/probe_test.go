@@ -280,15 +280,13 @@ func TestProbeCacheIsolation(t *testing.T) {
 	qs := probeQueries(rng, st.Schema(), 60)
 	for i := 0; i < 400; i++ {
 		q := qs[rng.Intn(len(qs))]
-		switch rng.Intn(4) {
+		switch rng.Intn(3) {
 		case 0:
 			f.Search(q.Probe())
 		case 1:
 			f.Search(q)
-		case 2:
-			f.LookupAnswer(q.AppendKey(nil))
 		default:
-			f.SearchBatch([]Query{q.Probe(), q})
+			f.LookupAnswer(q.AppendKey(nil))
 		}
 		if i == 200 {
 			probeChurn(t, st, rng, 20)

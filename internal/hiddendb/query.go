@@ -10,7 +10,7 @@
 //   - Iface: the restricted search view (top-k, overflow flag, no counts).
 //     This is all an estimator may use.
 //   - Session: a per-round budget wrapper around an Iface (or any other
-//     BatchSearcher, remote ones included), enforcing the
+//     Searcher, remote ones included), enforcing the
 //     database-imposed limit G (paper §2.1: per-IP/per-key daily limits).
 //
 // # Concurrency contract
@@ -229,23 +229,21 @@ type Searcher interface {
 	Schema() *schema.Schema
 }
 
-// BatchItem is one query's outcome within a batched search: either a
-// Result or a per-query error (budget exhaustion for the queries a
+// BatchItem is one query's outcome within Session.SearchBatch: either a
+// Result or the query's error (budget exhaustion for the queries a
 // round's remaining budget could not cover).
 type BatchItem struct {
 	Result Result
 	Err    error
 }
 
-// BatchSearcher is a Searcher that can answer many queries in one call —
-// one snapshot/epoch pin, one round trip for remote implementations, one
-// budget charge per query. The returned slice always has len(qs) items in
-// query order. The error return is reserved for whole-batch transport
-// failures (remote backends); per-query failures travel in the items.
-// Iface, webiface.Client and Session implement it.
+// BatchSearcher is a Searcher that takes many queries in one call and
+// answers them in order, one budget charge per query. The returned slice
+// always has len(qs) items in query order; per-query failures travel in
+// the items. Session implements it.
 type BatchSearcher interface {
 	Searcher
-	// SearchBatch issues the queries as one batch.
+	// SearchBatch issues the queries in order.
 	SearchBatch(qs []Query) ([]BatchItem, error)
 }
 

@@ -1,7 +1,6 @@
 package hiddendb
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -378,20 +377,6 @@ func (f *ShardedIface) SearchAnswer(q Query) (*Answer, error) {
 	return f.answer(e, e.seq, q), nil
 }
 
-// SearchBatchAnswer answers many queries under ONE epoch pin, returning
-// the shared cached Answers: every query in the batch sees the same
-// frozen state even if AdvanceEpoch lands midway. It ignores ctx and
-// never fails.
-func (f *ShardedIface) SearchBatchAnswer(_ context.Context, qs []Query) ([]*Answer, error) {
-	return f.batch(qs, f.pin), nil
-}
-
-// pin returns the current epoch, publishing the first one if needed.
-func (f *ShardedIface) pin() (frozen, uint64) {
-	e := f.ss.Epoch()
-	return e, e.seq
-}
-
 // LookupAnswer is the serving fast path over the current epoch (see
 // front.lookup): hits count one query, misses count nothing.
 func (f *ShardedIface) LookupAnswer(key []byte) (*Answer, bool) {
@@ -422,11 +407,6 @@ func (v *epochView) Search(q Query) (Result, error) {
 	return v.f.answer(v.e, v.e.seq, q).res, nil
 }
 
-func (v *epochView) SearchBatch(qs []Query) ([]BatchItem, error) {
-	return batchItems(v.f.batch(qs, v.pin)), nil
-}
-
-func (v *epochView) pin() (frozen, uint64)  { return v.e, v.e.seq }
 func (v *epochView) K() int                 { return v.f.K() }
 func (v *epochView) Schema() *schema.Schema { return v.f.Schema() }
 

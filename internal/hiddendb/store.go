@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -202,17 +203,31 @@ func compareTuples(a, b *schema.Tuple) int {
 // less reports whether a sorts strictly before b in canonical order.
 func less(a, b *schema.Tuple) bool { return compareTuples(a, b) < 0 }
 
-// Insert adds one tuple. The tuple must validate against the schema and
-// carry an ID not already present. It shifts one leaf of the sequence in
-// place, O(log n + leaf + n/leaf), copying the leaf (and the leaf arrays)
-// first if a published snapshot holds it; bulk changes should use
-// ApplyBatch.
-func (st *Store) Insert(t *schema.Tuple) error {
+// checkTuple refuses a tuple no store holds: values outside the schema,
+// the reserved ID 0, or a NaN or infinite aux value, which no JSON
+// answer can carry.
+func (st *Store) checkTuple(t *schema.Tuple) error {
 	if err := st.sch.Validate(t.Vals); err != nil {
 		return err
 	}
 	if t.ID == 0 {
 		return fmt.Errorf("hiddendb: tuple ID 0 is reserved")
+	}
+	for _, a := range t.Aux {
+		if math.IsNaN(a) || math.IsInf(a, 0) {
+			return fmt.Errorf("hiddendb: tuple %d has non-finite aux value %v", t.ID, a)
+		}
+	}
+	return nil
+}
+
+// Insert adds one tuple. The tuple must pass checkTuple and carry an ID
+// not already present. It shifts one leaf of the sequence in place,
+// O(log n + leaf + n/leaf), copying the leaf (and the leaf arrays) first
+// if a published snapshot holds it; bulk changes should use ApplyBatch.
+func (st *Store) Insert(t *schema.Tuple) error {
+	if err := st.checkTuple(t); err != nil {
+		return err
 	}
 	if _, ok := st.byID[t.ID]; ok {
 		return fmt.Errorf("hiddendb: duplicate tuple ID %d", t.ID)
@@ -279,11 +294,8 @@ func (st *Store) ApplyBatch(inserts []*schema.Tuple, deleteIDs []uint64) error {
 	copy(ins, inserts)
 	insIDs := make([]uint64, len(ins))
 	for i, t := range ins {
-		if err := st.sch.Validate(t.Vals); err != nil {
+		if err := st.checkTuple(t); err != nil {
 			return err
-		}
-		if t.ID == 0 {
-			return fmt.Errorf("hiddendb: tuple ID 0 is reserved")
 		}
 		if _, ok := st.byID[t.ID]; ok && !del[t.ID] {
 			return fmt.Errorf("hiddendb: duplicate tuple ID %d", t.ID)

@@ -1,6 +1,7 @@
 package hiddendb
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -210,6 +211,35 @@ func TestApplyBatchErrors(t *testing.T) {
 	if st.Get(2) != repl {
 		t.Error("replacement tuple not installed")
 	}
+}
+
+// TestStoreRefusesNonFiniteAux: a tuple carrying a NaN or infinite aux
+// value, which no JSON answer can carry, is refused by Insert and by
+// ApplyBatch (alone, beside a valid insert, and as an in-place update),
+// and the store is left unchanged: same size, same version.
+func TestStoreRefusesNonFiniteAux(t *testing.T) {
+	st := newTestStore(t, 9, 10, []int{4, 4})
+	size, version, four := st.Size(), st.Version(), st.Get(4)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		tup := &schema.Tuple{ID: 9000, Vals: []uint16{1, 2}, Aux: []float64{1.5, bad}}
+		if err := st.Insert(tup); err == nil {
+			t.Errorf("Insert accepted aux %v", bad)
+		}
+		ok := &schema.Tuple{ID: 9001, Vals: []uint16{0, 3}, Aux: []float64{2}}
+		if err := st.ApplyBatch([]*schema.Tuple{ok, tup}, nil); err == nil {
+			t.Errorf("ApplyBatch accepted aux %v", bad)
+		}
+		upd := four.Clone(4)
+		upd.Aux = []float64{bad}
+		if err := st.ApplyBatch([]*schema.Tuple{upd}, []uint64{4}); err == nil {
+			t.Errorf("ApplyBatch accepted an in-place update to aux %v", bad)
+		}
+		if st.Size() != size || st.Version() != version || st.Get(9001) != nil || st.Get(4) != four {
+			t.Fatalf("after refusing aux %v: size %d version %d, want %d and %d, tuple 4 and no tuple 9001",
+				bad, st.Size(), st.Version(), size, version)
+		}
+	}
+	sortedInvariant(t, st)
 }
 
 func TestReplaceKeepsIDAndSnapshots(t *testing.T) {

@@ -539,13 +539,13 @@ func TestUpdateDrillAfterTotalDeletion(t *testing.T) {
 
 // recorder logs the key of every query that reaches the database.
 type recorder struct {
-	hiddendb.BatchSearcher
+	hiddendb.Searcher
 	keys []string
 }
 
 func (r *recorder) Search(q hiddendb.Query) (hiddendb.Result, error) {
 	r.keys = append(r.keys, q.Key())
-	return r.BatchSearcher.Search(q)
+	return r.Searcher.Search(q)
 }
 
 // TestDrillBudgetCuts cuts fresh drills and updates short at every budget
@@ -564,7 +564,7 @@ func TestDrillBudgetCuts(t *testing.T) {
 	// check runs walk unbudgeted, then at every budget up to its cost.
 	check := func(label string, walk func(s hiddendb.Searcher) (Outcome, error)) Outcome {
 		t.Helper()
-		full := &recorder{BatchSearcher: f}
+		full := &recorder{Searcher: f}
 		want, err := walk(full)
 		if err != nil {
 			t.Fatalf("%s: unbudgeted walk: %v", label, err)
@@ -573,7 +573,7 @@ func TestDrillBudgetCuts(t *testing.T) {
 			t.Fatalf("%s: cost %d, issued %d queries", label, want.Cost, len(full.keys))
 		}
 		for b := 1; b <= want.Cost; b++ {
-			rec := &recorder{BatchSearcher: f}
+			rec := &recorder{Searcher: f}
 			s := hiddendb.NewSession(rec, b)
 			got, err := walk(s)
 			if !reflect.DeepEqual(rec.keys, full.keys[:b]) {

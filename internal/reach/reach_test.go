@@ -37,15 +37,12 @@ const module = "github.com/dynagg/dynagg"
 // tests share. A function only its own package's tests call belongs in
 // a _test.go file, not here.
 var allow = map[string]string{
-	"internal/estimator.base.Aggregates":      "public API: dynagg.Tracker.Aggregates, through the aliased Estimator interface",
-	"internal/hiddendb.batchItems":            "public API: Iface.SearchBatch and Session.SearchBatch (perfbench compiles against BatchSearcher)",
-	"internal/hiddendb.epochView.K":           "public API: a ShardedIface.NewSession session's backend",
-	"internal/hiddendb.epochView.Schema":      "public API: a ShardedIface.NewSession session's backend",
-	"internal/hiddendb.epochView.Search":      "public API: a ShardedIface.NewSession session's backend",
-	"internal/hiddendb.epochView.SearchBatch": "public API: a ShardedIface.NewSession session's backend",
-	"internal/hiddendb.epochView.pin":         "public API: Session.Epoch and a sharded session's SearchBatch",
-	"internal/stats.Mean":                     "shared test fixture: internal/estimator's tests average relative errors with it",
-	"internal/workload.Boolean":               "shared test fixture: internal/estimator's theory tests draw Boolean databases",
+	"internal/estimator.base.Aggregates": "public API: dynagg.Tracker.Aggregates, through the aliased Estimator interface",
+	"internal/hiddendb.epochView.K":      "public API: a ShardedIface.NewSession session's backend",
+	"internal/hiddendb.epochView.Schema": "public API: a ShardedIface.NewSession session's backend",
+	"internal/hiddendb.epochView.Search": "public API: a ShardedIface.NewSession session's backend",
+	"internal/stats.Mean":                "shared test fixture: internal/estimator's tests average relative errors with it",
+	"internal/workload.Boolean":          "shared test fixture: internal/estimator's theory tests draw Boolean databases",
 }
 
 // publicPkgs are the module's importable packages: their exported

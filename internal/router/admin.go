@@ -14,8 +14,9 @@
 //     webiface.Handler as a single process. Over shards with disjoint
 //     tuple IDs, responses are byte-identical to a single process
 //     serving the union of the shards (router_test.go pins this at 1, 4
-//     and 16 shards under churn); a merge that meets one ID twice is
-//     refused.
+//     and 16 shards under churn). A fan-out that misses any shard, or
+//     whose merge meets one ID twice, is refused with a 503, never
+//     answered in part.
 //
 // docs/deploy.md describes the topology, the handshake and the failure
 // semantics in operator terms.

@@ -13,8 +13,8 @@ import (
 	"github.com/dynagg/dynagg/webiface"
 )
 
-// TestShardConnectionsReused: sequential GETs, batches and handshakes
-// ride the keep-alive connections the router already holds, so a shard
+// TestShardConnectionsReused: sequential GETs and handshakes ride the
+// keep-alive connections the router already holds, so a shard
 // sees at most one new connection over all of them. Answers are large
 // enough (k = 250) that the shards send them chunked, which is where a
 // client that stops reading at the end of the JSON value loses its
@@ -59,13 +59,9 @@ func TestShardConnectionsReused(t *testing.T) {
 		news[i].Store(0)
 	}
 
-	batch := batchBody([][]string{{}, {"0:1"}})
 	for r := 0; r < rounds; r++ {
 		if code, body := fetch(t, http.MethodGet, rtSrv.URL+"/v1/search", "", ""); code != http.StatusOK {
 			t.Fatalf("GET: %d %q", code, body)
-		}
-		if code, body := fetch(t, http.MethodPost, rtSrv.URL+"/v1/search", "", batch); code != http.StatusOK {
-			t.Fatalf("batch: %d %q", code, body)
 		}
 		if _, err := rt.Handshake(context.Background()); err != nil {
 			t.Fatal(err)
@@ -73,7 +69,7 @@ func TestShardConnectionsReused(t *testing.T) {
 	}
 	for i := range news {
 		if n := news[i].Load(); n > 1 {
-			t.Errorf("shard %d accepted %d new connections over %d sequential GETs, batches and handshakes, want at most 1", i, n, rounds)
+			t.Errorf("shard %d accepted %d new connections over %d sequential GETs and handshakes, want at most 1", i, n, rounds)
 		}
 	}
 }

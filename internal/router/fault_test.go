@@ -30,7 +30,6 @@ type faultInjector struct {
 	mu             sync.Mutex
 	failNextSearch int           // 500 this many /v1/search requests, then recover
 	alwaysFail     bool          // 500 every /v1/search
-	failPostOnly   bool          // 500 only batched POST /v1/search
 	delay          time.Duration // sleep before answering /v1/search
 	failPublish    bool          // 500 every /v1/shard/publish
 }
@@ -48,7 +47,7 @@ func (fi *faultInjector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var delay time.Duration
 	switch r.URL.Path {
 	case "/v1/search":
-		fail = fi.alwaysFail || (fi.failPostOnly && r.Method == http.MethodPost)
+		fail = fi.alwaysFail
 		if !fail && fi.failNextSearch > 0 {
 			fi.failNextSearch--
 			fail = true
@@ -134,8 +133,8 @@ func TestRouterFailsFastOnDeadShard(t *testing.T) {
 // the same address with another -k passes the next handshake, which
 // checks epochs, not k. Its shorter partials must not merge into a 200:
 // the shard client refuses every answer under another k than it dialed,
-// without retrying, and the router answers GETs and batches with the
-// unavailable envelope naming both values.
+// without retrying, and the router answers with the unavailable
+// envelope naming both values.
 func TestRouterRefusesShardUnderOtherK(t *testing.T) {
 	injectors := make(map[int]*faultInjector)
 	f := newFleet(t, 2, 40, 300, func(i int, h http.Handler) http.Handler {
@@ -154,10 +153,6 @@ func TestRouterRefusesShardUnderOtherK(t *testing.T) {
 	code, body := fetch(t, http.MethodGet, rtSrv.URL+"/v1/search?where=0:1", "", "")
 	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"unavailable"`) || !strings.Contains(body, named) {
 		t.Fatalf("GET with a shard under k=3: %d %q, want 503 unavailable envelope naming %q", code, body, named)
-	}
-	code, body = fetch(t, http.MethodPost, rtSrv.URL+"/v1/search", "", batchBody([][]string{{"0:1"}, {}}))
-	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"unavailable"`) || !strings.Contains(body, named) {
-		t.Fatalf("batch with a shard under k=3: %d %q, want 503 unavailable envelope naming %q", code, body, named)
 	}
 	if n := rt.RetryCount(); n != 0 {
 		t.Fatalf("an answer under another k was retried %d times", n)
@@ -180,94 +175,6 @@ func TestRouterTimesOutSlowShard(t *testing.T) {
 	code, body := fetch(t, http.MethodGet, rtSrv.URL+"/v1/search?where=0:1", "", "")
 	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"unavailable"`) {
 		t.Fatalf("slow shard: %d %q, want 503 unavailable envelope", code, body)
-	}
-}
-
-// TestRouterMidBatchShardFailure: a shard dying for the batched POST
-// fails the WHOLE batch with one envelope — the router never returns a
-// batch answered by half the fleet — while single GETs keep working.
-func TestRouterMidBatchShardFailure(t *testing.T) {
-	injectors := make(map[int]*faultInjector)
-	f := newFleet(t, 3, 34, 300, func(i int, h http.Handler) http.Handler {
-		fi := &faultInjector{next: h}
-		injectors[i] = fi
-		return fi
-	})
-	rt, rtSrv := dialRouter(t, f, Options{Client: webiface.ClientOptions{Retries: 1, RequestTimeout: 2 * time.Second}})
-	f.round(rt)
-
-	injectors[1].set(func(fi *faultInjector) { fi.failPostOnly = true })
-	body := batchBody([][]string{{"0:1"}, {"1:2"}, {}})
-	code, got := fetch(t, http.MethodPost, rtSrv.URL+"/v1/search", "", body)
-	if code != http.StatusServiceUnavailable || !strings.Contains(got, `"unavailable"`) {
-		t.Fatalf("mid-batch failure: %d %q, want 503 unavailable envelope", code, got)
-	}
-	wantCode, wantBody := fetch(t, http.MethodGet, f.refSrv.URL+"/v1/search?where=0:1", "", "")
-	gotCode, gotBody := fetch(t, http.MethodGet, rtSrv.URL+"/v1/search?where=0:1", "", "")
-	if gotCode != wantCode || gotBody != wantBody {
-		t.Fatalf("GET must survive a POST-only fault: %d %q vs %d %q", gotCode, gotBody, wantCode, wantBody)
-	}
-}
-
-// TestRouterDegradedReads: with degraded reads on, a dead shard drops
-// out of the merge instead of failing the query, and the degraded
-// answers are counted.
-func TestRouterDegradedReads(t *testing.T) {
-	injectors := make(map[int]*faultInjector)
-	f := newFleet(t, 2, 35, 300, func(i int, h http.Handler) http.Handler {
-		fi := &faultInjector{next: h}
-		injectors[i] = fi
-		return fi
-	})
-	rt, rtSrv := dialRouter(t, f, Options{
-		Client:        webiface.ClientOptions{Retries: 1, RequestTimeout: 2 * time.Second},
-		DegradedReads: true,
-	})
-	f.round(rt)
-
-	injectors[1].set(func(fi *faultInjector) { fi.alwaysFail = true })
-	code, body := fetch(t, http.MethodGet, rtSrv.URL+"/v1/search", "", "")
-	if code != http.StatusOK {
-		t.Fatalf("degraded read: %d %q, want 200 from the surviving shard", code, body)
-	}
-	if !strings.HasPrefix(body, `{"k":25,`) {
-		t.Fatalf("degraded read body: %q", body)
-	}
-	if _, mb := fetch(t, http.MethodGet, rtSrv.URL+"/v1/metrics", "", ""); !strings.Contains(mb, "dynagg_router_degraded_answers_total 1") {
-		t.Fatalf("degraded answer not counted:\n%s", mb)
-	}
-}
-
-// TestRouterDegradedReadsAllShardsDown: degraded reads drop failed
-// shards only while some shard survives. With every shard down there
-// is nothing to merge, so a GET and a batch both fail with the
-// unavailable envelope instead of answering "no matches".
-func TestRouterDegradedReadsAllShardsDown(t *testing.T) {
-	injectors := make(map[int]*faultInjector)
-	f := newFleet(t, 2, 39, 300, func(i int, h http.Handler) http.Handler {
-		fi := &faultInjector{next: h}
-		injectors[i] = fi
-		return fi
-	})
-	rt, rtSrv := dialRouter(t, f, Options{
-		Client:        webiface.ClientOptions{Retries: 1, RequestTimeout: 2 * time.Second},
-		DegradedReads: true,
-	})
-	f.round(rt)
-
-	for _, inj := range injectors {
-		inj.set(func(fi *faultInjector) { fi.alwaysFail = true })
-	}
-	code, body := fetch(t, http.MethodGet, rtSrv.URL+"/v1/search?where=0:1", "", "")
-	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"unavailable"`) {
-		t.Fatalf("GET with every shard down: %d %q, want 503 unavailable envelope", code, body)
-	}
-	code, body = fetch(t, http.MethodPost, rtSrv.URL+"/v1/search", "", batchBody([][]string{{"0:1"}, {}}))
-	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"unavailable"`) {
-		t.Fatalf("batch with every shard down: %d %q, want 503 unavailable envelope", code, body)
-	}
-	if _, mb := fetch(t, http.MethodGet, rtSrv.URL+"/v1/metrics", "", ""); !strings.Contains(mb, "dynagg_router_degraded_answers_total 0") {
-		t.Fatalf("an answer from no shard counted as degraded:\n%s", mb)
 	}
 }
 
@@ -634,11 +541,7 @@ func TestRouterRefusesOverlappingShards(t *testing.T) {
 	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"unavailable"`) || !strings.Contains(body, named) {
 		t.Fatalf("GET over overlapping shards: %d %q, want 503 unavailable envelope naming %q", code, body, named)
 	}
-	code, body = fetch(t, http.MethodPost, rtSrv.URL+"/v1/search", "", batchBody([][]string{{}}))
-	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"unavailable"`) || !strings.Contains(body, named) {
-		t.Fatalf("batch over overlapping shards: %d %q, want 503 unavailable envelope naming %q", code, body, named)
-	}
-	if _, mb := fetch(t, http.MethodGet, rtSrv.URL+"/v1/metrics", "", ""); !strings.Contains(mb, "dynagg_router_failures_total 2") {
-		t.Fatalf("both refused fan-outs must count as failures:\n%s", mb)
+	if _, mb := fetch(t, http.MethodGet, rtSrv.URL+"/v1/metrics", "", ""); !strings.Contains(mb, "dynagg_router_failures_total 1") {
+		t.Fatalf("the refused fan-out must count as a failure:\n%s", mb)
 	}
 }

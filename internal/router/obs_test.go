@@ -104,9 +104,9 @@ func TestTracePropagation(t *testing.T) {
 	}
 }
 
-// TestTraceMintedAndBatchPropagation: absent a caller trace the router
-// mints one, and batched POSTs propagate it the same way.
-func TestTraceMintedAndBatchPropagation(t *testing.T) {
+// TestTraceMintedAndPropagated: absent a caller trace the router mints
+// one, echoes it, and forwards it to every shard, whose ring records it.
+func TestTraceMintedAndPropagated(t *testing.T) {
 	f := newFleet(t, 2, 412, 200)
 	for _, h := range f.handlers {
 		h.SetRequestLog(64, 0)
@@ -114,14 +114,13 @@ func TestTraceMintedAndBatchPropagation(t *testing.T) {
 	rt, srv := dialRouter(t, f, Options{DebugRequests: 64, SlowRequest: -1})
 	f.round(rt)
 
-	resp, err := http.Post(srv.URL+"/v1/search", "application/json",
-		strings.NewReader(`{"queries":[{"where":["0:1"]},{"where":["1:0"]}]}`))
+	resp, err := http.Get(srv.URL + "/v1/search?where=0:1&where=1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status %d", resp.StatusCode)
+		t.Fatalf("search status %d", resp.StatusCode)
 	}
 	minted := resp.Header.Get(obs.TraceHeader)
 	if len(minted) != 16 {
@@ -141,16 +140,15 @@ func TestTraceMintedAndBatchPropagation(t *testing.T) {
 		}
 	}
 	ring := getDebugRequests(t, srv.URL)
-	if len(ring.Records) == 0 || ring.Records[0].Trace != minted || ring.Records[0].Route != "search_batch" {
+	if len(ring.Records) == 0 || ring.Records[0].Trace != minted || ring.Records[0].Route != "search" {
 		t.Fatalf("router ring = %+v", ring.Records)
 	}
 }
 
-// TestFailedRequestRecord: a GET and a batch that fail with the
-// unavailable envelope land in the router's ring under the caller's
-// trace (or the minted one), with outcome error, the fan-out error as
-// detail and one timing per shard, the failing shard's carrying its
-// error.
+// TestFailedRequestRecord: a GET that fails with the unavailable
+// envelope lands in the router's ring under the caller's trace, with
+// outcome error, the fan-out error as detail and one timing per shard,
+// the failing shard's carrying its error.
 func TestFailedRequestRecord(t *testing.T) {
 	injectors := make(map[int]*faultInjector)
 	f := newFleet(t, 3, 414, 200, func(i int, h http.Handler) http.Handler {
@@ -193,42 +191,29 @@ func TestFailedRequestRecord(t *testing.T) {
 	if getTrace != callerTrace {
 		t.Fatalf("router echoed trace %q, want the caller's %q", getTrace, callerTrace)
 	}
-	post, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/search", strings.NewReader(batchBody([][]string{{"0:1"}, {"2:0"}})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchTrace, batchMsg := send(post)
-	if len(batchTrace) != 16 {
-		t.Fatalf("minted trace %q, want 16 hex chars", batchTrace)
-	}
 
 	ring := getDebugRequests(t, srv.URL)
-	for _, want := range []struct{ trace, route, detail string }{
-		{getTrace, "search", getMsg},
-		{batchTrace, "search_batch", batchMsg},
-	} {
-		var rec *obs.RequestRecord
-		for i := range ring.Records {
-			if ring.Records[i].Trace == want.trace {
-				rec = &ring.Records[i]
-			}
+	var rec *obs.RequestRecord
+	for i := range ring.Records {
+		if ring.Records[i].Trace == getTrace {
+			rec = &ring.Records[i]
 		}
-		if rec == nil {
-			t.Fatalf("router ring has no record with trace %q: %+v", want.trace, ring.Records)
-		}
-		if rec.Route != want.route || rec.Status != http.StatusServiceUnavailable || rec.Outcome != "error" {
-			t.Errorf("record = %+v, want route %s, status 503, outcome error", rec, want.route)
-		}
-		if rec.Detail == "" || rec.Detail != want.detail {
-			t.Errorf("%s record detail %q, want the fan-out error %q", want.route, rec.Detail, want.detail)
-		}
-		if len(rec.Shards) != len(f.srvs) {
-			t.Fatalf("%s record has %d shard timings, want %d", want.route, len(rec.Shards), len(f.srvs))
-		}
-		for i, st := range rec.Shards {
-			if failed := strings.Contains(st.Error, "injected fault"); st.Shard != i || failed != (i == victim) {
-				t.Errorf("%s shard timing %d = %+v, want an error on shard %d only", want.route, i, st, victim)
-			}
+	}
+	if rec == nil {
+		t.Fatalf("router ring has no record with trace %q: %+v", getTrace, ring.Records)
+	}
+	if rec.Route != "search" || rec.Status != http.StatusServiceUnavailable || rec.Outcome != "error" {
+		t.Errorf("record = %+v, want route search, status 503, outcome error", rec)
+	}
+	if rec.Detail == "" || rec.Detail != getMsg {
+		t.Errorf("record detail %q, want the fan-out error %q", rec.Detail, getMsg)
+	}
+	if len(rec.Shards) != len(f.srvs) {
+		t.Fatalf("record has %d shard timings, want %d", len(rec.Shards), len(f.srvs))
+	}
+	for i, st := range rec.Shards {
+		if failed := strings.Contains(st.Error, "injected fault"); st.Shard != i || failed != (i == victim) {
+			t.Errorf("shard timing %d = %+v, want an error on shard %d only", i, st, victim)
 		}
 	}
 }

@@ -30,11 +30,6 @@ type Options struct {
 	// (0 = unlimited). The router owns budget accounting for the whole
 	// fleet; shard daemons behind it run unlimited.
 	PerKeyBudget int
-	// DegradedReads serves answers from the surviving shards when some
-	// fail, instead of failing the whole query fast with a 503 envelope.
-	// Degraded answers are complete over the reachable shards only and
-	// are counted in dynagg_router_degraded_answers_total.
-	DegradedReads bool
 	// AdminTimeout bounds each admin call of the handshake and the
 	// health probe (default 5s).
 	AdminTimeout time.Duration
@@ -57,8 +52,10 @@ type Options struct {
 // webiface.Handler over that backend, so its envelopes, budgets and byte
 // layouts are single-process serving's, and its answers are
 // byte-identical to a single process serving the union of the shards.
-// Shards whose tuple IDs overlap break that union: a merge that meets
-// one ID twice fails the fan-out with a 503.
+// A fan-out that cannot merge every shard's answer under the pinned
+// epoch — a shard down, an epoch mismatch, or shards whose tuple IDs
+// overlap, so that a merge meets one ID twice — fails with a 503, never
+// a partial answer.
 //
 // Concurrency: serving fan-outs hold pinMu for read; the epoch handshake
 // holds it for write, so a query never straddles an epoch flip. Per-shard
@@ -79,7 +76,6 @@ type Router struct {
 	queries    atomic.Uint64
 	fanouts    atomic.Uint64
 	failures   atomic.Uint64
-	degraded   atomic.Uint64
 	handshakes atomic.Uint64
 
 	// mergeHist times the top-k partial merge alone, so fan-out wait and
@@ -322,8 +318,6 @@ func (rt *Router) writeFleetMetrics(w http.ResponseWriter) {
 	b.Value("dynagg_router_retries_total", float64(rt.RetryCount()))
 	b.Family("dynagg_router_failures_total", "counter", "Queries failed with an unavailable envelope (shard outage, epoch mismatch).")
 	b.Value("dynagg_router_failures_total", float64(rt.failures.Load()))
-	b.Family("dynagg_router_degraded_answers_total", "counter", "Answers served from a partial fleet under degraded-reads mode.")
-	b.Value("dynagg_router_degraded_answers_total", float64(rt.degraded.Load()))
 	b.Family("dynagg_router_handshakes_total", "counter", "Fleet epoch handshakes attempted.")
 	b.Value("dynagg_router_handshakes_total", float64(rt.handshakes.Load()))
 	b.Family("dynagg_router_epoch_seq", "gauge", "Currently pinned fleet epoch sequence (0 = none).")
@@ -371,36 +365,13 @@ func (rt *Router) SearchAnswer(q hiddendb.Query) (*hiddendb.Answer, error) {
 }
 
 // SearchAnswerContext answers one query with a GET to every shard under
-// the pinned fleet epoch, merged into one Answer. ctx carries the
-// request's trace to the shards and, through an obs.Fanout, the
-// per-shard timings back to the caller.
+// the pinned fleet epoch and merges the per-shard partials into one
+// Answer. A shard that errors, or whose response carried an epoch other
+// than the pinned one, fails the whole fan-out. ctx carries the request's
+// trace to the shards; the per-shard timings go to the context's
+// obs.Fanout, failures to the log.
 func (rt *Router) SearchAnswerContext(ctx context.Context, q hiddendb.Query) (*hiddendb.Answer, error) {
 	rt.queries.Add(1)
-	as, err := rt.fanOut(ctx, []hiddendb.Query{q}, false)
-	if err != nil {
-		return nil, err
-	}
-	return as[0], nil
-}
-
-// SearchBatchAnswer answers a batch with ONE batched POST to every shard
-// under the pinned fleet epoch, so each shard answers it under one epoch
-// pin, merged query by query. An empty batch fans out to nobody.
-func (rt *Router) SearchBatchAnswer(ctx context.Context, qs []hiddendb.Query) ([]*hiddendb.Answer, error) {
-	if len(qs) == 0 {
-		return nil, nil
-	}
-	rt.queries.Add(uint64(len(qs)))
-	return rt.fanOut(ctx, qs, true)
-}
-
-// fanOut asks every shard for qs under the pinned epoch and merges the
-// per-shard partials query by query. A shard that errors, or whose
-// response carried an epoch other than the pinned one, fails the whole
-// fan-out, unless degraded reads are on and some shard survived: then
-// its partial is simply dropped. The per-shard timings go to the
-// context's obs.Fanout, failures to the log.
-func (rt *Router) fanOut(ctx context.Context, qs []hiddendb.Query, batch bool) ([]*hiddendb.Answer, error) {
 	rt.pinMu.RLock()
 	defer rt.pinMu.RUnlock()
 	pinned := rt.seq.Load()
@@ -408,7 +379,7 @@ func (rt *Router) fanOut(ctx context.Context, qs []hiddendb.Query, batch bool) (
 		return nil, rt.fail(ctx, errors.New("no fleet epoch published yet (handshake pending)"))
 	}
 	rt.fanouts.Add(1)
-	parts := make([][]hiddendb.Result, len(rt.conns))
+	parts := make([]hiddendb.Result, len(rt.conns))
 	errs := make([]error, len(rt.conns))
 	timings := make([]obs.ShardTiming, len(rt.conns))
 	var wg sync.WaitGroup
@@ -417,14 +388,13 @@ func (rt *Router) fanOut(ctx context.Context, qs []hiddendb.Query, batch bool) (
 		go func(i int, sc *shardConn) {
 			defer wg.Done()
 			start := time.Now()
-			parts[i], errs[i] = sc.search(ctx, qs, batch)
+			parts[i], errs[i] = sc.c.SearchContext(ctx, q)
 			d := time.Since(start)
 			sc.observe(d)
 			timings[i] = obs.ShardTiming{Shard: i, DurationMs: obs.DurationMs(d)}
 		}(i, sc)
 	}
 	wg.Wait()
-	live := make([][]hiddendb.Result, 0, len(rt.conns))
 	var firstErr error
 	for i, sc := range rt.conns {
 		var err error
@@ -438,7 +408,6 @@ func (rt *Router) fanOut(ctx context.Context, qs []hiddendb.Query, batch bool) (
 			timings[i].Error = "epoch mismatch"
 		default:
 			sc.healthy.Store(true)
-			live = append(live, parts[i])
 			continue
 		}
 		if firstErr == nil {
@@ -449,26 +418,15 @@ func (rt *Router) fanOut(ctx context.Context, qs []hiddendb.Query, batch bool) (
 		f.Shards = timings
 	}
 	if firstErr != nil {
-		if !rt.opts.DegradedReads || len(live) == 0 {
-			return nil, rt.fail(ctx, firstErr)
-		}
-		rt.degraded.Add(1)
+		return nil, rt.fail(ctx, firstErr)
 	}
 	start := time.Now()
-	out := make([]*hiddendb.Answer, len(qs))
-	scratch := make([]hiddendb.Result, len(live))
-	for j := range qs {
-		for s, p := range live {
-			scratch[s] = p[j]
-		}
-		res, err := hiddendb.MergePartials(scratch, rt.k)
-		if err != nil {
-			return nil, rt.fail(ctx, err)
-		}
-		out[j] = hiddendb.NewAnswer(res)
+	res, err := hiddendb.MergePartials(parts, rt.k)
+	if err != nil {
+		return nil, rt.fail(ctx, err)
 	}
 	rt.mergeHist.Observe(time.Since(start))
-	return out, nil
+	return hiddendb.NewAnswer(res), nil
 }
 
 // fail counts and logs a fan-out that cannot answer; the Handler turns
@@ -477,27 +435,4 @@ func (rt *Router) fail(ctx context.Context, err error) error {
 	rt.failures.Add(1)
 	rt.log.Warn("fan-out failed", "trace", obs.TraceID(ctx), "error", err)
 	return err
-}
-
-// search asks one shard for qs: a GET for a single search, one batched
-// POST for a batch. A per-item error inside an otherwise successful
-// batch (which the shards' unlimited budgets should never produce)
-// fails the shard.
-func (sc *shardConn) search(ctx context.Context, qs []hiddendb.Query, batch bool) ([]hiddendb.Result, error) {
-	if !batch {
-		res, err := sc.c.SearchContext(ctx, qs[0])
-		return []hiddendb.Result{res}, err
-	}
-	items, err := sc.c.SearchBatchContext(ctx, qs)
-	if err != nil {
-		return nil, err
-	}
-	rs := make([]hiddendb.Result, len(items))
-	for j, it := range items {
-		if it.Err != nil {
-			return nil, fmt.Errorf("batch item: %w", it.Err)
-		}
-		rs[j] = it.Result
-	}
-	return rs, nil
 }

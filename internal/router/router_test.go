@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/dynagg/dynagg/internal/hiddendb"
+	"github.com/dynagg/dynagg/internal/httpapi"
 	"github.com/dynagg/dynagg/internal/schema"
 	"github.com/dynagg/dynagg/webiface"
 )
@@ -247,10 +248,9 @@ func batchBody(queries [][]string) string {
 
 // TestRouterEquivalenceFuzz is the PR's core proof: at 1, 4 and 16
 // shards, under churn with fleet epoch handshakes between rounds and
-// per-key budgets in force, every GET and batched POST answered by the
-// router over real HTTP shard daemons is byte-identical — status and
-// body — to the single-process reference serving the union of the
-// shards.
+// per-key budgets in force, every GET answered by the router over real
+// HTTP shard daemons is byte-identical — status and body — to the
+// single-process reference serving the union of the shards.
 func TestRouterEquivalenceFuzz(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		shards := shards
@@ -274,21 +274,6 @@ func TestRouterEquivalenceFuzz(t *testing.T) {
 					if gotCode != wantCode || gotBody != wantBody {
 						t.Fatalf("round %d GET where=%v key=%s diverges:\nrouter %d %q\nref    %d %q",
 							round, where, key, gotCode, gotBody, wantCode, wantBody)
-					}
-				}
-				for i := 0; i < 4; i++ {
-					nq := qrng.Intn(8)
-					queries := make([][]string, nq)
-					for j := range queries {
-						queries[j] = randomWhere(qrng, f.sch)
-					}
-					body := batchBody(queries)
-					key := keys[qrng.Intn(len(keys))]
-					wantCode, wantBody := fetch(t, http.MethodPost, f.refSrv.URL+"/v1/search", key, body)
-					gotCode, gotBody := fetch(t, http.MethodPost, rtSrv.URL+"/v1/search", key, body)
-					if gotCode != wantCode || gotBody != wantBody {
-						t.Fatalf("round %d POST batch key=%s diverges:\nrouter %d %q\nref    %d %q",
-							round, key, gotCode, gotBody, wantCode, wantBody)
 					}
 				}
 			}
@@ -344,9 +329,55 @@ func TestRouterServesUnavailableBeforeHandshake(t *testing.T) {
 	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"unavailable"`) {
 		t.Fatalf("pre-handshake search: %d %q, want 503 unavailable envelope", code, body)
 	}
-	code, body = fetch(t, http.MethodPost, rtSrv.URL+"/v1/search", "", `{"queries":[{"where":[]}]}`)
-	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"unavailable"`) {
-		t.Fatalf("pre-handshake batch: %d %q, want 503 unavailable envelope", code, body)
+}
+
+// TestSearchPostRefused: a search is one GET. A POST /v1/search with a
+// well-formed batch body answers 405 with the bad_request envelope and
+// Allow: GET, from a serving handler over an Iface and from the router
+// alike, and charges nothing: under a per-key budget of 1 the key's next
+// GET still answers 200, and only the GET after it 429.
+func TestSearchPostRefused(t *testing.T) {
+	st := hiddendb.NewStore(testSchema())
+	for id := uint64(1); id <= 200; id++ {
+		vals := []uint16{uint16(id % 7), uint16(id % 5), uint16(id % 4), uint16(id % 6)}
+		if err := st.Insert(&schema.Tuple{ID: id, Vals: vals}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := webiface.NewHandler(hiddendb.NewIface(st, 25, nil))
+	h.SetPerKeyBudget(1)
+	single := httptest.NewServer(h)
+	t.Cleanup(single.Close)
+	f := newFleet(t, 2, 415, 200)
+	rt, routed := dialRouter(t, f, Options{PerKeyBudget: 1})
+	f.round(rt)
+
+	body := batchBody([][]string{{"0:1"}, {}})
+	for _, srv := range []struct{ name, base string }{{"serve", single.URL}, {"router", routed.URL}} {
+		req, err := http.NewRequest(http.MethodPost, srv.base+"/v1/search", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-API-Key", "alice")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, ok := httpapi.DecodeError(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed || !ok || e.Code != httpapi.CodeBadRequest {
+			t.Fatalf("%s: POST /v1/search answered %d %+v, want 405 bad_request envelope", srv.name, resp.StatusCode, e)
+		}
+		if allow := resp.Header.Get("Allow"); allow != http.MethodGet {
+			t.Fatalf("%s: Allow %q, want GET", srv.name, allow)
+		}
+		if code, got := fetch(t, http.MethodGet, srv.base+"/v1/search?where=0:1", "alice", ""); code != http.StatusOK {
+			t.Fatalf("%s: GET after the refused POST: %d %q, want 200 (the POST charged the budget)", srv.name, code, got)
+		}
+		if code, got := fetch(t, http.MethodGet, srv.base+"/v1/search?where=0:1", "alice", ""); code != http.StatusTooManyRequests {
+			t.Fatalf("%s: second GET under a budget of 1: %d %q, want 429", srv.name, code, got)
+		}
 	}
 }
 

@@ -64,7 +64,7 @@ type Config struct {
 	// use a fresh seed: signatures already drawn live in the checkpoint.
 	Seed int64
 	// Parallelism is the estimator execution engine's worker bound
-	// (0 = DYNAGG_ESTIMATOR_WORKERS / sequential).
+	// (0 = sequential).
 	Parallelism int
 	// Pilot overrides RS's bootstrap parameter ϖ (0 = default).
 	Pilot int

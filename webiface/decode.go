@@ -10,7 +10,6 @@ import (
 	"strconv"
 
 	"github.com/dynagg/dynagg/internal/hiddendb"
-	"github.com/dynagg/dynagg/internal/httpapi"
 	"github.com/dynagg/dynagg/internal/schema"
 )
 
@@ -23,8 +22,8 @@ import (
 // and no Result aliases the pooled buffer: every value is parsed out.
 // Any other body (reordered or unknown fields, inner whitespace, escapes,
 // case-variant keys, out-of-range numbers) makes the walk decline, and
-// the body goes through encoding/json (jsonWireResult, jsonWireBatch),
-// which is also the reference the fuzz targets check the walk against.
+// the body goes through encoding/json (jsonWireResult), which is also
+// the reference the fuzz target checks the walk against.
 
 // errAnswerK marks an answer computed under another result cap than the
 // one the client dialed: a shard daemon restarted behind the same
@@ -51,18 +50,6 @@ func (c *Client) readAnswer(r io.Reader) (hiddendb.Result, error) {
 	return parseWireResult(b, c.k, c.sch.M())
 }
 
-// readBatch reads a batch answer body into a pooled buffer and decodes it.
-func (c *Client) readBatch(r io.Reader) ([]hiddendb.BatchItem, error) {
-	bp := getBuf()
-	defer putBuf(bp)
-	b, err := readBody(r, *bp)
-	*bp = b
-	if err != nil {
-		return nil, fmt.Errorf("webiface: batch read: %w", err)
-	}
-	return parseWireBatch(b, c.k, c.sch.M())
-}
-
 // parseWireResult decodes one GET answer under result cap k, for a
 // schema of m attributes (m only sizes the vals slab).
 func parseWireResult(b []byte, k, m int) (hiddendb.Result, error) {
@@ -71,16 +58,6 @@ func parseWireResult(b []byte, k, m int) (hiddendb.Result, error) {
 		return res, nil
 	}
 	return jsonWireResult(b, k)
-}
-
-// parseWireBatch decodes a batch answer under result cap k. Items are in
-// query order; per-query errors travel inside them.
-func parseWireBatch(b []byte, k, m int) ([]hiddendb.BatchItem, error) {
-	w := newWireWalk(b, m)
-	if items, ok := w.batch(k); ok && w.end() {
-		return items, nil
-	}
-	return jsonWireBatch(b, k)
 }
 
 // jsonWireResult is parseWireResult through encoding/json alone. Like
@@ -94,35 +71,6 @@ func jsonWireResult(b []byte, k int) (hiddendb.Result, error) {
 		return hiddendb.Result{}, err
 	}
 	return resultFromWire(wr), nil
-}
-
-// jsonWireBatch is parseWireBatch through encoding/json alone.
-func jsonWireBatch(b []byte, k int) ([]hiddendb.BatchItem, error) {
-	var wr wireBatchResponse
-	if err := json.NewDecoder(bytes.NewReader(b)).Decode(&wr); err != nil {
-		return nil, fmt.Errorf("webiface: batch decode: %w", err)
-	}
-	if err := checkK(wr.K, k); err != nil {
-		return nil, err
-	}
-	items := make([]hiddendb.BatchItem, len(wr.Results))
-	for i, it := range wr.Results {
-		switch {
-		case it.Error != nil && it.Error.Code == httpapi.CodeBudgetExhausted:
-			items[i].Err = &BudgetExhaustedError{Status: it.Error.Message}
-		case it.Error != nil:
-			e := *it.Error
-			items[i].Err = fmt.Errorf("webiface: batch item %d: %w", i, &e)
-		case it.Result != nil:
-			if err := checkK(it.Result.K, k); err != nil {
-				return nil, err
-			}
-			items[i].Result = resultFromWire(*it.Result)
-		default:
-			items[i].Err = fmt.Errorf("webiface: batch item %d: empty", i)
-		}
-	}
-	return items, nil
 }
 
 // resultFromWire converts a decoded wire result to the engine type.
@@ -239,19 +187,13 @@ func (w *wireWalk) float() (float64, bool) {
 	return f, true
 }
 
-// head walks {"k":K, the opening of an answer and of a batch, under k.
-func (w *wireWalk) head(k int) bool {
-	if !w.lit(`{"k":`) {
-		return false
-	}
-	v, ok := w.decimal(math.MaxInt)
-	return ok && v == uint64(k)
-}
-
 // result walks {"k":K,"overflow":B,"tuples":null|[tuple,…]} under k.
 func (w *wireWalk) result(k int) (hiddendb.Result, bool) {
 	var res hiddendb.Result
-	if !w.head(k) {
+	if !w.lit(`{"k":`) {
+		return res, false
+	}
+	if v, ok := w.decimal(math.MaxInt); !ok || v != uint64(k) {
 		return res, false
 	}
 	switch {
@@ -341,34 +283,4 @@ func (w *wireWalk) tuple() bool {
 	w.ptrs[w.nt] = t
 	w.nt++
 	return true
-}
-
-// batch walks {"k":K,"results":[item,…]}, each item {"result":<answer>}
-// or exactly batchBudgetErrJSON.
-func (w *wireWalk) batch(k int) ([]hiddendb.BatchItem, bool) {
-	if !w.head(k) || !w.lit(`,"results":[`) {
-		return nil, false
-	}
-	items := make([]hiddendb.BatchItem, 0, bytes.Count(w.b, []byte(`{"result":`))+
-		bytes.Count(w.b, []byte(batchBudgetErrJSON)))
-	for !w.lit(`]}`) {
-		if len(items) > 0 && !w.lit(`,`) {
-			return nil, false
-		}
-		var it hiddendb.BatchItem
-		switch {
-		case w.lit(batchBudgetErrJSON):
-			it.Err = &BudgetExhaustedError{Status: budgetExhaustedMsg}
-		case w.lit(`{"result":`):
-			res, ok := w.result(k)
-			if !ok || !w.lit(`}`) {
-				return nil, false
-			}
-			it.Result = res
-		default:
-			return nil, false
-		}
-		items = append(items, it)
-	}
-	return items, true
 }

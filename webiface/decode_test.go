@@ -3,6 +3,7 @@ package webiface
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -15,9 +16,9 @@ import (
 )
 
 // The client's walk must decode exactly what encoding/json decodes,
-// errors included: the fuzz targets hold it to jsonWireResult and
-// jsonWireBatch on any body, and their seed corpora under
-// testdata/fuzz run under plain go test too.
+// errors included: FuzzParseWireResult holds it to jsonWireResult on any
+// body, and its seed corpus under testdata/fuzz runs under plain go test
+// too.
 
 // realAnswer is the canonical body of an Autos-shaped root query: 250
 // tuples of M = 38 values and one aux each, with the trailing newline
@@ -129,7 +130,7 @@ func TestParseWireResultFallback(t *testing.T) {
 }
 
 // TestParseWireRefusesOtherK: an answer under another k is refused on
-// the walk and the fallback alike, GET and batch, naming both values.
+// the walk and the fallback alike, naming both values.
 func TestParseWireRefusesOtherK(t *testing.T) {
 	for _, body := range []string{
 		`{"k":3,"overflow":false,"tuples":null}`,
@@ -137,15 +138,6 @@ func TestParseWireRefusesOtherK(t *testing.T) {
 	} {
 		_, err := parseWireResult([]byte(body), 25, 4)
 		if !errors.Is(err, errAnswerK) || err.Error() != "webiface: answer under another k: answered k=3, dialed k=25" {
-			t.Fatalf("%s: %v, want the k refusal", body, err)
-		}
-	}
-	for _, body := range []string{
-		`{"k":3,"results":[]}`,
-		`{"k":25,"results":[{"result":{"k":3,"overflow":false,"tuples":null}}]}`,
-		`{"k":25,"results":[{"result":{"overflow":false,"k":3,"tuples":null}}]}`,
-	} {
-		if _, err := parseWireBatch([]byte(body), 25, 4); !errors.Is(err, errAnswerK) {
 			t.Fatalf("%s: %v, want the k refusal", body, err)
 		}
 	}
@@ -255,20 +247,6 @@ func FuzzParseWireResult(f *testing.F) {
 	})
 }
 
-// FuzzParseWireBatch is FuzzParseWireResult for batch answers.
-func FuzzParseWireBatch(f *testing.F) {
-	f.Fuzz(func(t *testing.T, k uint16, m uint8, body []byte) {
-		got, err := parseWireBatch(body, int(k), int(m))
-		want, refErr := jsonWireBatch(body, int(k))
-		if (err == nil) != (refErr == nil) {
-			t.Fatalf("walk error %v, encoding/json error %v", err, refErr)
-		}
-		if err == nil && !reflect.DeepEqual(got, want) {
-			t.Fatalf("walk and encoding/json decode different items")
-		}
-	})
-}
-
 // FuzzParseSearchParams: the Handler's query-string walk and net/url
 // plus parseWhere agree on failure, the sorted predicates and the key.
 func FuzzParseSearchParams(f *testing.F) {
@@ -297,4 +275,29 @@ func FuzzParseSearchParams(f *testing.F) {
 			t.Fatalf("walk key %q, net/url %q", key, want)
 		}
 	})
+}
+
+// parseWhere is the reference FuzzParseSearchParams holds the Handler's
+// query-string walk to: it validates and assembles "attr:value"
+// predicate strings against the schema with a map for the duplicate
+// check, and builds the Query through NewQuery's sort.
+func (h *Handler) parseWhere(where []string) (hiddendb.Query, error) {
+	sch := h.b.Schema()
+	var preds []hiddendb.Pred
+	seen := make(map[int]bool)
+	for _, raw := range where {
+		attr, val, err := parsePred(raw)
+		if err != nil {
+			return hiddendb.Query{}, err
+		}
+		if attr < 0 || attr >= sch.M() {
+			return hiddendb.Query{}, fmt.Errorf("unknown attribute %d", attr)
+		}
+		if seen[attr] {
+			return hiddendb.Query{}, fmt.Errorf("duplicate predicate on attribute %d", attr)
+		}
+		seen[attr] = true
+		preds = append(preds, hiddendb.Pred{Attr: attr, Val: val})
+	}
+	return hiddendb.NewQuery(preds...), nil
 }

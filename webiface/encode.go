@@ -34,10 +34,6 @@ type reqScratch struct {
 	preds []hiddendb.Pred
 	seen  []bool // per-attribute duplicate check, sized to schema M
 	key   []byte // cache-key bytes (hiddendb.AppendPredsKey)
-	buf   []byte // batch response splice buffer
-	body  []byte // batch request body read buffer
-	qs    []hiddendb.Query
-	req   wireBatchRequest // batch decode target; Queries reused across requests
 }
 
 var reqScratchPool = sync.Pool{New: func() any { return new(reqScratch) }}
@@ -46,7 +42,6 @@ func getReqScratch() *reqScratch { return reqScratchPool.Get().(*reqScratch) }
 
 func putReqScratch(sc *reqScratch) {
 	sc.preds = sc.preds[:0]
-	sc.qs = sc.qs[:0]
 	reqScratchPool.Put(sc)
 }
 
@@ -266,9 +261,8 @@ func sortPreds(preds []hiddendb.Pred) {
 }
 
 // readBody reads r to EOF into b's storage, growing it as needed: a
-// handler's batch request into its pooled scratch, a client's answer
-// into a pooled buffer. It returns the grown buffer on error too, so
-// the caller can keep it.
+// client's answer into a pooled buffer. It returns the grown buffer on
+// error too, so the caller can keep it.
 func readBody(r io.Reader, b []byte) ([]byte, error) {
 	b = b[:0]
 	if cap(b) == 0 {

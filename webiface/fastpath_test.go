@@ -213,83 +213,6 @@ func TestFastPathByteIdentityGET(t *testing.T) {
 	}
 }
 
-// TestFastPathByteIdentityBatch pins the batched POST splice path: the
-// hand-assembled response must match encoding/json over the equivalent
-// wireBatchResponse, with cached and uncached items mixed in one body.
-func TestFastPathByteIdentityBatch(t *testing.T) {
-	const k = 40
-	for _, cfg := range fastPathConfigs(t, k) {
-		t.Run(cfg.name, func(t *testing.T) {
-			h := NewHandler(cfg.backend)
-			srv := httptest.NewServer(h)
-			defer srv.Close()
-			rng := rand.New(rand.NewSource(9))
-			sch := cfg.backend.Schema()
-			for round := 0; round < 3; round++ {
-				qs := make([]hiddendb.Query, 6)
-				for i := range qs {
-					qs[i] = randomQuery(rng, sch, sch.DomainSize)
-				}
-				qs[3] = qs[1] // duplicate inside one batch
-
-				// Warm the cache with one of the batch members so the body
-				// mixes pre-encoded hits with fresh misses.
-				if _, body := getBody(t, srv, whereURL(qs[0])); len(body) == 0 {
-					t.Fatal("warm query returned empty body")
-				}
-
-				var req wireBatchRequest
-				for _, q := range qs {
-					var where []string
-					for _, p := range q.Preds() {
-						where = append(where, fmt.Sprintf("%d:%d", p.Attr, p.Val))
-					}
-					req.Queries = append(req.Queries, wireBatchQuery{Where: where})
-				}
-				reqRaw, err := json.Marshal(req)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				want := wireBatchResponse{K: k, Results: make([]wireBatchItem, 0, len(qs))}
-				fresh := cfg.fresh()
-				for _, q := range qs {
-					res, err := fresh.Search(q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wr := wireResultOf(k, res)
-					want.Results = append(want.Results, wireBatchItem{Result: &wr})
-				}
-				wantRaw, err := json.Marshal(want)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantRaw = append(wantRaw, '\n')
-
-				resp, err := http.Post(srv.URL+"/v1/search", "application/json", bytes.NewReader(reqRaw))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("round %d: status %d: %s", round, resp.StatusCode, got)
-				}
-				if !bytes.Equal(got, wantRaw) {
-					t.Fatalf("round %d: batch body diverged\ngot  %s\nwant %s", round, got, wantRaw)
-				}
-				if err := cfg.churn(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // TestFastPathNeverServesStale is the staleness fuzz (randomized op
 // sequence): interleave queries with inserts, deletes and epoch
 // advances, and after EVERY query byte-compare the served body against a
@@ -419,65 +342,6 @@ func TestFastPathSingleflightConcurrentChurn(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchScratchReuseNoLeak pins the pooled-decode contract: a
-// batch query object that omits "where" (a valid match-all query) must
-// decode to an empty predicate list even when the scratch's previous
-// request left populated wireBatchQuery elements in the backing array —
-// encoding/json merges into reused elements, so without the pre-decode
-// zeroing a later tenant would inherit the earlier tenant's predicates.
-func TestDecodeBatchScratchReuseNoLeak(t *testing.T) {
-	sc := new(reqScratch)
-	if err := decodeBatch([]byte(`{"queries":[{"where":["0:1","2:3"]},{"where":["1:1"]}]}`), sc); err != nil {
-		t.Fatal(err)
-	}
-	if len(sc.req.Queries) != 2 || len(sc.req.Queries[0].Where) != 2 {
-		t.Fatalf("seed decode wrong: %+v", sc.req.Queries)
-	}
-	// Same scratch, new request: one query with "where" absent, one with
-	// it explicitly empty. Both must come out with zero predicates.
-	if err := decodeBatch([]byte(`{"queries":[{},{"where":[]}]}`), sc); err != nil {
-		t.Fatal(err)
-	}
-	if len(sc.req.Queries) != 2 {
-		t.Fatalf("got %d queries, want 2", len(sc.req.Queries))
-	}
-	for i, q := range sc.req.Queries {
-		if len(q.Where) != 0 {
-			t.Fatalf("query %d inherited stale predicates from the pooled scratch: %q", i, q.Where)
-		}
-	}
-}
-
-// FuzzDecodeBatch: a batch body decoded into a scratch that already
-// decoded another body holds what a fresh scratch holds, so no pooled
-// request inherits an earlier one's queries or predicates. A reused
-// empty Queries slice and a fresh nil one both mean "no queries", so
-// the two are compared by length and elements.
-func FuzzDecodeBatch(f *testing.F) {
-	f.Fuzz(func(t *testing.T, first, second []byte) {
-		reused := new(reqScratch)
-		_ = decodeBatch(first, reused)
-		err := decodeBatch(second, reused)
-		fresh := new(reqScratch)
-		refErr := decodeBatch(second, fresh)
-		if (err == nil) != (refErr == nil) {
-			t.Fatalf("reused scratch error %v, fresh scratch error %v", err, refErr)
-		}
-		if err != nil {
-			return
-		}
-		got, want := reused.req.Queries, fresh.req.Queries
-		if len(got) != len(want) {
-			t.Fatalf("reused scratch decoded %d queries, fresh %d", len(got), len(want))
-		}
-		for i := range want {
-			if !slices.Equal(got[i].Where, want[i].Where) {
-				t.Fatalf("query %d: reused scratch where %q, fresh %q", i, got[i].Where, want[i].Where)
-			}
-		}
-	})
-}
-
 // FuzzAppendWireResult: for any Result the fuzz bytes describe, the
 // hand-rolled encoder writes the bytes encoding/json writes for
 // wireResultOf, and parseWireResult reads them back to an equal Result
@@ -485,9 +349,9 @@ func FuzzDecodeBatch(f *testing.F) {
 // tuple takes a head byte (bits 0-2: vals count, bit 3: nil vals, bits
 // 4-5: aux count), an 8-byte ID, 2 bytes per val and 8 bytes of raw
 // float bits per aux value, all little-endian; missing bytes read as 0.
-// encoding/json refuses NaN and ±Inf, for which appendJSONFloat writes
-// NaN or +Inf, which is not JSON. No dataset generates such an aux
-// value, so the target drops them from the Result.
+// encoding/json refuses NaN and ±Inf, which no JSON answer can carry,
+// and the store refuses a tuple holding one (Store.Insert, ApplyBatch),
+// so no answer does: the target drops them from the Result.
 func FuzzAppendWireResult(f *testing.F) {
 	// One tuple: ID 2^64-1, vals NullCode, 1, 2, aux 12.5.
 	f.Add(250, true, uint8(8), []byte{0x13, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
@@ -542,60 +406,6 @@ func FuzzAppendWireResult(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestFastPathBatchMatchAllAfterPredicates is the end-to-end form of the
-// scratch-reuse check: alternate a predicate-heavy batch with a bare
-// {"queries":[{}]} batch against one server and assert the match-all
-// answer never shrinks to the previous request's filtered result.
-func TestFastPathBatchMatchAllAfterPredicates(t *testing.T) {
-	data := workload.AutosLikeN(101, 3000, 8)
-	env, err := workload.NewEnv(data, 2500, 102)
-	if err != nil {
-		t.Fatal(err)
-	}
-	iface := hiddendb.NewIface(env.Store, 40, nil)
-	h := NewHandler(iface)
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-
-	fresh := hiddendb.NewIface(env.Store, 40, nil)
-	res, err := fresh.Search(hiddendb.NewQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wr := wireResultOf(h.b.K(), res)
-	want := wireBatchResponse{K: 40, Results: []wireBatchItem{{Result: &wr}}}
-	wantRaw, err := json.Marshal(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRaw = append(wantRaw, '\n')
-
-	for i := 0; i < 20; i++ {
-		resp, err := http.Post(srv.URL+"/v1/search", "application/json",
-			strings.NewReader(`{"queries":[{"where":["0:1","1:1"]}]}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-
-		resp, err = http.Post(srv.URL+"/v1/search", "application/json",
-			strings.NewReader(`{"queries":[{}]}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, wantRaw) {
-			t.Fatalf("iteration %d: match-all batch inherited prior request's predicates\ngot  %s\nwant %s",
-				i, got, wantRaw)
-		}
-	}
 }
 
 // TestParseSearchParamsKeyMatchesURLValues: the zero-alloc query-string

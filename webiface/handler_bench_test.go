@@ -176,28 +176,3 @@ func BenchmarkHandlerSearchHot(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkHandlerSearchBatch: the batched POST path, pooled decode and
-// splice buffer against per-request allocation. Body bytes are rebuilt
-// per iteration (the reader is consumed), which is charged to both
-// sides of any comparison equally.
-func BenchmarkHandlerSearchBatch(b *testing.B) {
-	h := NewHandler(benchBackend(b))
-	body := []byte(`{"queries":[{"where":["2:1","5:0"]},{"where":["0:3"]},{"where":[]}]}`)
-	w := newDiscardRW()
-	warm := httptest.NewRequest(http.MethodPost, "/v1/search", bytes.NewReader(body))
-	for i := 0; i < 4; i++ {
-		warm.Body = nopCloser{bytes.NewReader(body)}
-		h.ServeHTTP(w, warm)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest(http.MethodPost, "/v1/search", bytes.NewReader(body))
-		h.ServeHTTP(w, req)
-	}
-}
-
-type nopCloser struct{ *bytes.Reader }
-
-func (nopCloser) Close() error { return nil }

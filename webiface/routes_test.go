@@ -1,7 +1,6 @@
 package webiface
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,43 +13,6 @@ import (
 	"github.com/dynagg/dynagg/internal/workload"
 )
 
-// TestBatchEndpointMatchesSequential: a batched POST /v1/search must
-// return, per query, byte-identical results to individual GETs — the
-// wire-level half of the batch path's equivalence guarantee.
-func TestBatchEndpointMatchesSequential(t *testing.T) {
-	_, srv := newServer(t, 31, 2000, 25)
-	c, err := Dial(srv.URL, ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var qs []hiddendb.Query
-	qs = append(qs, hiddendb.NewQuery())
-	for v := uint16(0); v < 6; v++ {
-		qs = append(qs, hiddendb.NewQuery(hiddendb.Pred{Attr: 0, Val: v}))
-		qs = append(qs, hiddendb.NewQuery(hiddendb.Pred{Attr: 0, Val: v}, hiddendb.Pred{Attr: 1, Val: v % 3}))
-	}
-	items, err := c.SearchBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(items) != len(qs) {
-		t.Fatalf("batch returned %d items for %d queries", len(items), len(qs))
-	}
-	for i, q := range qs {
-		want, err := c.Search(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if items[i].Err != nil {
-			t.Fatalf("query %d: batch item error %v", i, items[i].Err)
-		}
-		if sigOf(items[i].Result) != sigOf(want) {
-			t.Fatalf("query %d: batch result diverges from sequential\n got %s\nwant %s",
-				i, sigOf(items[i].Result), sigOf(want))
-		}
-	}
-}
-
 // sigOf serialises a result for byte-identity comparison (the webiface
 // twin of hiddendb's resultSignature).
 func sigOf(r hiddendb.Result) string {
@@ -59,84 +21,6 @@ func sigOf(r hiddendb.Result) string {
 		s += fmt.Sprintf("%d:%v:%v;", t.ID, t.Vals, t.Aux)
 	}
 	return s
-}
-
-// TestBatchBudgetSemantics: the server charges batch queries one by one
-// in order; queries past the per-key budget come back as per-item
-// budget_exhausted errors (not a whole-batch 429), and the client maps
-// them to errors unwrapping to hiddendb.ErrBudgetExhausted.
-func TestBatchBudgetSemantics(t *testing.T) {
-	env, _ := newServer(t, 32, 1500, 20)
-	iface := hiddendb.NewIface(env.Store, 20, nil)
-	h := NewHandler(iface)
-	h.SetPerKeyBudget(3)
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-	c, err := Dial(srv.URL, ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := make([]hiddendb.Query, 5)
-	for i := range qs {
-		qs[i] = hiddendb.NewQuery(hiddendb.Pred{Attr: 0, Val: uint16(i)})
-	}
-	items, err := c.SearchBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, it := range items {
-		if i < 3 {
-			if it.Err != nil {
-				t.Fatalf("query %d within budget failed: %v", i, it.Err)
-			}
-			continue
-		}
-		if it.Err == nil {
-			t.Fatalf("query %d exceeded budget but succeeded", i)
-		}
-		if !errors.Is(it.Err, hiddendb.ErrBudgetExhausted) {
-			t.Fatalf("query %d: error %v does not unwrap to ErrBudgetExhausted", i, it.Err)
-		}
-	}
-}
-
-// TestBatchRejectsMalformedWholesale: one malformed query rejects the
-// whole batch with a 400 envelope BEFORE any budget is charged — batch
-// requests must not be able to burn budget on garbage.
-func TestBatchRejectsMalformedWholesale(t *testing.T) {
-	env, _ := newServer(t, 33, 800, 10)
-	iface := hiddendb.NewIface(env.Store, 10, nil)
-	h := NewHandler(iface)
-	h.SetPerKeyBudget(5)
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-
-	body, _ := json.Marshal(map[string]any{"queries": []map[string]any{
-		{"where": []string{"0:0"}},
-		{"where": []string{"notanattr"}},
-	}})
-	resp, err := http.Post(srv.URL+"/"+httpapi.Version+"/search", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed batch: status %d, want 400", resp.StatusCode)
-	}
-	if e, ok := httpapi.DecodeError(resp.Body); !ok || e.Code != httpapi.CodeBadRequest {
-		t.Fatalf("malformed batch: envelope %+v ok=%v", e, ok)
-	}
-
-	// The failed batch must not have consumed budget: 5 singles still fit.
-	c, err := Dial(srv.URL, ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := c.Search(hiddendb.NewQuery(hiddendb.Pred{Attr: 0, Val: uint16(i)})); err != nil {
-			t.Fatalf("budget was burned by a rejected batch: %v", err)
-		}
-	}
 }
 
 // TestV1RoutesAndAliases: every serving route answers under /v1, the

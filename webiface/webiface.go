@@ -17,13 +17,11 @@
 //
 //	{"k":100,"overflow":true,"tuples":[{"id":7,"vals":[1,0,3],"aux":[19.5]}]}
 //
-// Many queries go out in one round trip as a batched POST /v1/search
-// (see wireBatchRequest); the server answers the whole batch under a
-// single snapshot/epoch pin, charging the per-key budget once per query.
-// Errors are the shared JSON envelope of internal/httpapi. All routes
-// are mounted under "/v1/" only — the unversioned aliases of the first
-// versioned release have been removed and now answer 404 with the
-// standard envelope.
+// One request carries one query, charged once against the per-key
+// budget; a POST /v1/search answers 405. Errors are the shared JSON
+// envelope of internal/httpapi. All routes are mounted under "/v1/"
+// only — the unversioned aliases of the first versioned release have
+// been removed and now answer 404 with the standard envelope.
 //
 // Serving is wire-level fast-pathed (encode.go): requests parse into
 // pooled scratch, answers memoize their serialized JSON on the shared
@@ -38,7 +36,6 @@
 package webiface
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -71,30 +68,6 @@ type wireResult struct {
 	Tuples   []wireTuple `json:"tuples"`
 }
 
-// wireBatchRequest is the JSON body of a batched POST /search: one
-// "where" predicate list per query, same "attr:value" strings as the GET
-// parameter.
-type wireBatchRequest struct {
-	Queries []wireBatchQuery `json:"queries"`
-}
-
-type wireBatchQuery struct {
-	Where []string `json:"where"`
-}
-
-// wireBatchResponse answers a batch: one item per query, in order. Each
-// item carries either the query's result or a per-query error envelope
-// payload (budget exhaustion).
-type wireBatchResponse struct {
-	K       int             `json:"k"`
-	Results []wireBatchItem `json:"results"`
-}
-
-type wireBatchItem struct {
-	Result *wireResult    `json:"result,omitempty"`
-	Error  *httpapi.Error `json:"error,omitempty"`
-}
-
 // wireSchema is the JSON encoding of the schema discovery endpoint.
 type wireSchema struct {
 	K     int        `json:"k"`
@@ -111,10 +84,9 @@ type wireAttr struct {
 // store, answers track its current snapshot), hiddendb.ShardedIface (N
 // shards, answers scatter-gathered off the pinned epoch) or router.Router
 // (shard daemons, answers fanned out under the pinned fleet epoch).
-// SearchBatchAnswer must answer its whole batch under ONE snapshot/epoch
-// pin; its error, like SearchAnswer's, means the backend cannot answer
-// right now (503 unavailable). Version is a serving diagnostic (store
-// version, or epoch sequence when sharded or routed).
+// A SearchAnswer error means the backend cannot answer right now (503
+// unavailable). Version is a serving diagnostic (store version, or epoch
+// sequence when sharded or routed).
 //
 // The handler answers only through Answers, so it can memoize serialized
 // JSON next to each Result (hiddendb.Answer.Wire); LookupAnswer probes
@@ -125,7 +97,6 @@ type wireAttr struct {
 // waiter.
 type Backend interface {
 	SearchAnswer(q hiddendb.Query) (*hiddendb.Answer, error)
-	SearchBatchAnswer(ctx context.Context, qs []hiddendb.Query) ([]*hiddendb.Answer, error)
 	LookupAnswer(key []byte) (*hiddendb.Answer, bool)
 	CacheStats() hiddendb.CacheStats
 	K() int
@@ -150,10 +121,7 @@ var _ Backend = (*hiddendb.ShardedIface)(nil)
 // after their one-release grace period and return 404 envelopes):
 //
 //	GET  /v1/schema           → wireSchema
-//	GET  /v1/search?where=... → wireResult
-//	POST /v1/search           → wireBatchResponse (batched queries, one
-//	                            snapshot/epoch pin, one budget charge per
-//	                            query)
+//	GET  /v1/search?where=... → wireResult (POST answers 405)
 //	GET  /v1/stats            → wireStats
 //	GET  /v1/healthz          → {"status":"ok","api_version":"v1"}
 //	GET  /v1/metrics          → Prometheus-style plaintext (query counts,
@@ -184,7 +152,6 @@ type Handler struct {
 	// split by answer-cache outcome (hit/miss/error).
 	lat struct {
 		searchHit, searchMiss, searchErr obs.Histogram
-		searchBatch, searchBatchErr      obs.Histogram
 		schema, stats                    obs.Histogram
 	}
 	// reqlog is the fixed-size ring of recent slow/failed requests
@@ -259,7 +226,10 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		h.lat.schema.Observe(time.Since(start))
 	case "/v1/search":
 		if r.Method == http.MethodPost {
-			h.serveSearchBatch(w, r)
+			// One query per request: a POST body is never read, so it
+			// charges nothing.
+			w.Header().Set("Allow", http.MethodGet)
+			httpapi.WriteError(w, http.StatusMethodNotAllowed, httpapi.CodeBadRequest, "search is GET /v1/search?where=attr:value")
 			return
 		}
 		h.serveSearch(w, r)
@@ -330,8 +300,6 @@ func (h *Handler) serveMetrics(w http.ResponseWriter) {
 	emit(&h.lat.searchHit, "route", routeSearch, "outcome", outcomeHit)
 	emit(&h.lat.searchMiss, "route", routeSearch, "outcome", outcomeMiss)
 	emit(&h.lat.searchErr, "route", routeSearch, "outcome", outcomeError)
-	emit(&h.lat.searchBatch, "route", routeSearchBatch, "outcome", outcomeBatch)
-	emit(&h.lat.searchBatchErr, "route", routeSearchBatch, "outcome", outcomeError)
 	emit(&h.lat.schema, "route", "schema")
 	emit(&h.lat.stats, "route", "stats")
 	w.Header().Set("Content-Type", metrics.ContentType)
@@ -355,14 +323,6 @@ func (h *Handler) serveStats(w http.ResponseWriter) {
 	})
 }
 
-// apiKey extracts the client's key from the request.
-func apiKey(r *http.Request) string {
-	if k := r.Header.Get("X-API-Key"); k != "" {
-		return k
-	}
-	return r.URL.Query().Get("key")
-}
-
 func (h *Handler) serveSchema(w http.ResponseWriter) {
 	sch := h.b.Schema()
 	out := wireSchema{K: h.b.K()}
@@ -371,31 +331,6 @@ func (h *Handler) serveSchema(w http.ResponseWriter) {
 		out.Attrs = append(out.Attrs, wireAttr{Name: a.Name, Domain: a.Domain, Nullable: a.Nullable})
 	}
 	httpapi.WriteJSON(w, http.StatusOK, out)
-}
-
-// parseWhere validates and assembles one batch query's "attr:value"
-// predicate strings against the schema. NewQuery panics on duplicates
-// (trusted-caller API), so untrusted wire input is rejected before it
-// gets there.
-func (h *Handler) parseWhere(where []string) (hiddendb.Query, error) {
-	sch := h.b.Schema()
-	var preds []hiddendb.Pred
-	seen := make(map[int]bool)
-	for _, raw := range where {
-		attr, val, err := parsePred(raw)
-		if err != nil {
-			return hiddendb.Query{}, err
-		}
-		if attr < 0 || attr >= sch.M() {
-			return hiddendb.Query{}, fmt.Errorf("unknown attribute %d", attr)
-		}
-		if seen[attr] {
-			return hiddendb.Query{}, fmt.Errorf("duplicate predicate on attribute %d", attr)
-		}
-		seen[attr] = true
-		preds = append(preds, hiddendb.Pred{Attr: attr, Val: val})
-	}
-	return hiddendb.NewQuery(preds...), nil
 }
 
 // serveSearch answers a single GET query through the wire fast path:
@@ -410,7 +345,7 @@ func (h *Handler) serveSearch(w http.ResponseWriter, r *http.Request) {
 	qkey, err := h.parseSearchParams(r, sc)
 	if err != nil {
 		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
-		h.recordSearchFailure(r, start, routeSearch, http.StatusBadRequest, err.Error())
+		h.recordSearchFailure(r, start, http.StatusBadRequest, err.Error())
 		return
 	}
 	key := r.Header.Get("X-API-Key")
@@ -421,7 +356,7 @@ func (h *Handler) serveSearch(w http.ResponseWriter, r *http.Request) {
 	// at parse time was never answered, so it must not burn a unit of G.
 	if !h.consumeBudget(key) {
 		httpapi.WriteError(w, http.StatusTooManyRequests, httpapi.CodeBudgetExhausted, budgetExhaustedMsg)
-		h.recordSearchFailure(r, start, routeSearch, http.StatusTooManyRequests, budgetExhaustedMsg)
+		h.recordSearchFailure(r, start, http.StatusTooManyRequests, budgetExhaustedMsg)
 		return
 	}
 	sortPreds(sc.preds)
@@ -439,7 +374,8 @@ func (h *Handler) serveSearch(w http.ResponseWriter, r *http.Request) {
 		a, err = h.b.SearchAnswer(q)
 	}
 	if err != nil {
-		h.unavailable(w, r, start, routeSearch, err)
+		httpapi.WriteError(w, http.StatusServiceUnavailable, httpapi.CodeUnavailable, err.Error())
+		h.recordSearchFailure(r, start, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	h.writeAnswer(w, a)
@@ -449,12 +385,10 @@ func (h *Handler) serveSearch(w http.ResponseWriter, r *http.Request) {
 // Route and outcome label values for dynagg_serve_request_seconds and
 // the request log.
 const (
-	routeSearch      = "search"
-	routeSearchBatch = "search_batch"
-	outcomeHit       = "hit"
-	outcomeMiss      = "miss"
-	outcomeError     = "error"
-	outcomeBatch     = "batch"
+	routeSearch  = "search"
+	outcomeHit   = "hit"
+	outcomeMiss  = "miss"
+	outcomeError = "error"
 )
 
 // finishSearch closes a successful search: one lock-free histogram
@@ -468,26 +402,15 @@ func (h *Handler) finishSearch(r *http.Request, start time.Time, hist *obs.Histo
 	}
 }
 
-// recordSearchFailure observes a failed request into the route's error
-// histogram and always records it in the ring — error paths already
-// allocate, so the record costs nothing the envelope didn't.
-func (h *Handler) recordSearchFailure(r *http.Request, start time.Time, route string, status int, detail string) {
+// recordSearchFailure observes a failed search into the error histogram
+// and always records it in the ring — error paths already allocate, so
+// the record costs nothing the envelope didn't.
+func (h *Handler) recordSearchFailure(r *http.Request, start time.Time, status int, detail string) {
 	d := time.Since(start)
-	if route == routeSearch {
-		h.lat.searchErr.Observe(d)
-	} else {
-		h.lat.searchBatchErr.Observe(d)
-	}
+	h.lat.searchErr.Observe(d)
 	if h.reqlog.Qualifies(d, true) {
-		h.record(r, obs.RequestRecord{Route: route, Status: status, DurationMs: obs.DurationMs(d), Outcome: outcomeError, Detail: detail})
+		h.record(r, obs.RequestRecord{Route: routeSearch, Status: status, DurationMs: obs.DurationMs(d), Outcome: outcomeError, Detail: detail})
 	}
-}
-
-// unavailable answers a backend error — a router fan-out that cannot
-// answer coherently — with the 503 unavailable envelope.
-func (h *Handler) unavailable(w http.ResponseWriter, r *http.Request, start time.Time, route string, err error) {
-	httpapi.WriteError(w, http.StatusServiceUnavailable, httpapi.CodeUnavailable, err.Error())
-	h.recordSearchFailure(r, start, route, http.StatusServiceUnavailable, err.Error())
 }
 
 // record adds one request to the debug ring at the current version. The
@@ -508,109 +431,6 @@ func (h *Handler) record(r *http.Request, rec obs.RequestRecord) {
 
 // budgetExhaustedMsg is the message of every budget_exhausted envelope.
 const budgetExhaustedMsg = "per-round query budget exhausted"
-
-// batchBudgetErrJSON is the pre-rendered wireBatchItem for a query the
-// per-key budget could not cover — byte-identical to encoding/json over
-// the equivalent envelope payload.
-const batchBudgetErrJSON = `{"error":{"code":"` + httpapi.CodeBudgetExhausted +
-	`","message":"` + budgetExhaustedMsg + `"}}`
-
-// decodeBatch unmarshals a batch body into the pooled scratch's request
-// struct. encoding/json decodes into the existing backing array when
-// capacity allows and merges into whatever the elements already hold, so
-// a query object that omits "where" (a valid match-all query) would
-// silently inherit predicates from whichever request last used this
-// scratch. Zero every reusable element before decoding.
-func decodeBatch(body []byte, sc *reqScratch) error {
-	clear(sc.req.Queries[:cap(sc.req.Queries)])
-	sc.req.Queries = sc.req.Queries[:0]
-	return json.Unmarshal(body, &sc.req)
-}
-
-// serveSearchBatch answers a POST /search: many queries, one round trip,
-// one snapshot/epoch pin, one budget charge per query. Any malformed
-// query rejects the WHOLE batch with 400 before any budget is charged;
-// after that, queries are charged in order and the ones the per-key
-// budget cannot cover come back as per-item budget_exhausted errors while
-// the covered ones are answered together via Backend.SearchBatchAnswer.
-func (h *Handler) serveSearchBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	sc := getReqScratch()
-	defer putReqScratch(sc)
-	body, err := readBody(r.Body, sc.body)
-	sc.body = body
-	if err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, "batch decode: "+err.Error())
-		h.recordSearchFailure(r, start, routeSearchBatch, http.StatusBadRequest, "batch decode: "+err.Error())
-		return
-	}
-	if err := decodeBatch(body, sc); err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, "batch decode: "+err.Error())
-		h.recordSearchFailure(r, start, routeSearchBatch, http.StatusBadRequest, "batch decode: "+err.Error())
-		return
-	}
-	qs := append(sc.qs[:0], make([]hiddendb.Query, len(sc.req.Queries))...)
-	sc.qs = qs
-	for i, wq := range sc.req.Queries {
-		q, err := h.parseWhere(wq.Where)
-		if err != nil {
-			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest,
-				fmt.Sprintf("query %d: %s", i, err))
-			h.recordSearchFailure(r, start, routeSearchBatch, http.StatusBadRequest, err.Error())
-			return
-		}
-		qs[i] = q
-	}
-	key := apiKey(r)
-	charged := make([]hiddendb.Query, 0, len(qs))
-	chargedIdx := make([]int, 0, len(qs))
-	inBudget := make([]bool, len(qs))
-	for i, q := range qs {
-		if !h.consumeBudget(key) {
-			continue
-		}
-		inBudget[i] = true
-		charged = append(charged, q)
-		chargedIdx = append(chargedIdx, i)
-	}
-	// One epoch/snapshot pin for the whole covered batch; each answer's
-	// wire bytes are memoized on its shared cache entry, so the splice
-	// below is a copy per item, not an encode per item, once warm.
-	covered, err := h.b.SearchBatchAnswer(r.Context(), charged)
-	if err != nil {
-		h.unavailable(w, r, start, routeSearchBatch, err)
-		return
-	}
-	answers := make([]*hiddendb.Answer, len(qs))
-	for j, a := range covered {
-		answers[chargedIdx[j]] = a
-	}
-	buf := append(sc.buf[:0], `{"k":`...)
-	buf = strconv.AppendInt(buf, int64(h.b.K()), 10)
-	buf = append(buf, `,"results":[`...)
-	for i := range qs {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		if !inBudget[i] {
-			buf = append(buf, batchBudgetErrJSON...)
-			continue
-		}
-		buf = append(buf, `{"result":`...)
-		buf = append(buf, answers[i].Wire(h.encodeResult)...)
-		buf = append(buf, '}')
-	}
-	buf = append(buf, `]}`...)
-	buf = append(buf, '\n')
-	sc.buf = buf
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(buf)
-	d := time.Since(start)
-	h.lat.searchBatch.Observe(d)
-	if h.reqlog.Qualifies(d, false) {
-		h.record(r, obs.RequestRecord{Route: routeSearchBatch, Status: http.StatusOK, DurationMs: obs.DurationMs(d), Outcome: outcomeBatch})
-	}
-}
 
 func parsePred(raw string) (int, uint16, error) {
 	attrS, valS, found := strings.Cut(raw, ":")
@@ -680,10 +500,6 @@ type Client struct {
 	k    int
 	http *http.Client
 	opts ClientOptions
-	// customWire records that the caller injected a site-specific
-	// Request/Parse pair; the native batched POST then does not apply and
-	// SearchBatch degrades to sequential single-query requests.
-	customWire bool
 
 	mu     sync.Mutex // guards nextAt
 	nextAt time.Time
@@ -725,11 +541,10 @@ func Dial(base string, opts ClientOptions) (*Client, error) {
 	if opts.Retries == 0 {
 		opts.Retries = 2
 	}
-	custom := opts.Request != nil || opts.Parse != nil
 	if opts.Request == nil {
 		opts.Request = defaultRequest
 	}
-	c := &Client{base: strings.TrimRight(base, "/"), http: opts.HTTPClient, opts: opts, customWire: custom}
+	c := &Client{base: strings.TrimRight(base, "/"), http: opts.HTTPClient, opts: opts}
 
 	resp, err := c.http.Get(c.base + "/" + httpapi.Version + "/schema")
 	if err != nil {
@@ -787,68 +602,6 @@ func (c *Client) SearchContext(ctx context.Context, q hiddendb.Query) (hiddendb.
 		return hiddendb.Result{}, err
 	}
 	return res, nil
-}
-
-// SearchBatch issues many queries as ONE batched POST — one rate-limit
-// slot, one round trip, one server-side snapshot/epoch pin. The returned
-// items are in query order; per-query budget errors travel inside them
-// (unwrapping to hiddendb.ErrBudgetExhausted), while the error return is
-// a whole-batch transport failure. Clients built around a site-specific
-// wire format (custom Request/Parse) have no batch endpoint and fall back
-// to sequential single-query requests.
-func (c *Client) SearchBatch(qs []hiddendb.Query) ([]hiddendb.BatchItem, error) {
-	return c.SearchBatchContext(context.Background(), qs)
-}
-
-// SearchBatchContext is SearchBatch with caller-controlled cancellation,
-// mirroring SearchContext's retry/backoff/timeout behaviour. Note that
-// retrying a failed batch re-charges the server-side budget for every
-// query in it, just as retrying a single query re-charges one.
-func (c *Client) SearchBatchContext(ctx context.Context, qs []hiddendb.Query) ([]hiddendb.BatchItem, error) {
-	if len(qs) == 0 {
-		return nil, nil
-	}
-	if c.customWire {
-		items := make([]hiddendb.BatchItem, len(qs))
-		for i, q := range qs {
-			r, err := c.SearchContext(ctx, q)
-			items[i] = hiddendb.BatchItem{Result: r, Err: err}
-		}
-		return items, nil
-	}
-	req := wireBatchRequest{Queries: make([]wireBatchQuery, len(qs))}
-	for i, q := range qs {
-		where := make([]string, 0, q.Len())
-		for _, p := range q.Preds() {
-			where = append(where, fmt.Sprintf("%d:%d", p.Attr, p.Val))
-		}
-		req.Queries[i] = wireBatchQuery{Where: where}
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	var items []hiddendb.BatchItem
-	err = c.do(ctx, "batch search",
-		func(actx context.Context) (*http.Request, error) {
-			hreq, err := http.NewRequestWithContext(actx, http.MethodPost,
-				c.base+"/"+httpapi.Version+"/search", bytes.NewReader(body))
-			if err == nil {
-				hreq.Header.Set("Content-Type", "application/json")
-			}
-			return hreq, err
-		},
-		func(resp *http.Response) (err error) {
-			items, err = c.readBatch(resp.Body)
-			return err
-		})
-	if err != nil {
-		return nil, err
-	}
-	if len(items) != len(qs) {
-		return nil, fmt.Errorf("webiface: batch answered %d of %d queries", len(items), len(qs))
-	}
-	return items, nil
 }
 
 // do runs one request cycle: it waits for a rate-limit slot, then makes
@@ -992,5 +745,3 @@ func defaultRequest(ctx context.Context, base string, q hiddendb.Query) (*http.R
 // estimator execution engine's bounded fan-out (several goroutines
 // issuing one round's drill-down walks).
 func (c *Client) NewSession(g int) *hiddendb.Session { return hiddendb.NewSession(c, g) }
-
-var _ hiddendb.BatchSearcher = (*Client)(nil)
